@@ -29,14 +29,12 @@ from .core import (
     R3,
     SET,
     ChiTable,
-    RepTable,
     ScanReport,
     WeightPair,
     classic_rep,
     rep_count_weighted,
-    rep_table,
+    rep_difference,
     rep_values,
-    total_identity_check,
 )
 from .errors import (
     DomainError,
@@ -53,7 +51,6 @@ from .partitions import (
     StructureReport,
     enumerate_seeds,
     extend_seed,
-    solution_count,
     verify_block_parity,
     verify_equality,
     verify_structure,

@@ -287,9 +287,7 @@ def witness_list(chi: ChiTable, n: int) -> tuple[list[WitnessRecord], list[tuple
     return records, skipped
 
 
-def bound_scan(
-    chi: ChiTable, lo: int, hi: int, step: int = 1, workers: int = 1
-) -> ScanReport:
+def bound_scan(chi: ChiTable, lo: int, hi: int, step: int = 1) -> ScanReport:
     """Record both representation counts against the guaranteed bound.
 
     For each sampled n the report carries R_{1,k} on the set and on the
@@ -304,8 +302,8 @@ def bound_scan(
     if step < 1:
         raise PreconditionError(f"step must be >= 1, got {step}")
     w = WeightPair(1, chi.k)
-    vs = rep_values(chi, SET, w, hi, workers=workers)
-    vc = rep_values(chi, COMPLEMENT, w, hi, workers=workers)
+    vs = rep_values(chi, SET, w, hi)
+    vc = rep_values(chi, COMPLEMENT, w, hi)
     ns = np.arange(lo, hi + 1, step, dtype=np.int64)
     r_set = vs[ns]
     r_comp = vc[ns]

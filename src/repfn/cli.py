@@ -54,7 +54,6 @@ class RunConfig:
     cap: int | None = None
     format: str = "json"
     out: str | None = None
-    workers: int = 1
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -141,7 +140,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
     structure = partitions.verify_structure(chi, cfg.limit)
-    equality = partitions.verify_equality(chi, cfg.limit, workers=cfg.workers)
+    equality = partitions.verify_equality(chi, cfg.limit)
     parity = partitions.verify_block_parity(chi, _VERIFY_BLOCK_IMAX)
     eq_violations = equality.violations
     ok = structure.ok and equality.passed and parity.ok
@@ -193,7 +192,7 @@ def _cmd_scan_bound(cfg: RunConfig) -> int:
     if cfg.lo > cfg.hi:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
     chi = partitions.extend_seed(seed, cfg.hi)
-    report = bounds.bound_scan(chi, cfg.lo, cfg.hi, workers=cfg.workers)
+    report = bounds.bound_scan(chi, cfg.lo, cfg.hi)
     if cfg.format == "csv":
         _emit_csv(["n", "R_A", "R_comp", "bound", "ok"], report.rows(), cfg)
         print(
@@ -281,14 +280,12 @@ def _cmd_classic(cfg: RunConfig) -> int:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
     if cfg.hi > cfg.limit:
         raise PreconditionError(f"hi={cfg.hi} exceeds limit={cfg.limit}")
+    if cfg.lo < 0:
+        raise PreconditionError(f"n must be nonnegative, got {cfg.lo}")
     chi = partitions.extend_seed(seed, cfg.limit)
-    rows = []
-    for n in range(cfg.lo, cfg.hi + 1):
-        rows.append(
-            [n]
-            + [classic_rep(chi, SET, v, n) for v in (R1, R2, R3)]
-            + [classic_rep(chi, COMPLEMENT, v, n) for v in (R1, R2, R3)]
-        )
+    counts = [classic_rep(chi, side, cfg.hi) for side in (SET, COMPLEMENT)]
+    columns = [c[v][cfg.lo :].tolist() for c in counts for v in (R1, R2, R3)]
+    rows = [[n, *vals] for n, vals in zip(range(cfg.lo, cfg.hi + 1), zip(*columns))]
     header = ["n", "r1_set", "r2_set", "r3_set", "r1_comp", "r2_comp", "r3_comp"]
     if cfg.format == "csv":
         _emit_csv(header, rows, cfg)
@@ -327,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "plain"),
                        default="plain" if name in ("seeds", "build") else "json")
         p.add_argument("--out", type=str, default=None)
-        if name in ("verify", "scan-bound"):
-            p.add_argument("--workers", type=int, default=1)
         return p
 
     add("seeds", "enumerate valid initial segments", k=True, n0=True)
@@ -363,9 +358,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg = RunConfig.from_args(args)
     if cfg.format == "plain" and cfg.command not in ("seeds", "build"):
         print(f"error: --format plain is not supported by {cfg.command}", file=sys.stderr)
-        return 2
-    if cfg.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[cfg.command](cfg)

@@ -17,7 +17,6 @@ exceed n, so 64 bits is ample).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -121,7 +120,7 @@ def rep_count_weighted(chi: ChiTable, side: str, w: WeightPair, n: int) -> int:
     """Count ordered pairs (a1, a2) with k1*a1 + k2*a2 = n, both on ``side``.
 
     This is the naive per-n reference counter: one pass over a2 in
-    [0, n // k2].  The batched sieve in :func:`rep_table` must agree with it
+    [0, n // k2].  The batched kernel :func:`rep_values` must agree with it
     everywhere.
     """
     _check_side(side)
@@ -142,125 +141,75 @@ def rep_count_weighted(chi: ChiTable, side: str, w: WeightPair, n: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class RepTable:
-    """Batched representation counts values[n] for n in [0, M]."""
-
-    weights: WeightPair
-    side: str
-    source: str
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        # counts are bounded by the number of admissible a2 (or a1) choices
-        ns = np.arange(self.values.size, dtype=np.int64)
-        if not np.all(self.values <= ns // self.weights.kmax + 1):
-            raise AssertionError("representation counts exceed the combinatorial bound")
-
-    def __getitem__(self, n: int) -> int:
-        return int(self.values[n])
-
-    def as_list(self) -> list[int]:
-        return [int(v) for v in self.values]
+def _class_prefix(u: np.ndarray, k: int) -> np.ndarray:
+    """F[x] = u[x] + u[x - k] + u[x - 2k] + ...: prefix sums within each residue class mod k."""
+    rows = -(-u.size // k)
+    f = np.zeros(rows * k, dtype=np.int64)
+    f[: u.size] = u
+    grid = f.reshape(rows, k)
+    np.cumsum(grid, axis=0, out=grid)
+    return f[: u.size]
 
 
-def _sieve_chunk(member: np.ndarray, k1: int, k2: int, up_to: int, a2_chunk: np.ndarray) -> np.ndarray:
-    """Strided-add sieve: one slice update per member a2 in the chunk."""
-    values = np.zeros(up_to + 1, dtype=np.int64)
-    member = member.astype(np.int64)
-    for a2 in a2_chunk:
-        start = k2 * int(a2)
-        cnt = (up_to - start) // k1 + 1
-        values[start : start + (cnt - 1) * k1 + 1 : k1] += member[:cnt]
-    return values
-
-
-def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int, workers: int = 1) -> np.ndarray:
+def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int) -> np.ndarray:
     """Array of rep_count_weighted(chi, side, w, n) for n in [0, up_to].
 
-    With ``workers > 1`` the a2 range is sharded across processes and the
-    partial count arrays are summed; results are identical to the serial
-    path.
+    With u the side's indicator placed on multiples of k1 and F its prefix
+    sums along each residue class mod k2, a run [s, e) of members a2
+    contributes F[n - k2*s] - F[n - k2*e] to R(n) (terms with a negative
+    index are zero).  The cost is one pair of contiguous adds per run, and a
+    table built by the flip rule has only O((k + n0) * log N) runs on [0, N].
     """
     _check_side(side)
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
     member = chi.side_bits(side, up_to)
-    a2s = np.nonzero(member[: up_to // w.k2 + 1])[0]
-    if workers <= 1:
-        return _sieve_chunk(member, w.k1, w.k2, up_to, a2s)
-    from concurrent.futures import ProcessPoolExecutor
+    u = np.zeros(up_to + 1, dtype=np.uint8)
+    u[:: w.k1] = member[: up_to // w.k1 + 1]
+    f = _class_prefix(u, w.k2)
+    edges = np.flatnonzero(np.diff(member[: up_to // w.k2 + 1], prepend=0, append=0))
+    values = np.zeros(up_to + 1, dtype=np.int64)
+    for s, e in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        start, stop = w.k2 * s, w.k2 * e
+        values[start:] += f[: up_to + 1 - start]
+        if stop <= up_to:
+            values[stop:] -= f[: up_to + 1 - stop]
+    return values
 
-    chunks = [c for c in np.array_split(a2s, workers) if c.size]
-    if not chunks:
-        return np.zeros(up_to + 1, dtype=np.int64)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = [pool.submit(_sieve_chunk, member, w.k1, w.k2, up_to, c) for c in chunks]
-        return np.sum([p.result() for p in parts], axis=0)
 
+def rep_difference(chi: ChiTable, w: WeightPair, up_to: int) -> np.ndarray:
+    """R_{1,k}(A, n) - R_{1,k}(complement, n) for n in [0, up_to], in O(up_to).
 
-def rep_table(chi: ChiTable, side: str, w: WeightPair, up_to: int, workers: int = 1) -> RepTable:
-    """Batched form of :func:`rep_count_weighted` over [0, up_to]."""
-    values = rep_values(chi, side, w, up_to, workers=workers)
-    return RepTable(weights=w, side=side, source=f"{chi.describe()}/{side}", values=values)
+    For k1 = 1 each a2 in [0, n // k] gives one solution, contributing
+    chi(a1) + chi(a2) - 1 to the difference, so the difference is
+    S(n // k) + T(n) - (n // k + 1): S counts A on [0, n // k] and T counts
+    A in n's residue class mod k up to n.  It counts no pairs, so it is an
+    independent check on :func:`rep_values`.
+    """
+    if w.k1 != 1:
+        raise PreconditionError(f"identity requires k1 = 1, got k1 = {w.k1}")
+    bits = chi.side_bits(SET, up_to)
+    q = np.arange(up_to + 1, dtype=np.int64) // w.k2
+    return np.cumsum(bits, dtype=np.int64)[q] + _class_prefix(bits, w.k2) - (q + 1)
 
 
 R1 = "r1"
 R2 = "r2"
 R3 = "r3"
-_VARIANTS = (R1, R2, R3)
 
 
-def classic_rep(chi: ChiTable, side: str, variant: str, n: int) -> int:
-    """Classic two-term counts at weight (1, 1).
+def classic_rep(chi: ChiTable, side: str, up_to: int) -> dict[str, np.ndarray]:
+    """Classic two-term counts at weight (1, 1) for n in [0, up_to].
 
     r1 counts ordered pairs a + a' = n, r2 the pairs with a < a', r3 the
-    pairs with a <= a'; both elements must lie on the chosen side.
+    pairs with a <= a'; both elements must lie on the chosen side.  With
+    diag(n) = [n even and n/2 on side], r2 = (r1 - diag) / 2 and
+    r3 = (r1 + diag) / 2.
     """
-    _check_side(side)
-    if variant not in _VARIANTS:
-        raise PreconditionError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-    if n < 0:
-        raise PreconditionError(f"n must be nonnegative, got {n}")
-    if n > chi.limit:
-        raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {chi.limit}]")
-    bits = chi._bits
-    target = 1 if side == SET else 0
-    r1 = r2 = r3 = 0
-    for a in range(n // 2 + 1):
-        b = n - a
-        if bits[a] == target and bits[b] == target:
-            r3 += 1
-            if a < b:
-                r2 += 1
-                r1 += 2
-            else:
-                r1 += 1
-    return {R1: r1, R2: r2, R3: r3}[variant]
-
-
-def total_identity_check(chi: ChiTable, w: WeightPair, n: int) -> bool:
-    """Self-test: the four membership classes partition all solutions.
-
-    For k1 = 1 every a2 in [0, n // k2] yields exactly one ordered pair, so
-    counting pairs with (a1, a2) in A x A, comp x comp, A x comp and
-    comp x A must give n // k2 + 1 in total.  Each class is recounted
-    independently here; a mismatch indicates a corrupted table.
-    """
-    if w.k1 != 1:
-        raise PreconditionError(f"identity requires k1 = 1, got k1 = {w.k1}")
-    if n < 0:
-        raise PreconditionError(f"n must be nonnegative, got {n}")
-    if n > chi.limit:
-        raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {chi.limit}]")
-    a2s = np.arange(n // w.k2 + 1)
-    b2 = chi._bits[a2s].astype(np.int64)
-    b1 = chi._bits[n - w.k2 * a2s].astype(np.int64)
-    both_in = int(np.sum(b1 & b2))
-    both_out = int(np.sum((1 - b1) & (1 - b2)))
-    in_out = int(np.sum(b1 & (1 - b2)))
-    out_in = int(np.sum((1 - b1) & b2))
-    return both_in + both_out + in_out + out_in == n // w.k2 + 1
+    r1 = rep_values(chi, side, WeightPair(1, 1), up_to)
+    diag = np.zeros(up_to + 1, dtype=np.int64)
+    diag[::2] = chi.side_bits(side, up_to // 2)
+    return {R1: r1, R2: (r1 - diag) // 2, R3: (r1 + diag) // 2}
 
 
 @dataclass
@@ -294,9 +243,9 @@ class ScanReport:
     def passed(self) -> bool:
         return bool(self.ok.all())
 
-    def rows(self) -> Iterator[tuple[int, int, int, int, int]]:
-        for n, rs, rc, b, f in zip(self.ns, self.r_set, self.r_comp, self.bound, self.ok):
-            yield int(n), int(rs), int(rc), int(b), int(f)
+    def rows(self) -> list[list[int]]:
+        """One [n, R_A, R_comp, bound, ok] row of Python ints per sampled n."""
+        return np.column_stack((self.ns, self.r_set, self.r_comp, self.bound, self.ok)).tolist()
 
     def to_dict(self) -> dict:
         return {
@@ -310,5 +259,5 @@ class ScanReport:
             "violations": self.violations,
             "min_ratio": self.min_ratio,
             "columns": ["n", "R_A", "R_comp", "bound", "ok"],
-            "rows": [list(r) for r in self.rows()],
+            "rows": self.rows(),
         }

@@ -21,7 +21,6 @@ relation that (b) induces along chains n -> k*n + j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -43,24 +42,6 @@ def _check_params(k: int, n0: int) -> None:
         raise PreconditionError(f"k must be >= 2, got {k}")
     if n0 < 0:
         raise PreconditionError(f"n0 must be >= 0, got {n0}")
-
-
-def solution_count(k: int, n: int) -> int:
-    """Number of nonnegative solutions (a1, a2) of a1 + k*a2 = n.
-
-    Computed by direct enumeration over a2; the closed form n // k + 1 is
-    used only as a cross-check.
-    """
-    if n < 0:
-        raise PreconditionError(f"n must be nonnegative, got {n}")
-    _check_params(k, 0)
-    count = 0
-    for a2 in range(n + 1):
-        if n - k * a2 < 0:
-            break
-        count += 1
-    assert count == n // k + 1
-    return count
 
 
 def _window_sums(values, k: int, n: int) -> tuple[int, int]:
@@ -221,15 +202,15 @@ def verify_structure(chi: ChiTable, up_to: int) -> StructureReport:
     )
 
 
-def verify_equality(chi: ChiTable, up_to: int, workers: int = 1) -> ScanReport:
+def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
     """Compare R_{1,k} on the set and its complement for every n in [n0, up_to]."""
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
     if up_to < chi.n0:
         raise PreconditionError(f"up_to={up_to} is below n0={chi.n0}")
     w = WeightPair(1, chi.k)
-    vs = rep_values(chi, SET, w, up_to, workers=workers)
-    vc = rep_values(chi, COMPLEMENT, w, up_to, workers=workers)
+    vs = rep_values(chi, SET, w, up_to)
+    vc = rep_values(chi, COMPLEMENT, w, up_to)
     lo = chi.n0
     ns = np.arange(lo, up_to + 1)
     r_set = vs[lo:]
@@ -291,46 +272,45 @@ def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
     k, limit = chi.k, chi.limit
     threshold = (chi.n0 + k) // k + 1
     bits = chi.bits
-    checked = 0
     checked_per_i = []
     violations: list[tuple[int, int, int]] = []
     violation_count = 0
     below_checked = 0
     below_mismatch = 0
 
-    def compare(n: int, i: int, base: int, j_hi: int, judge: bool) -> None:
-        nonlocal checked, violation_count, below_checked, below_mismatch
-        start = base * n
-        block = bits[start : start + j_hi + 1]
-        expected = bits[n] ^ (i & 1)
-        bad = np.nonzero(block != expected)[0]
-        if judge:
-            checked += j_hi + 1
-            violation_count += int(bad.size)
-            for j in islice(bad, max(0, _MAX_STORED_VIOLATIONS - len(violations))):
-                violations.append((n, i, int(j)))
-        else:
-            below_checked += j_hi + 1
-            below_mismatch += int(bad.size)
+    def compare(ns: np.ndarray, blocks: np.ndarray, i: int, judge: bool) -> int:
+        """Tally one row of blocks per base n in ns; return the cells judged."""
+        nonlocal violation_count, below_checked, below_mismatch
+        bad = blocks != (bits[ns] ^ (i & 1))[:, None]
+        if not judge:
+            below_checked += bad.size
+            below_mismatch += int(np.count_nonzero(bad))
+            return 0
+        violation_count += int(np.count_nonzero(bad))
+        room = _MAX_STORED_VIOLATIONS - len(violations)
+        if room > 0:
+            rows, js = np.nonzero(bad)
+            violations.extend(zip(ns[rows[:room]].tolist(), [i] * room, js[:room].tolist()))
+        return bad.size
 
     for i in range(1, i_max + 1):
         base = k**i
-        before = checked
-        # full blocks: base*n + base - 1 <= limit
-        n_full_hi = (limit + 1) // base - 1
-        for n in range(0, n_full_hi + 1):
-            compare(n, i, base, base - 1, judge=n >= threshold)
+        # full blocks: base*n + base - 1 <= limit, for n in [0, m)
+        m = (limit + 1) // base
+        full = bits[: m * base].reshape(m, base)
+        cut = min(threshold, m)
+        compare(np.arange(cut), full[:cut], i, judge=False)
+        judged = compare(np.arange(cut, m), full[cut:], i, judge=True)
         # one partial block may remain
-        n_part = n_full_hi + 1
-        if base * n_part <= limit:
-            compare(n_part, i, base, limit - base * n_part, judge=n_part >= threshold)
-        checked_per_i.append(checked - before)
+        if base * m <= limit:
+            judged += compare(np.array([m]), bits[base * m :][None, :], i, judge=m >= threshold)
+        checked_per_i.append(judged)
 
     return BlockParityReport(
         i_max=i_max,
         threshold=threshold,
         limit=limit,
-        checked=checked,
+        checked=sum(checked_per_i),
         checked_per_i=tuple(checked_per_i),
         violation_count=violation_count,
         violations=tuple(violations),

@@ -1,0 +1,109 @@
+"""Reference implementations that the fast paths in repfn are checked against.
+
+Each oracle computes the same quantity as a library function by a different
+route: the strided sieve and the pair-grid histogram for ``rep_values``, a
+per-base loop for ``verify_block_parity``, and a per-n pair loop for
+``classic_rep``.  They are slow on purpose and live only in the tests.
+"""
+
+from itertools import islice
+
+import numpy as np
+
+from repfn import SET, BlockParityReport, ChiTable, WeightPair
+
+MAX_STORED_VIOLATIONS = 100
+
+
+def _member(bits: np.ndarray, side: str) -> np.ndarray:
+    bits = np.asarray(bits, dtype=np.int64)
+    return bits if side == SET else 1 - bits
+
+
+def sieve_rep_values(bits: np.ndarray, side: str, w: WeightPair, up_to: int) -> np.ndarray:
+    """Strided-add sieve: one slice update per member a2 <= up_to // k2."""
+    member = _member(bits[: up_to + 1], side)
+    values = np.zeros(up_to + 1, dtype=np.int64)
+    for a2 in np.flatnonzero(member[: up_to // w.k2 + 1]):
+        start = w.k2 * int(a2)
+        cnt = (up_to - start) // w.k1 + 1
+        values[start : start + (cnt - 1) * w.k1 + 1 : w.k1] += member[:cnt]
+    return values
+
+
+def pair_grid_rep_values(bits: np.ndarray, side: str, w: WeightPair, up_to: int) -> np.ndarray:
+    """Enumerate every member pair and histogram the weighted sums."""
+    member = _member(bits, side)
+    a1s = np.nonzero(member[: up_to // w.k1 + 1])[0].astype(np.int64)
+    a2s = np.nonzero(member[: up_to // w.k2 + 1])[0].astype(np.int64)
+    if a1s.size == 0 or a2s.size == 0:
+        return np.zeros(up_to + 1, dtype=np.int64)
+    sums = np.add.outer(w.k1 * a1s, w.k2 * a2s).ravel()
+    return np.bincount(sums[sums <= up_to], minlength=up_to + 1).astype(np.int64)
+
+
+def classic_counts(bits, side: str, n: int) -> tuple[int, int, int]:
+    """(r1, r2, r3) at n: ordered pairs, pairs a < a', pairs a <= a' with a + a' = n."""
+    target = 1 if side == SET else 0
+    r1 = r2 = r3 = 0
+    for a in range(n // 2 + 1):
+        b = n - a
+        if bits[a] == target and bits[b] == target:
+            r3 += 1
+            if a < b:
+                r2 += 1
+                r1 += 2
+            else:
+                r1 += 1
+    return r1, r2, r3
+
+
+def block_parity_loop(chi: ChiTable, i_max: int) -> BlockParityReport:
+    """verify_block_parity as one comparison per base n and power i."""
+    k, limit = chi.k, chi.limit
+    threshold = (chi.n0 + k) // k + 1
+    bits = chi.bits
+    checked = 0
+    checked_per_i = []
+    violations: list[tuple[int, int, int]] = []
+    violation_count = 0
+    below_checked = 0
+    below_mismatch = 0
+
+    def compare(n: int, i: int, base: int, j_hi: int, judge: bool) -> None:
+        nonlocal checked, violation_count, below_checked, below_mismatch
+        start = base * n
+        block = bits[start : start + j_hi + 1]
+        expected = bits[n] ^ (i & 1)
+        bad = np.nonzero(block != expected)[0]
+        if judge:
+            checked += j_hi + 1
+            violation_count += int(bad.size)
+            for j in islice(bad, max(0, MAX_STORED_VIOLATIONS - len(violations))):
+                violations.append((n, i, int(j)))
+        else:
+            below_checked += j_hi + 1
+            below_mismatch += int(bad.size)
+
+    for i in range(1, i_max + 1):
+        base = k**i
+        before = checked
+        n_full_hi = (limit + 1) // base - 1
+        for n in range(0, n_full_hi + 1):
+            compare(n, i, base, base - 1, judge=n >= threshold)
+        n_part = n_full_hi + 1
+        if base * n_part <= limit:
+            compare(n_part, i, base, limit - base * n_part, judge=n_part >= threshold)
+        checked_per_i.append(checked - before)
+
+    return BlockParityReport(
+        i_max=i_max,
+        threshold=threshold,
+        limit=limit,
+        checked=checked,
+        checked_per_i=tuple(checked_per_i),
+        violation_count=violation_count,
+        violations=tuple(violations),
+        below_threshold_checked=below_checked,
+        below_threshold_mismatches=below_mismatch,
+    )

@@ -25,13 +25,14 @@ from repfn import (
     guaranteed_bound,
     nonexistence_search,
     rep_count_weighted,
-    rep_table,
-    total_identity_check,
+    rep_difference,
+    rep_values,
     validate_certificate,
     verify_block_parity,
     verify_equality,
     witness_list,
 )
+from oracles import pair_grid_rep_values, sieve_rep_values
 
 SEED_011 = SeedAssignment.from_string(2, 1, "011")
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
@@ -66,12 +67,12 @@ def test_criterion_1_partition_identity():
     for k, n0 in product((2, 3, 4, 5), (0, 1, 2)):
         for seed in enumerate_seeds(k, n0):
             seeds_seen += 1
-            scan = verify_equality(extend_seed(seed, 20000), 20000)
+            scan = verify_equality(extend_seed(seed, 10**6), 10**6)
             assert scan.passed, (k, n0, seed.bit_string(), scan.violations[:5])
             assert (scan.r_set == scan.r_comp).all()
             checked += scan.ns.size
     report(
-        "criterion 1: partition identity across the (k, n0) grid to N=20000",
+        "criterion 1: partition identity across the (k, n0) grid to N=10**6",
         seeds_seen > 0 and checked > 0,
         f"{seeds_seen} seeds, {checked} exact equalities (n0=0 rows are vacuous)",
     )
@@ -162,35 +163,25 @@ def test_criterion_5_witness_soundness(chi_mega):
     report("criterion 5: witness soundness and multiplicity at 1000 sampled n", True)
 
 
-def _oracle_pair_grid(bits: np.ndarray, side: str, w: WeightPair, up_to: int) -> np.ndarray:
-    """Independent oracle: enumerate every member pair and histogram the sums."""
-    member = bits if side == SET else 1 - bits
-    a1s = np.nonzero(member[: up_to // w.k1 + 1])[0].astype(np.int64)
-    a2s = np.nonzero(member[: up_to // w.k2 + 1])[0].astype(np.int64)
-    if a1s.size == 0 or a2s.size == 0:
-        return np.zeros(up_to + 1, dtype=np.int64)
-    sums = np.add.outer(w.k1 * a1s, w.k2 * a2s).ravel()
-    return np.bincount(sums[sums <= up_to], minlength=up_to + 1).astype(np.int64)
-
-
 def test_criterion_6_oracle_equivalence():
-    """Sieve vs pair-grid oracle on 50 random tables; identity on 20 tables."""
+    """Kernel vs sieve and pair-grid oracles on 50 random tables; on 20 more,
+    R_A - R_C from the kernel equals the linear difference identity."""
     rng = np.random.default_rng(42)
     for trial in range(50):
         bits = (rng.random(2001) < rng.uniform(0.1, 0.9)).astype(np.uint8)
         chi = ChiTable(bits, 2, 0)
         w = WeightPair(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         side = SET if trial % 2 == 0 else COMPLEMENT
-        table = rep_table(chi, side, w, 2000)
-        oracle = _oracle_pair_grid(chi.side_bits(SET), side, w, 2000)
-        assert (table.values == oracle).all(), (trial, w)
+        values = rep_values(chi, side, w, 2000)
+        assert (values == pair_grid_rep_values(bits, side, w, 2000)).all(), (trial, w)
+        assert (values == sieve_rep_values(bits, side, w, 2000)).all(), (trial, w)
     for trial in range(20):
         bits = (rng.random(10**4 + 1) < rng.uniform(0.1, 0.9)).astype(np.uint8)
         chi = ChiTable(bits, 2, 0)
         w = WeightPair(1, int(rng.integers(2, 6)))
-        for n in range(10**4 + 1):
-            assert total_identity_check(chi, w, n), (trial, n)
-    report("criterion 6: sieve/oracle agreement and total identity, exact", True)
+        diff = rep_values(chi, SET, w, 10**4) - rep_values(chi, COMPLEMENT, w, 10**4)
+        assert (diff == rep_difference(chi, w, 10**4)).all(), (trial, w)
+    report("criterion 6: kernel/oracle agreement and difference identity, exact", True)
 
 
 def test_criterion_7_exact_log_boundaries():

@@ -229,6 +229,13 @@ def test_classic_rows(capsys):
     assert by_n["3"][:3] == [2, 1, 1]
 
 
+def test_classic_negative_lo_exits_2(capsys):
+    code, out, err = run(capsys, "classic", "--k", "2", "--n0", "1", "--seed", "011",
+                         "--limit", "20", "--lo", "-5", "--hi", "10")
+    assert code == 2 and out == ""
+    assert "n must be nonnegative" in err
+
+
 # ------------------------------------------------------------------- misc
 
 def test_out_flag_writes_file(tmp_path, capsys):

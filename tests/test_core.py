@@ -15,9 +15,10 @@ from repfn import (
     WeightPair,
     classic_rep,
     rep_count_weighted,
-    rep_table,
-    total_identity_check,
+    rep_difference,
+    rep_values,
 )
+from oracles import classic_counts, pair_grid_rep_values, sieve_rep_values
 
 
 def brute_count(bits, k1, k2, n, side=SET):
@@ -100,20 +101,18 @@ def test_rep_count_hand_enumeration():
 
 def test_rep_table_all_ones():
     chi = ChiTable(np.ones(7, dtype=int), 2, 0)
-    table = rep_table(chi, SET, WeightPair(1, 2), 6)
-    assert table.as_list() == [1, 1, 2, 2, 3, 3, 4]
+    assert rep_values(chi, SET, WeightPair(1, 2), 6).tolist() == [1, 1, 2, 2, 3, 3, 4]
 
 
 def test_rep_table_all_zeros_side_set():
     chi = ChiTable(np.zeros(11, dtype=int), 2, 0)
-    table = rep_table(chi, SET, WeightPair(2, 3), 10)
-    assert table.as_list() == [0] * 11
+    assert rep_values(chi, SET, WeightPair(2, 3), 10).tolist() == [0] * 11
 
 
 def test_rep_table_beyond_prefix():
     chi = ChiTable([1, 1, 1], 2, 0)
     with pytest.raises(QueryBeyondPrefix):
-        rep_table(chi, SET, WeightPair(1, 2), 3)
+        rep_values(chi, SET, WeightPair(1, 2), 3)
 
 
 def test_rep_table_matches_naive_counter(rng):
@@ -121,18 +120,42 @@ def test_rep_table_matches_naive_counter(rng):
         chi = random_table(rng, 60)
         w = WeightPair(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         side = SET if rng.random() < 0.5 else COMPLEMENT
-        table = rep_table(chi, side, w, 60)
+        values = rep_values(chi, side, w, 60)
         for n in range(61):
-            assert table[n] == rep_count_weighted(chi, side, w, n)
-            assert table[n] == brute_count(chi.bits, w.k1, w.k2, n, side)
+            assert values[n] == rep_count_weighted(chi, side, w, n)
+            assert values[n] == brute_count(chi.bits, w.k1, w.k2, n, side)
 
 
-def test_rep_table_parallel_matches_serial(rng):
-    chi = random_table(rng, 500)
-    w = WeightPair(1, 2)
-    serial = rep_table(chi, SET, w, 500, workers=1)
-    parallel = rep_table(chi, SET, w, 500, workers=3)
-    assert serial.as_list() == parallel.as_list()
+def _edge_tables(k2: int) -> list[tuple[str, np.ndarray, int]]:
+    """(label, bits, up_to) for the boundary cases of the kernel."""
+    rng = np.random.default_rng(1000 + k2)
+    mixed = (rng.random(41) < 0.5).astype(np.uint8)
+    return [
+        ("up_to=0", mixed, 0),
+        ("up_to<k2", mixed, k2 - 1),
+        ("all zero", np.zeros(41, dtype=np.uint8), 40),
+        ("all one", np.ones(41, dtype=np.uint8), 40),
+        ("single run", np.r_[np.zeros(7), np.ones(9), np.zeros(25)].astype(np.uint8), 40),
+        ("mixed", mixed, 40),
+    ]
+
+
+@pytest.mark.parametrize("k2", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k1", [1, 2, 3])
+def test_kernel_matches_oracles_on_edge_cases(k1, k2):
+    """Kernel vs strided sieve vs pair grid; all-zero on SET and all-one on
+    COMPLEMENT are the empty-side cases."""
+    w = WeightPair(k1, k2)
+    for label, bits, up_to in _edge_tables(k2):
+        chi = ChiTable(bits, 2, 0)
+        for side in (SET, COMPLEMENT):
+            values = rep_values(chi, side, w, up_to)
+            assert values.dtype == np.int64 and values.size == up_to + 1
+            assert values.tolist() == sieve_rep_values(bits, side, w, up_to).tolist(), (label, side)
+            assert values.tolist() == pair_grid_rep_values(bits, side, w, up_to).tolist(), (label, side)
+            # at most one solution per admissible a1 and per admissible a2
+            ns = np.arange(up_to + 1)
+            assert (values <= ns // w.kmax + 1).all(), (label, side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -146,9 +169,9 @@ def test_sieve_naive_agreement_property(data, k1, k2):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
     chi = ChiTable(bits, 2, 0)
     w = WeightPair(k1, k2)
-    table = rep_table(chi, SET, w, limit)
+    values = rep_values(chi, SET, w, limit)
     n = data.draw(st.integers(0, limit))
-    assert table[n] == brute_count(bits, k1, k2, n)
+    assert values[n] == brute_count(bits, k1, k2, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,15 +190,18 @@ def test_monotone_bound_property(data):
 def test_classic_rep_hand_values():
     # A = {1, 2, 3} on [0, 4]
     chi = ChiTable([0, 1, 1, 1, 0], 2, 0)
-    assert classic_rep(chi, SET, R1, 4) == 3  # (1,3), (3,1), (2,2)
-    assert classic_rep(chi, SET, R2, 4) == 1  # (1,3)
-    assert classic_rep(chi, SET, R3, 4) == 2  # (1,3), (2,2)
+    counts = classic_rep(chi, SET, 4)
+    assert counts[R1][4] == 3  # (1,3), (3,1), (2,2)
+    assert counts[R2][4] == 1  # (1,3)
+    assert counts[R3][4] == 2  # (1,3), (2,2)
 
 
-def test_classic_rep_bad_variant():
+def test_classic_rep_bad_side():
     chi = ChiTable([1, 1], 2, 0)
     with pytest.raises(PreconditionError):
-        classic_rep(chi, SET, "r4", 1)
+        classic_rep(chi, "r4", 1)
+    with pytest.raises(QueryBeyondPrefix):
+        classic_rep(chi, SET, 2)
 
 
 @settings(max_examples=50, deadline=None)
@@ -187,51 +213,77 @@ def test_ordered_pair_symmetry(data):
     n = data.draw(st.integers(0, limit))
     chi = ChiTable(bits, 2, 0)
     for side in (SET, COMPLEMENT):
-        assert rep_count_weighted(chi, side, WeightPair(1, 1), n) == classic_rep(
-            chi, side, R1, n
-        )
+        assert rep_count_weighted(chi, side, WeightPair(1, 1), n) == classic_rep(chi, side, n)[R1][n]
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_classic_variant_relations(data):
-    """r1 = 2*r2 + [n even and n/2 on side]; r3 = r2 + that same indicator."""
-    limit = data.draw(st.integers(1, 40))
+    """Every entry of r1/r2/r3 equals a direct recount of the pairs a <= a',
+    and r1 = 2*r2 + [n even and n/2 on side], r3 = r2 + that same indicator."""
+    limit = data.draw(st.integers(0, 40))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
-    n = data.draw(st.integers(0, limit))
     chi = ChiTable(bits, 2, 0)
-    diag = 1 if n % 2 == 0 and bits[n // 2] == 1 else 0
-    assert classic_rep(chi, SET, R1, n) == 2 * classic_rep(chi, SET, R2, n) + diag
-    assert classic_rep(chi, SET, R3, n) == classic_rep(chi, SET, R2, n) + diag
+    for side in (SET, COMPLEMENT):
+        counts = classic_rep(chi, side, limit)
+        for n in range(limit + 1):
+            r1, r2, r3 = classic_counts(bits, side, n)
+            assert (counts[R1][n], counts[R2][n], counts[R3][n]) == (r1, r2, r3)
+            diag = 1 if n % 2 == 0 and chi.side_value(n // 2, side) == 1 else 0
+            assert r1 == 2 * r2 + diag and r3 == r2 + diag
 
 
-# --------------------------------------------------------- total identity
+# ------------------------------------------------------ difference identity
 
 def test_total_identity_examples():
+    """R_A - R_C from the linear identity, on tables with a known answer."""
     chi = ChiTable(np.ones(101, dtype=int), 2, 0)
-    assert total_identity_check(chi, WeightPair(1, 2), 10)
-    assert total_identity_check(chi, WeightPair(1, 3), 7)
+    for k2 in (2, 3):
+        # the complement is empty, so the difference is the solution count
+        assert rep_difference(chi, WeightPair(1, k2), 100).tolist() == [n // k2 + 1 for n in range(101)]
+    # A = {1, 2}, solutions (a1, a2) of a1 + 2*a2 = n: n=0 has (0,0) in C x C;
+    # n=3 has (3,0) in C x C and (1,1) in A x A; n=4 has (4,0) in C x C,
+    # (2,1) in A x A and the mixed (0,2); n=1 and n=2 have mixed pairs only
+    chi = ChiTable([0, 1, 1, 0, 0], 2, 0)
+    assert rep_difference(chi, WeightPair(1, 2), 4).tolist() == [-1, 0, 0, 0, 0]
 
 
 def test_total_identity_requires_k1_one():
     chi = ChiTable([1, 1, 1], 2, 0)
     with pytest.raises(PreconditionError):
-        total_identity_check(chi, WeightPair(2, 3), 2)
+        rep_difference(chi, WeightPair(2, 3), 2)
+    with pytest.raises(QueryBeyondPrefix):
+        rep_difference(chi, WeightPair(1, 3), 3)
 
 
 def test_total_identity_randomized_with_brute_recount(rng):
-    """1000 random (table, n) trials, recounting all four classes directly."""
+    """1000 random (table, n) trials: the difference identity against a
+    direct recount of the A x A and C x C solutions."""
     tables = [random_table(rng, 500) for _ in range(10)]
+    diffs = {}
     for _ in range(1000):
-        chi = tables[int(rng.integers(0, len(tables)))]
+        t = int(rng.integers(0, len(tables)))
+        chi = tables[t]
         n = int(rng.integers(0, 501))
         k2 = int(rng.integers(1, 5))
-        assert total_identity_check(chi, WeightPair(1, k2), n)
-        # brute recount of the four classes
-        classes = {"in_in": 0, "out_out": 0, "in_out": 0, "out_in": 0}
+        if (t, k2) not in diffs:
+            diffs[t, k2] = rep_difference(chi, WeightPair(1, k2), 500)
+        both_in = both_out = 0
         for a2 in range(n // k2 + 1):
             b1 = int(chi.bits[n - k2 * a2])
             b2 = int(chi.bits[a2])
-            key = ("in_" if b1 else "out_") + ("in" if b2 else "out")
-            classes[key] += 1
-        assert sum(classes.values()) == n // k2 + 1
+            both_in += b1 & b2
+            both_out += (1 - b1) & (1 - b2)
+        assert diffs[t, k2][n] == both_in - both_out, (t, k2, n)
+
+
+def test_difference_identity_catches_corrupted_kernel(rng):
+    """The identity is an independent route: one wrong kernel entry shows."""
+    chi = random_table(rng, 3000)
+    w = WeightPair(1, 3)
+    diff = rep_difference(chi, w, 3000)
+    values = rep_values(chi, SET, w, 3000)
+    assert (values - rep_values(chi, COMPLEMENT, w, 3000) == diff).all()
+    values[1234] += 1
+    mismatch = np.flatnonzero(values - rep_values(chi, COMPLEMENT, w, 3000) != diff)
+    assert mismatch.tolist() == [1234]

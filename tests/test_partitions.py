@@ -13,11 +13,11 @@ from repfn import (
     SeedAssignment,
     enumerate_seeds,
     extend_seed,
-    solution_count,
     verify_block_parity,
     verify_equality,
     verify_structure,
 )
+from oracles import block_parity_loop
 
 
 def oracle_seeds(k, n0):
@@ -41,18 +41,6 @@ def oracle_seeds(k, n0):
 
 
 # -------------------------------------------------------------- seed window
-
-def test_solution_count_examples():
-    assert solution_count(2, 1) == 1  # only (1, 0)
-    assert solution_count(2, 2) == 2  # (0, 1), (2, 0)
-    assert solution_count(3, 9) == 4  # a2 in {0, 1, 2, 3}
-
-
-@settings(max_examples=100, deadline=None)
-@given(k=st.integers(2, 7), n=st.integers(0, 500))
-def test_solution_count_closed_form(k, n):
-    assert solution_count(k, n) == n // k + 1
-
 
 def test_seed_validation():
     with pytest.raises(PreconditionError):
@@ -241,6 +229,30 @@ def test_block_parity_detects_corruption(seed011):
     assert not report.ok
     assert report.violation_count > 0
     assert all(n >= report.threshold for n, _, _ in report.violations)
+
+
+def _parity_tables(k: int):
+    """(chi, label) pairs: random bits (far over 100 violations), a valid
+    extension with a dozen corrupted bits, and a start n0 that puts the
+    threshold above the full-block count of the high powers."""
+    rng = np.random.default_rng(7 * k)
+    seed = enumerate_seeds(k, 1)[0]
+    for limit in (k**4 + 5, 1999):
+        noisy = (rng.random(limit + 1) < 0.5).astype(np.uint8)
+        yield ChiTable(noisy, k, 1), f"random limit={limit}"
+        bits = extend_seed(seed, limit).bits.copy()
+        bits[rng.integers(0, limit + 1, size=12)] ^= 1
+        yield ChiTable(bits, k, 1), f"corrupted limit={limit}"
+        yield ChiTable(bits, k, 20 * k), f"high threshold limit={limit}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_block_parity_matches_loop_oracle(k):
+    """The whole report, violation order and below-threshold tallies included,
+    equals that of the per-base loop."""
+    for chi, label in _parity_tables(k):
+        for i_max in (1, 2, 4, 6):
+            assert verify_block_parity(chi, i_max) == block_parity_loop(chi, i_max), (label, i_max)
 
 
 @settings(max_examples=30, deadline=None)
