@@ -32,7 +32,6 @@ from .core import (
     ScanReport,
     WeightPair,
     classic_rep,
-    rep_count_weighted,
     rep_difference,
     rep_values,
 )

@@ -29,7 +29,7 @@ from math import gcd
 
 import numpy as np
 
-from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_count_weighted, rep_values
+from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_values
 from .errors import DomainError, NoWitness, PreconditionError, QueryBeyondPrefix
 
 CASE_INTERVAL = "case1"
@@ -70,8 +70,8 @@ def guaranteed_bound(k: int, n0: int, n: int) -> int:
     return flog(k, n, chain_threshold(k, n0)) // 4
 
 
-def bound_array(k: int, n0: int, lo: int, hi: int, step: int = 1) -> np.ndarray:
-    """Vector of guaranteed bounds for n in range(lo, hi + 1, step).
+def bound_array(k: int, n0: int, lo: int, hi: int) -> np.ndarray:
+    """Vector of guaranteed bounds for n in [lo, hi].
 
     Entries with n below the chain threshold get bound 0 (nothing is
     guaranteed there).  Power boundaries are exact: the cut points are the
@@ -84,7 +84,7 @@ def bound_array(k: int, n0: int, lo: int, hi: int, step: int = 1) -> np.ndarray:
     while p <= hi:
         powers.append(p)
         p *= k
-    ns = np.arange(lo, hi + 1, step, dtype=np.int64)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
     if not powers:
         return np.zeros(ns.size, dtype=np.int64)
     exponents = np.searchsorted(np.asarray(powers, dtype=np.int64), ns, side="right") - 1
@@ -287,10 +287,10 @@ def witness_list(chi: ChiTable, n: int) -> tuple[list[WitnessRecord], list[tuple
     return records, skipped
 
 
-def bound_scan(chi: ChiTable, lo: int, hi: int, step: int = 1) -> ScanReport:
+def bound_scan(chi: ChiTable, lo: int, hi: int) -> ScanReport:
     """Record both representation counts against the guaranteed bound.
 
-    For each sampled n the report carries R_{1,k} on the set and on the
+    For each n in [lo, hi] the report carries R_{1,k} on the set and on the
     complement, the bound B(n), and the flag that both counts reach B(n).
     ``min_ratio`` tracks min r_set / max(1, ln n) over the scan as an
     empirical growth constant; it is reported, never asserted.
@@ -299,15 +299,13 @@ def bound_scan(chi: ChiTable, lo: int, hi: int, step: int = 1) -> ScanReport:
         raise PreconditionError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
     if hi > chi.limit:
         raise QueryBeyondPrefix(f"hi={hi} outside known prefix [0, {chi.limit}]")
-    if step < 1:
-        raise PreconditionError(f"step must be >= 1, got {step}")
     w = WeightPair(1, chi.k)
     vs = rep_values(chi, SET, w, hi)
     vc = rep_values(chi, COMPLEMENT, w, hi)
-    ns = np.arange(lo, hi + 1, step, dtype=np.int64)
-    r_set = vs[ns]
-    r_comp = vc[ns]
-    bound = bound_array(chi.k, chi.n0, lo, hi, step)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    r_set = vs[lo:]
+    r_comp = vc[lo:]
+    bound = bound_array(chi.k, chi.n0, lo, hi)
     ok = (r_set >= bound) & (r_comp >= bound)
     ratios = r_set / np.maximum(1.0, np.log(np.maximum(ns, 1).astype(np.float64)))
     return ScanReport(
@@ -316,7 +314,6 @@ def bound_scan(chi: ChiTable, lo: int, hi: int, step: int = 1) -> ScanReport:
         n0=chi.n0,
         lo=lo,
         hi=hi,
-        step=step,
         ns=ns,
         r_set=r_set,
         r_comp=r_comp,
@@ -359,8 +356,8 @@ def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
 
     Tallies both sides over the full pair grid (a plain double loop,
     sharing no code with the search's incremental counter) for every fully
-    determined n, i.e. n <= k1 * len(bits) - 1, then cross-checks the per-n
-    reference counter on the stored prefix.
+    determined n, i.e. n <= k1 * len(bits) - 1, then cross-checks the
+    counting kernel on [n0, len(bits)).
     """
     bits = [int(b) for b in bits]
     size = len(bits)
@@ -380,14 +377,12 @@ def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
                 r_comp[s] += 1
     if any(r_set[n] != r_comp[n] for n in range(n0, top + 1)):
         return False
-    # cross-route agreement with the reference counter where the prefix allows
+    # cross-route agreement with the kernel where the prefix allows
     chi = ChiTable(bits, k=2, n0=0)  # k/n0 are construction metadata, unused by counting
-    for n in range(n0, size):
-        if rep_count_weighted(chi, SET, w, n) != r_set[n]:
-            return False
-        if rep_count_weighted(chi, COMPLEMENT, w, n) != r_comp[n]:
-            return False
-    return True
+    return all(
+        rep_values(chi, side, w, size - 1)[n0:].tolist() == counts[n0:size]
+        for side, counts in ((SET, r_set), (COMPLEMENT, r_comp))
+    )
 
 
 def nonexistence_search(

@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bounds, partitions
 from .core import COMPLEMENT, R1, R2, R3, SET, WeightPair, classic_rep
@@ -34,34 +33,12 @@ _USAGE_ERRORS = (
     EnumerationCapExceeded,
     InvalidSeed,
     QueryBeyondPrefix,
+    # a table too large to allocate: the request, not the claim, is at fault
+    MemoryError,
 )
 
 
-@dataclass
-class RunConfig:
-    """Validated bag of options for one command invocation."""
-
-    command: str
-    k: int | None = None
-    n0: int | None = None
-    k1: int | None = None
-    k2: int | None = None
-    seed: str | None = None
-    limit: int | None = None
-    lo: int | None = None
-    hi: int | None = None
-    n: int | None = None
-    cap: int | None = None
-    format: str = "json"
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {f: getattr(args, f) for f in cls.__dataclass_fields__ if hasattr(args, f)}
-        return cls(**fields)
-
-
-def _emit(text: str, cfg: RunConfig) -> None:
+def _emit(text: str, cfg: argparse.Namespace) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -69,11 +46,11 @@ def _emit(text: str, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, cfg: RunConfig) -> None:
+def _emit_json(doc: dict, cfg: argparse.Namespace) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", cfg)
 
 
-def _emit_csv(header: list[str], rows, cfg: RunConfig) -> None:
+def _emit_csv(header: list[str], rows, cfg: argparse.Namespace) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
@@ -81,11 +58,11 @@ def _emit_csv(header: list[str], rows, cfg: RunConfig) -> None:
     _emit(buf.getvalue(), cfg)
 
 
-def _parse_seed(cfg: RunConfig) -> partitions.SeedAssignment:
+def _parse_seed(cfg: argparse.Namespace) -> partitions.SeedAssignment:
     return partitions.SeedAssignment.from_string(cfg.k, cfg.n0, cfg.seed)
 
 
-def _cmd_seeds(cfg: RunConfig) -> int:
+def _cmd_seeds(cfg: argparse.Namespace) -> int:
     found = partitions.enumerate_seeds(cfg.k, cfg.n0)
     strings = [s.bit_string() for s in found]
     if cfg.format == "json":
@@ -108,7 +85,7 @@ def _cmd_seeds(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_build(cfg: RunConfig) -> int:
+def _cmd_build(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
     chi = partitions.extend_seed(seed, cfg.limit)
     bit_string = "".join(map(str, chi.bits.tolist()))
@@ -135,7 +112,7 @@ def _cmd_build(cfg: RunConfig) -> int:
 _VERIFY_BLOCK_IMAX = 4
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
@@ -145,11 +122,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     eq_violations = equality.violations
     ok = structure.ok and equality.passed and parity.ok
     if cfg.format == "csv":
-        _emit_csv(
-            ["n", "R_A", "R_comp", "equal"],
-            ((n, rs, rc, 1 if rs == rc else 0) for n, rs, rc, _, _ in equality.rows()),
-            cfg,
-        )
+        _emit_csv(["n", "R_A", "R_comp", "equal"], equality.rows(), cfg)
         print(f"verify: {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:
         _emit_json(
@@ -187,14 +160,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _cmd_scan_bound(cfg: RunConfig) -> int:
+def _cmd_scan_bound(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
     if cfg.lo > cfg.hi:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
     chi = partitions.extend_seed(seed, cfg.hi)
     report = bounds.bound_scan(chi, cfg.lo, cfg.hi)
     if cfg.format == "csv":
-        _emit_csv(["n", "R_A", "R_comp", "bound", "ok"], report.rows(), cfg)
+        _emit_csv(report.columns, report.rows(), cfg)
         print(
             f"scan-bound: {len(report.violations)} violation(s), "
             f"min_ratio={report.min_ratio:.6f}",
@@ -207,7 +180,7 @@ def _cmd_scan_bound(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_witness(cfg: RunConfig) -> int:
+def _cmd_witness(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
     chi = partitions.extend_seed(seed, cfg.n)
     records, skipped = bounds.witness_list(chi, cfg.n)
@@ -251,7 +224,7 @@ def _cmd_witness(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_search(cfg: RunConfig) -> int:
+def _cmd_search(cfg: argparse.Namespace) -> int:
     outcome = bounds.nonexistence_search(WeightPair(cfg.k1, cfg.k2), cfg.n0, cfg.cap)
     _emit_json(
         {
@@ -274,7 +247,7 @@ def _cmd_search(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_classic(cfg: RunConfig) -> int:
+def _cmd_classic(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
     if cfg.lo > cfg.hi:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
@@ -354,10 +327,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
-    if cfg.format == "plain" and cfg.command not in ("seeds", "build"):
-        print(f"error: --format plain is not supported by {cfg.command}", file=sys.stderr)
+    cfg = parser.parse_args(argv)
+    if (cfg.format == "plain" and cfg.command not in ("seeds", "build")) or (
+        cfg.format == "csv" and cfg.command == "search"
+    ):
+        print(f"error: --format {cfg.format} is not supported by {cfg.command}", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[cfg.command](cfg)

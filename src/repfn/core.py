@@ -9,9 +9,8 @@ truth.
 
 The weighted count for a weight pair (k1, k2) at target n is the number of
 ordered pairs (a1, a2) with k1*a1 + k2*a2 = n and both coordinates on the
-requested side.  Counts are exact integers throughout: per-n counting is a
-plain Python loop, batched tables use int64 accumulation (counts never
-exceed n, so 64 bits is ample).
+requested side.  Counts are exact integers throughout: tables use int64
+accumulation (counts never exceed n, so 64 bits is ample).
 """
 
 from __future__ import annotations
@@ -116,31 +115,6 @@ class WeightPair:
         return max(self.k1, self.k2)
 
 
-def rep_count_weighted(chi: ChiTable, side: str, w: WeightPair, n: int) -> int:
-    """Count ordered pairs (a1, a2) with k1*a1 + k2*a2 = n, both on ``side``.
-
-    This is the naive per-n reference counter: one pass over a2 in
-    [0, n // k2].  The batched kernel :func:`rep_values` must agree with it
-    everywhere.
-    """
-    _check_side(side)
-    if n < 0:
-        raise PreconditionError(f"n must be nonnegative, got {n}")
-    if n > chi.limit:
-        raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {chi.limit}]")
-    bits = chi._bits
-    target = 1 if side == SET else 0
-    count = 0
-    for a2 in range(n // w.k2 + 1):
-        rem = n - w.k2 * a2
-        if rem % w.k1:
-            continue
-        a1 = rem // w.k1
-        if bits[a1] == target and bits[a2] == target:
-            count += 1
-    return count
-
-
 def _class_prefix(u: np.ndarray, k: int) -> np.ndarray:
     """F[x] = u[x] + u[x - k] + u[x - 2k] + ...: prefix sums within each residue class mod k."""
     rows = -(-u.size // k)
@@ -152,7 +126,7 @@ def _class_prefix(u: np.ndarray, k: int) -> np.ndarray:
 
 
 def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int) -> np.ndarray:
-    """Array of rep_count_weighted(chi, side, w, n) for n in [0, up_to].
+    """Array of the weighted counts R_{k1,k2}(side, n) for n in [0, up_to].
 
     With u the side's indicator placed on multiples of k1 and F its prefix
     sums along each residue class mod k2, a run [s, e) of members a2
@@ -214,12 +188,12 @@ def classic_rep(chi: ChiTable, side: str, up_to: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class ScanReport:
-    """Per-n record of set/complement counts against a lower bound.
+    """Per-n record of set/complement counts, optionally against a lower bound.
 
-    ``kind`` is "equality" (flag: counts agree) or "bound" (flag: both
-    counts reach the guaranteed bound).  ``min_ratio`` is the running
-    minimum of r_set / max(1, ln n) over the scan, reported for bound scans
-    and never asserted.
+    ``kind`` is "equality" (flag: counts agree; ``bound`` is None) or
+    "bound" (flag: both counts reach the guaranteed bound).  ``min_ratio``
+    is the running minimum of r_set / max(1, ln n) over the scan, reported
+    for bound scans and never asserted.
     """
 
     kind: str
@@ -227,12 +201,11 @@ class ScanReport:
     n0: int
     lo: int
     hi: int
-    step: int
     ns: np.ndarray = field(repr=False)
     r_set: np.ndarray = field(repr=False)
     r_comp: np.ndarray = field(repr=False)
-    bound: np.ndarray = field(repr=False)
     ok: np.ndarray = field(repr=False)
+    bound: np.ndarray | None = field(default=None, repr=False)
     min_ratio: float | None = None
 
     @property
@@ -243,9 +216,15 @@ class ScanReport:
     def passed(self) -> bool:
         return bool(self.ok.all())
 
+    @property
+    def columns(self) -> list[str]:
+        bound = [] if self.bound is None else ["bound"]
+        return ["n", "R_A", "R_comp", *bound, "ok"]
+
     def rows(self) -> list[list[int]]:
-        """One [n, R_A, R_comp, bound, ok] row of Python ints per sampled n."""
-        return np.column_stack((self.ns, self.r_set, self.r_comp, self.bound, self.ok)).tolist()
+        """One row of Python ints per n, in the order of :attr:`columns`."""
+        bound = () if self.bound is None else (self.bound,)
+        return np.column_stack((self.ns, self.r_set, self.r_comp, *bound, self.ok)).tolist()
 
     def to_dict(self) -> dict:
         return {
@@ -254,10 +233,10 @@ class ScanReport:
             "n0": self.n0,
             "lo": self.lo,
             "hi": self.hi,
-            "step": self.step,
+            "step": 1,
             "passed": self.passed,
             "violations": self.violations,
             "min_ratio": self.min_ratio,
-            "columns": ["n", "R_A", "R_comp", "bound", "ok"],
+            "columns": self.columns,
             "rows": self.rows(),
         }

@@ -8,7 +8,8 @@ all of [n0, infinity) exactly when
 
   (a) the window identity holds for every n in [n0, k + n0):
       the number of solutions of a1 + k*a2 = n equals
-      sum chi(a1) + sum chi(a2) over those solutions, and
+      sum chi(a1) + sum chi(a2) over those solutions, which is the
+      difference identity R_A(n) - R_C(n) = 0 of core.rep_difference, and
 
   (b) the flip rule chi(n) = 1 - chi(floor(n / k)) holds for every
       n >= k + n0.
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import bound_array
-from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_values
+from .core import SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
 from .errors import (
     EnumerationCapExceeded,
     InvalidSeed,
@@ -44,21 +44,15 @@ def _check_params(k: int, n0: int) -> None:
         raise PreconditionError(f"n0 must be >= 0, got {n0}")
 
 
-def _window_sums(values, k: int, n: int) -> tuple[int, int]:
-    """(solution count, sum of chi(a1) + chi(a2)) over solutions of a1 + k*a2 = n."""
-    total = 0
-    weighted = 0
-    for a2 in range(n // k + 1):
-        a1 = n - k * a2
-        total += 1
-        weighted += int(values[a1]) + int(values[a2])
-    return total, weighted
-
-
 def window_identity_holds(values, k: int, n: int) -> bool:
-    """True when the window identity holds at n for the given chi prefix."""
-    total, weighted = _window_sums(values, k, n)
-    return total == weighted
+    """True when the window identity holds at n for a chi prefix given as a
+    tuple or list of ints.
+
+    Over the n // k + 1 solutions of a1 + k*a2 = n, a2 runs over [0, n // k]
+    and a1 over n's residue class mod k, so this is core.rep_difference at
+    one n.
+    """
+    return sum(values[: n // k + 1]) + sum(values[n::-k]) == n // k + 1
 
 
 @dataclass(frozen=True)
@@ -181,11 +175,8 @@ def verify_structure(chi: ChiTable, up_to: int) -> StructureReport:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
     k, n0 = chi.k, chi.n0
     bits = chi.bits
-    window = [
-        n
-        for n in range(n0, min(k + n0, up_to + 1))
-        if not window_identity_holds(bits, k, n)
-    ]
+    diff = rep_difference(chi, WeightPair(1, k), min(k + n0 - 1, up_to))
+    window = (n0 + np.flatnonzero(diff[n0:])).tolist()
     flip_first = None
     flip_count = 0
     if up_to >= k + n0:
@@ -203,30 +194,29 @@ def verify_structure(chi: ChiTable, up_to: int) -> StructureReport:
 
 
 def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
-    """Compare R_{1,k} on the set and its complement for every n in [n0, up_to]."""
+    """Compare R_{1,k} on the set and its complement for every n in [n0, up_to].
+
+    The identity is decided by the difference D = R_A - R_C alone; the
+    complement's counts are reported as R_A - D, so the kernel runs once.
+    """
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
     if up_to < chi.n0:
         raise PreconditionError(f"up_to={up_to} is below n0={chi.n0}")
     w = WeightPair(1, chi.k)
-    vs = rep_values(chi, SET, w, up_to)
-    vc = rep_values(chi, COMPLEMENT, w, up_to)
     lo = chi.n0
-    ns = np.arange(lo, up_to + 1)
-    r_set = vs[lo:]
-    r_comp = vc[lo:]
+    diff = rep_difference(chi, w, up_to)[lo:]
+    r_set = rep_values(chi, SET, w, up_to)[lo:]
     return ScanReport(
         kind="equality",
         k=chi.k,
         n0=chi.n0,
         lo=lo,
         hi=up_to,
-        step=1,
-        ns=ns,
+        ns=np.arange(lo, up_to + 1),
         r_set=r_set,
-        r_comp=r_comp,
-        bound=bound_array(chi.k, chi.n0, lo, up_to),
-        ok=r_set == r_comp,
+        r_comp=r_set - diff,
+        ok=diff == 0,
     )
 
 

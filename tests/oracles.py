@@ -1,16 +1,26 @@
 """Reference implementations that the fast paths in repfn are checked against.
 
 Each oracle computes the same quantity as a library function by a different
-route: the strided sieve and the pair-grid histogram for ``rep_values``, a
-per-base loop for ``verify_block_parity``, and a per-n pair loop for
-``classic_rep``.  They are slow on purpose and live only in the tests.
+route: the naive per-n counter, the strided sieve and the pair-grid
+histogram for ``rep_values``, a per-n pair loop for the window identity that
+``rep_difference`` decides, a per-base loop for ``verify_block_parity``, and
+a per-n pair loop for ``classic_rep``.  They are slow on purpose and live
+only in the tests.
 """
 
 from itertools import islice
 
 import numpy as np
 
-from repfn import SET, BlockParityReport, ChiTable, WeightPair
+from repfn import (
+    COMPLEMENT,
+    SET,
+    BlockParityReport,
+    ChiTable,
+    PreconditionError,
+    QueryBeyondPrefix,
+    WeightPair,
+)
 
 MAX_STORED_VIOLATIONS = 100
 
@@ -18,6 +28,42 @@ MAX_STORED_VIOLATIONS = 100
 def _member(bits: np.ndarray, side: str) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.int64)
     return bits if side == SET else 1 - bits
+
+
+def rep_count_weighted(chi: ChiTable, side: str, w: WeightPair, n: int) -> int:
+    """Count ordered pairs (a1, a2) with k1*a1 + k2*a2 = n, both on ``side``.
+
+    This is the naive per-n reference counter: one pass over a2 in
+    [0, n // k2].
+    """
+    if side not in (SET, COMPLEMENT):
+        raise PreconditionError(f"side must be one of {(SET, COMPLEMENT)}, got {side!r}")
+    if n < 0:
+        raise PreconditionError(f"n must be nonnegative, got {n}")
+    if n > chi.limit:
+        raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {chi.limit}]")
+    bits = chi.bits
+    target = 1 if side == SET else 0
+    count = 0
+    for a2 in range(n // w.k2 + 1):
+        rem = n - w.k2 * a2
+        if rem % w.k1:
+            continue
+        a1 = rem // w.k1
+        if bits[a1] == target and bits[a2] == target:
+            count += 1
+    return count
+
+
+def window_identity_loop(values, k: int, n: int) -> bool:
+    """The window identity at n, literally: over the solutions of
+    a1 + k*a2 = n, the solution count equals sum chi(a1) + chi(a2)."""
+    total = 0
+    weighted = 0
+    for a2 in range(n // k + 1):
+        total += 1
+        weighted += values[n - k * a2] + values[a2]
+    return total == weighted
 
 
 def sieve_rep_values(bits: np.ndarray, side: str, w: WeightPair, up_to: int) -> np.ndarray:

@@ -24,7 +24,6 @@ from repfn import (
     flog,
     guaranteed_bound,
     nonexistence_search,
-    rep_count_weighted,
     rep_difference,
     rep_values,
     validate_certificate,
@@ -32,7 +31,7 @@ from repfn import (
     verify_equality,
     witness_list,
 )
-from oracles import pair_grid_rep_values, sieve_rep_values
+from oracles import pair_grid_rep_values, rep_count_weighted, sieve_rep_values
 
 SEED_011 = SeedAssignment.from_string(2, 1, "011")
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
@@ -61,15 +60,20 @@ def chi_mega():
 
 
 def test_criterion_1_partition_identity():
-    """Every enumerated seed extends to a table with exact count equality."""
+    """Every enumerated seed extends to a table with exact count equality; the
+    complement counts, derived from the difference identity, also equal the
+    kernel's own count on the complement."""
     checked = 0
     seeds_seen = 0
     for k, n0 in product((2, 3, 4, 5), (0, 1, 2)):
         for seed in enumerate_seeds(k, n0):
             seeds_seen += 1
-            scan = verify_equality(extend_seed(seed, 10**6), 10**6)
+            chi = extend_seed(seed, 10**6)
+            scan = verify_equality(chi, 10**6)
             assert scan.passed, (k, n0, seed.bit_string(), scan.violations[:5])
             assert (scan.r_set == scan.r_comp).all()
+            r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, k), 10**6)[n0:]
+            assert (r_comp == scan.r_comp).all(), (k, n0, seed.bit_string())
             checked += scan.ns.size
     report(
         "criterion 1: partition identity across the (k, n0) grid to N=10**6",
@@ -210,10 +214,8 @@ def test_criterion_8_nonexistence_search():
             {"k1": k1, "k2": k2, "n0": 0, "cap": 64,
              "status": outcome.status, "unsat_depth": outcome.unsat_depth}
         )
-    if GOLDEN.exists():
-        pinned = json.loads(GOLDEN.read_text())["entries"]
-        pinned_n0_0 = [e for e in pinned if e["n0"] == 0]
-        assert entries == pinned_n0_0
+    pinned = json.loads(GOLDEN.read_text())["entries"]
+    assert entries == [e for e in pinned if e["n0"] == 0]
     sat = nonexistence_search(WeightPair(1, 2), 1, 48, check_weights=False)
     assert sat.status == "sat"
     assert validate_certificate(sat.certificate, WeightPair(1, 2), 1)

@@ -296,12 +296,3 @@ def test_bound_scan_validation(seed011):
         bound_scan(chi, 50, 20)
     with pytest.raises(QueryBeyondPrefix):
         bound_scan(chi, 0, 200)
-
-
-def test_bound_scan_step_sampling(seed011):
-    chi = extend_seed(seed011, 1000)
-    full = bound_scan(chi, 2, 1000)
-    sampled = bound_scan(chi, 2, 1000, step=7)
-    full_rows = dict((n, row) for n, *row in full.rows())
-    for n, rs, rc, b, ok in sampled.rows():
-        assert full_rows[n] == [rs, rc, b, ok]

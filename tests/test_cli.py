@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
-from repfn import SET, ChiTable, WeightPair, guaranteed_bound, rep_count_weighted
+import pytest
+
+from repfn import COMPLEMENT, SET, ChiTable, WeightPair, guaranteed_bound
 from repfn.cli import main
+from oracles import rep_count_weighted
 
 
 def run(capsys, *argv):
@@ -103,9 +106,14 @@ def test_verify_csv_rows(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert code == 0
     assert rows[0] == ["n", "R_A", "R_comp", "equal"]
-    assert rows[1][0] == "1"  # scan starts at n0
-    for n, r_a, r_comp, equal in rows[1:]:
-        assert (r_a == r_comp) == (equal == "1")
+    assert [int(r[0]) for r in rows[1:]] == list(range(1, 51))  # scan starts at n0
+    # recount both sides with the naive counter, independently of the kernel
+    chi = ChiTable([int(c) for c in _build_bits(capsys, 50)], 2, 1)
+    w = WeightPair(1, 2)
+    for n, r_a, r_comp, equal in (map(int, r) for r in rows[1:]):
+        assert r_a == rep_count_weighted(chi, SET, w, n)
+        assert r_comp == rep_count_weighted(chi, COMPLEMENT, w, n)
+        assert (r_a == r_comp) == (equal == 1)
 
 
 # -------------------------------------------------------------- scan-bound
@@ -250,6 +258,21 @@ def test_plain_format_rejected_elsewhere(capsys):
     code, _, err = run(capsys, "verify", "--k", "2", "--n0", "1", "--seed", "011",
                        "--limit", "100", "--format", "plain")
     assert code == 2
+    code, out, err = run(capsys, "search", "--k1", "2", "--k2", "3", "--n0", "0",
+                         "--cap", "64", "--format", "csv")
+    assert code == 2 and out == ""
+    assert err == "error: --format csv is not supported by search\n"
+
+
+@pytest.mark.parametrize("command", ["witness", "verify"])
+def test_oversized_table_exits_2(capsys, command):
+    """A table that cannot be allocated is a usage error, not a failed claim;
+    numpy refuses 10**15 bytes before touching any memory."""
+    size = "--n" if command == "witness" else "--limit"
+    code, out, err = run(capsys, command, "--k", "2", "--n0", "1", "--seed", "011",
+                         size, str(10**15))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_module_entry_point():

@@ -14,11 +14,10 @@ from repfn import (
     QueryBeyondPrefix,
     WeightPair,
     classic_rep,
-    rep_count_weighted,
     rep_difference,
     rep_values,
 )
-from oracles import classic_counts, pair_grid_rep_values, sieve_rep_values
+from oracles import classic_counts, pair_grid_rep_values, rep_count_weighted, sieve_rep_values
 
 
 def brute_count(bits, k1, k2, n, side=SET):
@@ -59,7 +58,7 @@ def test_chi_table_prefix_is_hard_boundary():
     with pytest.raises(QueryBeyondPrefix):
         chi.value(3)
     with pytest.raises(QueryBeyondPrefix):
-        rep_count_weighted(chi, SET, WeightPair(1, 2), 3)
+        rep_values(chi, SET, WeightPair(1, 2), 3)
 
 
 def test_complement_is_a_flipped_view():

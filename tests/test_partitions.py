@@ -6,38 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repfn import (
+    COMPLEMENT,
+    SET,
     ChiTable,
     EnumerationCapExceeded,
     InvalidSeed,
     PreconditionError,
     SeedAssignment,
+    WeightPair,
     enumerate_seeds,
     extend_seed,
+    rep_values,
     verify_block_parity,
     verify_equality,
     verify_structure,
 )
-from oracles import block_parity_loop
+from oracles import block_parity_loop, window_identity_loop
 
 
 def oracle_seeds(k, n0):
     """Independent exhaustive oracle: check the window identity literally."""
-    width = k + n0
-    found = []
-    for cand in product((0, 1), repeat=width):
-        ok = True
-        for n in range(n0, width):
-            total = 0
-            weighted = 0
-            for a2 in range(n // k + 1):
-                total += 1
-                weighted += cand[n - k * a2] + cand[a2]
-            if total != weighted:
-                ok = False
-                break
-        if ok:
-            found.append("".join(map(str, cand)))
-    return found
+    return [
+        "".join(map(str, cand))
+        for cand in product((0, 1), repeat=k + n0)
+        if all(window_identity_loop(cand, k, n) for n in range(n0, k + n0))
+    ]
 
 
 # -------------------------------------------------------------- seed window
@@ -69,6 +62,22 @@ def test_seed_census_matches_oracle(k, n0):
 def test_seed_census_complement_closed(k, n0):
     strings = {s.bit_string() for s in enumerate_seeds(k, n0)}
     assert {s.translate(str.maketrans("01", "10")) for s in strings} == strings
+
+
+def test_window_check_matches_loop_oracle():
+    """verify_structure's window violations and SeedAssignment.is_valid agree
+    with the literal per-n loop on every bit string of width k + n0 <= 8, for
+    every up_to in [0, k + n0), including up_to < n0."""
+    for k in range(2, 9):
+        for n0 in range(0, 9 - k):
+            width = k + n0
+            for cand in product((0, 1), repeat=width):
+                bad = [n for n in range(n0, width) if not window_identity_loop(cand, k, n)]
+                assert SeedAssignment(k, n0, cand).is_valid() == (not bad), (k, n0, cand)
+                chi = ChiTable(cand, k, n0)
+                for up_to in range(width):
+                    expected = tuple(n for n in bad if n <= up_to)
+                    assert verify_structure(chi, up_to).window_violations == expected, (k, n0, cand, up_to)
 
 
 def test_enumeration_cap():
@@ -154,10 +163,11 @@ def test_verify_structure_all_ones():
 
 def test_verify_equality_hand_value(chi_small):
     report = verify_equality(chi_small, 20)
-    row = dict((n, (rs, rc)) for n, rs, rc, _, _ in report.rows())
+    row = dict((n, (rs, rc)) for n, rs, rc, _ in report.rows())
     # at n=4: set pair (2, 1), complement pair (4, 0)
     assert row[4] == (1, 1)
     assert report.passed
+    assert report.to_dict()["columns"] == ["n", "R_A", "R_comp", "ok"]
 
 
 def test_verify_equality_zero_violations(chi_small):
@@ -181,6 +191,18 @@ def test_flipped_bit_breaks_equality_nearby(seed011):
     assert violations
     # a violation shows up within a window of size k * flip point
     assert min(violations) <= 2 * (flip_at + 1)
+
+
+def test_verify_equality_counts_on_random_table(rng):
+    """On a random table R_A - R_C takes both signs; the reported counts are
+    the kernel's on each side and ok marks exactly the n where they agree."""
+    chi = ChiTable((rng.random(301) < 0.5).astype(np.uint8), 2, 1)
+    report = verify_equality(chi, 300)
+    r_set = rep_values(chi, SET, WeightPair(1, 2), 300)[1:]
+    r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, 2), 300)[1:]
+    assert (r_set > r_comp).any() and (r_set < r_comp).any()
+    assert (report.r_set == r_set).all() and (report.r_comp == r_comp).all()
+    assert (report.ok == (r_set == r_comp)).all()
 
 
 @pytest.mark.parametrize("k,n0", list(product((2, 3), (1, 2))))

@@ -12,11 +12,16 @@ from repfn import (
     WeightPair,
     extend_seed,
     nonexistence_search,
+    rep_values,
     validate_certificate,
 )
+from repfn import bounds
 
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
-GOLDEN_CASES = [(2, 3, 0), (2, 5, 0), (3, 4, 0), (2, 3, 1), (2, 5, 1), (3, 4, 1)]
+GOLDEN_CASES = [
+    (2, 3, 0), (2, 5, 0), (3, 4, 0), (2, 3, 1), (2, 5, 1), (3, 4, 1),
+    (2, 5, 8), (2, 7, 10), (2, 9, 12),
+]
 
 
 def measured_depths():
@@ -33,13 +38,9 @@ def measured_depths():
 
 
 def test_unsat_depths_match_golden():
-    """Depths are measured on first run, written to the golden file, then pinned."""
-    entries = measured_depths()
-    if not GOLDEN.exists():
-        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-        GOLDEN.write_text(json.dumps({"schema": 1, "entries": entries}, indent=2) + "\n")
+    """Measured depths equal the committed golden file; a missing file fails."""
     pinned = json.loads(GOLDEN.read_text())["entries"]
-    assert entries == pinned
+    assert measured_depths() == pinned
 
 
 def test_weight_preconditions():
@@ -70,6 +71,19 @@ def test_certificate_validator_rejects_corruption():
     broken = list(outcome.certificate)
     broken[20] ^= 1
     assert not validate_certificate(broken, WeightPair(1, 2), 1)
+
+
+def test_certificate_validator_cross_checks_kernel(monkeypatch):
+    """The kernel recount is live: one wrong kernel entry rejects a good certificate."""
+    outcome = nonexistence_search(WeightPair(1, 2), 1, 32, check_weights=False)
+
+    def corrupted(chi, side, w, up_to):
+        values = rep_values(chi, side, w, up_to)
+        values[-1] += 1
+        return values
+
+    monkeypatch.setattr(bounds, "rep_values", corrupted)
+    assert not validate_certificate(outcome.certificate, WeightPair(1, 2), 1)
 
 
 def test_node_budget_gives_inconclusive():
