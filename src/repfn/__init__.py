@@ -5,7 +5,6 @@ from .bounds import (
     CASE_INTERVAL,
     CASE_SMALL_SHIFT,
     INCONCLUSIVE,
-    SAT,
     UNSAT,
     Decomposition,
     SearchOutcome,
@@ -13,7 +12,6 @@ from .bounds import (
     admissible_j_values,
     bound_array,
     bound_scan,
-    chain_threshold,
     decompose,
     extract_witness,
     flog,
@@ -48,8 +46,10 @@ from .partitions import (
     BlockParityReport,
     SeedAssignment,
     StructureReport,
+    chain_threshold,
     enumerate_seeds,
     extend_seed,
+    prefix_search,
     verify_block_parity,
     verify_equality,
     verify_structure,

@@ -15,14 +15,14 @@ count.  All logarithms here are exact integer quantities; floating point is
 forbidden in this module's arithmetic because boundary values of n would
 misclassify.
 
-The module also hosts an exhaustive depth-first search showing that for
-weights k2 > k1 >= 2 (coprime) no 0/1 assignment of a prefix can satisfy
-the set/complement count equality: every branch dies at a measurable depth.
+The module also runs the prefix search of :mod:`repfn.partitions` at
+weights k2 > k1 >= 2 (coprime), showing that no 0/1 assignment of a prefix
+can satisfy the set/complement count equality: every branch dies at a
+measurable depth.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from math import gcd
@@ -31,22 +31,10 @@ import numpy as np
 
 from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_values
 from .errors import DomainError, NoWitness, PreconditionError, QueryBeyondPrefix
+from .partitions import chain_threshold, prefix_search
 
 CASE_INTERVAL = "case1"
 CASE_SMALL_SHIFT = "case2"
-
-
-def _check_params(k: int, n0: int) -> None:
-    if k < 2:
-        raise PreconditionError(f"k must be >= 2, got {k}")
-    if n0 < 0:
-        raise PreconditionError(f"n0 must be >= 0, got {n0}")
-
-
-def chain_threshold(k: int, n0: int) -> int:
-    """floor((n0 + k) / k) + 1: first base where block parity is guaranteed."""
-    _check_params(k, n0)
-    return (n0 + k) // k + 1
 
 
 def flog(k: int, n: int, scale: int) -> int:
@@ -77,7 +65,6 @@ def bound_array(k: int, n0: int, lo: int, hi: int) -> np.ndarray:
     guaranteed there).  Power boundaries are exact: the cut points are the
     integers k**e * T themselves, never floating-point logs.
     """
-    _check_params(k, n0)
     t0 = chain_threshold(k, n0)
     powers = []
     p = t0
@@ -133,12 +120,12 @@ def decompose(k: int, n0: int, n: int, j: int) -> Decomposition:
 
     and (t, r) is the division of n by k**i * (k**j + 1).  On every call
     i + j equals flog(k, n, T) or flog(k, n, T) - 1; that window property
-    is asserted because the whole bound argument hangs on it.
+    is checked, raising NoWitness, because the whole bound argument hangs
+    on it.
     """
-    _check_params(k, n0)
+    t0 = chain_threshold(k, n0)
     if j < 1 or j % 2 == 0:
         raise DomainError(f"j must be odd and positive, got {j}")
-    t0 = chain_threshold(k, n0)
     if n < t0:
         raise DomainError(f"n={n} is below the chain threshold {t0}")
     level = flog(k, n, t0)
@@ -150,13 +137,16 @@ def decompose(k: int, n0: int, n: int, j: int) -> Decomposition:
     i = flog(k, n, base)
     modulus = (k**j + 1) * k**i
     t, r = divmod(n, modulus)
-    assert t0 <= t <= k * t0 - 1, (n, j, i, t)
-    assert i + j in (level, level - 1), (n, j, i, level)
+    if not t0 <= t <= k * t0 - 1:
+        raise NoWitness(f"t={t} outside [{t0}, {k * t0 - 1}] at n={n}, j={j}, i={i}")
+    if i + j not in (level, level - 1):
+        raise NoWitness(f"i + j = {i + j} is neither level {level} nor {level - 1} at n={n}, j={j}")
     threshold = k ** (i + j) + k**i - k - 1
     if r <= threshold:
         return Decomposition(k=k, n=n, j=j, i=i, t=t, r=r, t_lo=t0, case=CASE_INTERVAL, s=None)
     s = r - threshold
-    assert 1 <= s <= k, (n, j, r, threshold)
+    if not 1 <= s <= k:
+        raise NoWitness(f"shift s={s} outside [1, {k}] at n={n}, j={j}")
     return Decomposition(k=k, n=n, j=j, i=i, t=t, r=r, t_lo=t0, case=CASE_SMALL_SHIFT, s=s)
 
 
@@ -211,7 +201,8 @@ def extract_witness(
             a1 = n - k * a2
             if a1 < a1_lo:
                 break
-            assert a1 <= a1_hi  # guaranteed by the choice of start
+            if a1 > a1_hi:
+                raise NoWitness(f"a1={a1} above its block end {a1_hi} at n={n}, j={j}")
             if a2 in exclude:
                 continue
             b1, b2 = chi.value(a1), chi.value(a2)
@@ -245,7 +236,8 @@ def extract_witness(
         if a in exclude:
             continue
         a1 = n - k * a
-        assert blk_lo <= a1 <= blk_lo + k**d.i - 1, (n, j, a, a1)
+        if not blk_lo <= a1 <= blk_lo + k**d.i - 1:
+            raise NoWitness(f"a1={a1} outside the shifted block at n={n}, j={j}, a={a}")
         if chi.value(a1) != side_bit:
             raise NoWitness(
                 f"block side mismatch at n={n}, j={j}: chi({a1}) != chi({m}) parity"
@@ -283,7 +275,8 @@ def witness_list(chi: ChiTable, n: int) -> tuple[list[WitnessRecord], list[tuple
         records.append(rec)
         if rec.decomposition.case == CASE_SMALL_SHIFT:
             used_small.add(rec.a2)
-    assert len({r.a2 for r in records}) == len(records), f"duplicate a2 at n={n}"
+    if len({r.a2 for r in records}) != len(records):
+        raise NoWitness(f"duplicate a2 at n={n}")
     return records, skipped
 
 
@@ -324,8 +317,10 @@ def bound_scan(chi: ChiTable, lo: int, hi: int) -> ScanReport:
 
 
 UNSAT = "unsat"
-SAT = "sat"
 INCONCLUSIVE = "inconclusive"
+
+# children tried before a search gives up as inconclusive
+NODE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -333,8 +328,9 @@ class SearchOutcome:
     """Result of the exhaustive prefix search for the count equality.
 
     ``unsat_depth`` is the smallest number of assigned bits at which every
-    branch has died; ``certificate`` is the first surviving full-depth
-    assignment in search order, already re-validated.
+    branch has died.  A branch that reaches ``depth_cap`` bits only shows
+    that the cap is below that depth: the result is inconclusive and
+    ``certificate`` is that prefix, already re-validated.
     """
 
     weights: WeightPair
@@ -345,10 +341,6 @@ class SearchOutcome:
     certificate: tuple[int, ...] | None
     nodes: int
     elapsed: float
-
-
-class _NodeBudgetExceeded(Exception):
-    pass
 
 
 def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
@@ -385,100 +377,41 @@ def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
     )
 
 
-def nonexistence_search(
-    w: WeightPair,
-    n0: int,
-    depth_cap: int,
-    check_weights: bool = True,
-    node_cap: int = 5_000_000,
-) -> SearchOutcome:
-    """Exhaustive search for a 0/1 prefix satisfying the count equality.
+def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome:
+    """Exhaustive search for a 0/1 prefix of ``depth_cap`` bits satisfying
+    the count equality at every n >= n0 it decides.
 
-    Bits are assigned in increasing index order, 0 before 1.  The equality
-    constraint at n becomes decidable once chi is fixed on [0, n // k1], so
-    assigning bit d settles exactly the constraints n in
-    [k1*d, k1*(d+1)) intersected with [n0, infinity); a branch dies on its
-    first violated constraint.  If no branch reaches ``depth_cap`` bits the
-    result is UNSAT at the measured depth; a surviving branch yields a SAT
-    certificate, re-validated by :func:`validate_certificate` before it is
-    returned.  Exceeding ``node_cap`` gives status "inconclusive".
+    Runs :func:`repfn.partitions.prefix_search` and stops at the first
+    survivor.  If no branch reaches ``depth_cap`` bits the result is UNSAT
+    at the measured depth.  A surviving prefix is re-validated by
+    :func:`validate_certificate` and reported as the certificate of an
+    inconclusive result; trying more than ``NODE_CAP`` children is
+    inconclusive too, without a certificate.
 
-    The default weight regime is k2 > k1 >= 2 with gcd(k1, k2) = 1, where
-    no infinite set satisfies the equality and finite UNSAT is the expected
-    outcome.  Tests may pass ``check_weights=False`` to probe deliberately
-    satisfiable instances such as k1 = 1; scheduling still requires
-    k1 <= k2.
+    The weights must satisfy k2 > k1 >= 2 with gcd(k1, k2) = 1, where no
+    infinite set satisfies the equality and finite UNSAT is the expected
+    outcome.
     """
-    if check_weights:
-        if not (w.k2 > w.k1 >= 2):
-            raise PreconditionError(f"weights must satisfy k2 > k1 >= 2, got ({w.k1}, {w.k2})")
-        if gcd(w.k1, w.k2) != 1:
-            raise PreconditionError(f"weights must be coprime, got ({w.k1}, {w.k2})")
-    elif w.k1 > w.k2:
-        raise PreconditionError("constraint scheduling requires k1 <= k2")
+    if not (w.k2 > w.k1 >= 2):
+        raise PreconditionError(f"weights must satisfy k2 > k1 >= 2, got ({w.k1}, {w.k2})")
+    if gcd(w.k1, w.k2) != 1:
+        raise PreconditionError(f"weights must be coprime, got ({w.k1}, {w.k2})")
     if n0 < 0:
         raise PreconditionError(f"n0 must be >= 0, got {n0}")
     if depth_cap < 1:
         raise PreconditionError(f"depth_cap must be >= 1, got {depth_cap}")
 
-    k1, k2 = w.k1, w.k2
-    bits: list[int] = []
-    nodes = 0
-    deepest = 0
-
-    def equality_holds(n: int) -> bool:
-        r_set = r_comp = 0
-        for a2 in range(n // k2 + 1):
-            rem = n - k2 * a2
-            if rem % k1:
-                continue
-            b1, b2 = bits[rem // k1], bits[a2]
-            if b1 and b2:
-                r_set += 1
-            elif not b1 and not b2:
-                r_comp += 1
-        return r_set == r_comp
-
-    def dfs() -> bool:
-        nonlocal nodes, deepest
-        depth = len(bits)
-        deepest = max(deepest, depth)
-        if depth == depth_cap:
-            return True
-        for v in (0, 1):
-            nodes += 1
-            if nodes > node_cap:
-                raise _NodeBudgetExceeded
-            bits.append(v)
-            newly_decided = range(max(n0, k1 * depth), k1 * (depth + 1))
-            if all(equality_holds(n) for n in newly_decided) and dfs():
-                return True
-            bits.pop()
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, depth_cap + 200))
     start = time.perf_counter()
-    try:
-        survived = dfs()
-    except _NodeBudgetExceeded:
-        return SearchOutcome(
-            weights=w, n0=n0, depth_cap=depth_cap, status=INCONCLUSIVE,
-            unsat_depth=None, certificate=None, nodes=nodes,
-            elapsed=time.perf_counter() - start,
-        )
-    finally:
-        sys.setrecursionlimit(old_limit)
+    survivors, nodes, deepest = prefix_search(w, n0, depth_cap, first_only=True, node_cap=NODE_CAP)
     elapsed = time.perf_counter() - start
-    if survived:
-        cert = tuple(bits)
+    status, unsat_depth, cert = INCONCLUSIVE, None, None
+    if survivors:
+        cert = survivors[0]
         if not validate_certificate(cert, w, n0):
             raise AssertionError("search produced a certificate the recheck rejects")
-        return SearchOutcome(
-            weights=w, n0=n0, depth_cap=depth_cap, status=SAT,
-            unsat_depth=None, certificate=cert, nodes=nodes, elapsed=elapsed,
-        )
+    elif nodes <= NODE_CAP:
+        status, unsat_depth = UNSAT, deepest + 1
     return SearchOutcome(
-        weights=w, n0=n0, depth_cap=depth_cap, status=UNSAT,
-        unsat_depth=deepest + 1, certificate=None, nodes=nodes, elapsed=elapsed,
+        weights=w, n0=n0, depth_cap=depth_cap, status=status,
+        unsat_depth=unsat_depth, certificate=cert, nodes=nodes, elapsed=elapsed,
     )

@@ -73,12 +73,6 @@ class ChiTable:
             raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {self.limit}]")
         return int(self._bits[n])
 
-    def side_value(self, n: int, side: str) -> int:
-        """Indicator of n on the chosen side (complement = flipped bit)."""
-        _check_side(side)
-        v = self.value(n)
-        return v if side == SET else 1 - v
-
     def side_bits(self, side: str, up_to: int | None = None) -> np.ndarray:
         """Indicator array of the chosen side on [0, up_to]."""
         _check_side(side)
@@ -87,10 +81,6 @@ class ChiTable:
             raise QueryBeyondPrefix(f"up_to={hi} outside known prefix [0, {self.limit}]")
         view = self._bits[: hi + 1]
         return view if side == SET else (1 - view).astype(np.uint8)
-
-    def prefix_count(self, side: str, x: int) -> int:
-        """Number of elements of the chosen side in [0, x]."""
-        return int(self.side_bits(side, x).sum())
 
     def describe(self) -> str:
         return f"chi(k={self.k},n0={self.n0},limit={self.limit})"
@@ -109,10 +99,6 @@ class WeightPair:
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 1:
             raise PreconditionError(f"weights must be positive, got ({self.k1}, {self.k2})")
-
-    @property
-    def kmax(self) -> int:
-        return max(self.k1, self.k2)
 
 
 def _class_prefix(u: np.ndarray, k: int) -> np.ndarray:

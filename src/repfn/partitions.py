@@ -16,11 +16,16 @@ all of [n0, infinity) exactly when
 
 This module enumerates the initial segments satisfying (a), extends them via
 (b), and verifies (a), (b), the identity itself, and the power-block parity
-relation that (b) induces along chains n -> k*n + j.
+relation that (b) induces along chains n -> k*n + j.  Its prefix search,
+which decides the identity at general coprime weights k1 <= k2 one n at a
+time, serves both the seed enumeration and the nonexistence search in
+:mod:`repfn.bounds`.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +49,91 @@ def _check_params(k: int, n0: int) -> None:
         raise PreconditionError(f"n0 must be >= 0, got {n0}")
 
 
-def window_identity_holds(values, k: int, n: int) -> bool:
-    """True when the window identity holds at n for a chi prefix given as a
-    tuple or list of ints.
+def chain_threshold(k: int, n0: int) -> int:
+    """floor((n0 + k) / k) + 1: first base where block parity is guaranteed."""
+    _check_params(k, n0)
+    return (n0 + k) // k + 1
 
-    Over the n // k + 1 solutions of a1 + k*a2 = n, a2 runs over [0, n // k]
-    and a1 over n's residue class mod k, so this is core.rep_difference at
+
+def _solution_slices(w: WeightPair, n: int) -> tuple[slice, slice, int]:
+    """Slices (s2, s1) of a chi prefix picking the a2 and the a1 of the
+    c solutions of k1*a1 + k2*a2 = n, for coprime k1 <= k2.
+
+    The a2 form one residue class mod k1 in [0, n // k2] and the a1 one
+    residue class mod k2, counted down from the a1 of the smallest a2.
+    """
+    a2 = n * pow(w.k2, -1, w.k1) % w.k1
+    if a2 > n // w.k2:
+        # no solution: an a1 slice would start at a negative index
+        return slice(0, 0), slice(0, 0), 0
+    c = (n // w.k2 - a2) // w.k1 + 1
+    return slice(a2, n // w.k2 + 1, w.k1), slice((n - w.k2 * a2) // w.k1, None, -w.k2), c
+
+
+def window_identity_holds(values, w: WeightPair, n: int) -> bool:
+    """R_{k1,k2}(A, n) = R_{k1,k2}(complement, n) for a chi prefix given as a
+    tuple or list of ints covering [0, n // k1].
+
+    Each solution of k1*a1 + k2*a2 = n adds chi(a1) + chi(a2) - 1 to the
+    difference of the two counts; for k1 = 1 this is core.rep_difference at
     one n.
     """
-    return sum(values[: n // k + 1]) + sum(values[n::-k]) == n // k + 1
+    s2, s1, c = _solution_slices(w, n)
+    return sum(values[s2]) + sum(values[s1]) == c
+
+
+def prefix_search(
+    w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
+) -> tuple[list[tuple[int, ...]], int, int]:
+    """Depth-first search for 0/1 prefixes of length ``width`` on which the
+    identity holds at every n >= n0 that they decide.
+
+    Bits are assigned in increasing index order, 0 before 1.  The identity
+    at n reads chi on [0, n // k1] only (k1 <= k2), so bit d settles exactly
+    the n in [k1*d, k1*(d+1)) intersected with [n0, infinity), and a branch
+    dies at its first violation.  Returns (survivors, nodes, deepest): the
+    surviving prefixes in lexicographic order (only the first with
+    ``first_only``), the children tried, and the most bits any branch held.
+    The search stops once ``nodes`` exceeds ``node_cap``.
+    """
+    k1 = w.k1
+    settled = [
+        [_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))]
+        for d in range(width)
+    ]
+    bits = [0] * width
+    survivors: list[tuple[int, ...]] = []
+    nodes = deepest = 0
+
+    def dfs(d: int) -> bool:
+        """Extend the prefix bits[:d]; True stops the whole search."""
+        nonlocal nodes, deepest
+        if d > deepest:
+            deepest = d
+        if d == width:
+            survivors.append(tuple(bits))
+            return first_only
+        for v in (0, 1):
+            nodes += 1
+            if nodes > node_cap:
+                return True
+            bits[d] = v
+            # window_identity_holds, inlined on the slices of this depth
+            for s2, s1, c in settled[d]:
+                if sum(bits[s2]) + sum(bits[s1]) != c:
+                    break
+            else:
+                if dfs(d + 1):
+                    return True
+        return False
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, width + 200))
+    try:
+        dfs(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return survivors, nodes, deepest
 
 
 @dataclass(frozen=True)
@@ -82,23 +163,18 @@ class SeedAssignment:
     def bit_string(self) -> str:
         return "".join(map(str, self.values))
 
-    def complement(self) -> "SeedAssignment":
-        return SeedAssignment(self.k, self.n0, tuple(1 - v for v in self.values))
-
     def is_valid(self) -> bool:
         """Window identity at every n in [n0, k + n0)."""
-        return all(
-            window_identity_holds(self.values, self.k, n)
-            for n in range(self.n0, self.k + self.n0)
-        )
+        w = WeightPair(1, self.k)
+        window = range(self.n0, self.k + self.n0)
+        return all(window_identity_holds(self.values, w, n) for n in window)
 
 
 def enumerate_seeds(k: int, n0: int) -> list[SeedAssignment]:
-    """All initial segments on [0, k + n0) satisfying the window identity.
+    """All initial segments on [0, k + n0) satisfying the window identity,
+    in lexicographic order of the bit string: the survivors of
+    :func:`prefix_search` at weights (1, k).
 
-    Depth-first over bit positions in increasing order; the constraint at
-    n = p only involves positions <= p, so it is checked the moment position
-    p is assigned.  Output is in lexicographic order of the bit string.
     The result is closed under bitwise complement, since flipping every bit
     leaves the two sides of the window identity equal.
     """
@@ -108,21 +184,8 @@ def enumerate_seeds(k: int, n0: int) -> list[SeedAssignment]:
         raise EnumerationCapExceeded(
             f"k + n0 = {width} exceeds the exhaustive-search cap {ENUMERATION_CAP}"
         )
-    out: list[SeedAssignment] = []
-    bits = [0] * width
-
-    def dfs(p: int) -> None:
-        if p == width:
-            out.append(SeedAssignment(k, n0, tuple(bits)))
-            return
-        for v in (0, 1):
-            bits[p] = v
-            if p >= n0 and not window_identity_holds(bits, k, p):
-                continue
-            dfs(p + 1)
-
-    dfs(0)
-    return out
+    survivors, _, _ = prefix_search(WeightPair(1, k), n0, width)
+    return [SeedAssignment(k, n0, bits) for bits in survivors]
 
 
 def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:
@@ -260,7 +323,7 @@ def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
     if i_max < 1:
         raise PreconditionError(f"i_max must be >= 1, got {i_max}")
     k, limit = chi.k, chi.limit
-    threshold = (chi.n0 + k) // k + 1
+    threshold = chain_threshold(k, chi.n0)
     bits = chi.bits
     checked_per_i = []
     violations: list[tuple[int, int, int]] = []

@@ -24,6 +24,7 @@ from repfn import (
     flog,
     guaranteed_bound,
     nonexistence_search,
+    prefix_search,
     rep_difference,
     rep_values,
     validate_certificate,
@@ -204,7 +205,8 @@ def test_criterion_7_exact_log_boundaries():
 
 
 def test_criterion_8_nonexistence_search():
-    """Measured UNSAT depths pinned in the golden file; SAT mode self-validates."""
+    """Measured UNSAT depths pinned in the golden file; the satisfiable k1 = 1
+    search yields a certificate that the independent recheck accepts."""
     entries = []
     for k1, k2 in ((2, 3), (2, 5), (3, 4)):
         outcome = nonexistence_search(WeightPair(k1, k2), 0, 64)
@@ -216,11 +218,10 @@ def test_criterion_8_nonexistence_search():
         )
     pinned = json.loads(GOLDEN.read_text())["entries"]
     assert entries == [e for e in pinned if e["n0"] == 0]
-    sat = nonexistence_search(WeightPair(1, 2), 1, 48, check_weights=False)
-    assert sat.status == "sat"
-    assert validate_certificate(sat.certificate, WeightPair(1, 2), 1)
+    survivors, _, _ = prefix_search(WeightPair(1, 2), 1, 48, first_only=True)
+    assert validate_certificate(survivors[0], WeightPair(1, 2), 1)
     report(
-        "criterion 8: nonexistence search UNSAT depths pinned, SAT mode validated",
+        "criterion 8: nonexistence search UNSAT depths pinned, k1 = 1 certificate validated",
         True,
         ", ".join(f"({e['k1']},{e['k2']})->N*={e['unsat_depth']}" for e in entries),
     )

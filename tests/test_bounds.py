@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -267,6 +270,44 @@ def test_witness_list_soundness_property(n):
         assert r.a1 + 2 * r.a2 == n
         assert chi.value(r.a1) == chi.value(r.a2)
         assert (r.side == SET) == (chi.value(r.a1) == 1)
+
+
+# ------------------------------------------------------------ checks under -O
+
+_OPTIMIZED_CHECKS = """
+from repfn import NoWitness, SeedAssignment, bounds, extend_seed
+
+chi = extend_seed(SeedAssignment.from_string(2, 1, "011"), 100000)
+record = bounds.extract_witness(chi, 100000, 1)
+real_extract, real_flog = bounds.extract_witness, bounds.flog
+
+# one record for every j: the distinct-a2 check must fire
+bounds.extract_witness = lambda chi, n, j, exclude=frozenset(): record
+try:
+    bounds.witness_list(chi, 100000)
+    raise SystemExit("witness_list accepted duplicate a2")
+except NoWitness:
+    pass
+bounds.extract_witness = real_extract
+
+# an inner exponent one too small puts t above [T, k*T - 1] (T = 2 here)
+bounds.flog = lambda k, n, scale: real_flog(k, n, scale) - (scale != 2)
+try:
+    bounds.decompose(2, 1, 100000, 1)
+    raise SystemExit("decompose accepted t outside [T, k*T - 1]")
+except NoWitness:
+    pass
+print("ok")
+"""
+
+
+def test_witness_checks_survive_optimized_python():
+    """python -O strips assert statements; the checks the bound argument
+    rests on must still raise NoWitness there."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_CHECKS], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 # ------------------------------------------------------------------ bound scan

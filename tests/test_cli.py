@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repfn import COMPLEMENT, SET, ChiTable, WeightPair, guaranteed_bound
+from repfn import COMPLEMENT, SET, ChiTable, WeightPair, guaranteed_bound, validate_certificate
 from repfn.cli import main
 from oracles import rep_count_weighted
 
@@ -209,6 +209,18 @@ def test_search_unsat_json(capsys):
     assert doc["status"] == "unsat"
     assert doc["unsat_depth"] is not None and doc["unsat_depth"] <= 64
     assert doc["nodes"] > 0 and doc["certificate"] is None
+
+
+def test_search_cap_below_refutation_depth_inconclusive(capsys):
+    """(2, 5) at n0 = 32 is refuted at 113 bits; a 64-bit cap proves nothing."""
+    code, out, _ = run(capsys, "search", "--k1", "2", "--k2", "5", "--n0", "32",
+                       "--cap", "64")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["status"] == "inconclusive" and doc["unsat_depth"] is None
+    cert = doc["certificate"]
+    assert len(cert) == 64 and set(cert) <= {"0", "1"}
+    assert validate_certificate([int(c) for c in cert], WeightPair(2, 5), 32)
 
 
 def test_search_gcd_precondition(capsys):

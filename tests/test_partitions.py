@@ -16,12 +16,23 @@ from repfn import (
     WeightPair,
     enumerate_seeds,
     extend_seed,
+    prefix_search,
     rep_values,
     verify_block_parity,
     verify_equality,
     verify_structure,
+    window_identity_holds,
 )
-from oracles import block_parity_loop, window_identity_loop
+from oracles import (
+    block_parity_loop,
+    pair_grid_rep_values,
+    rep_count_weighted,
+    window_identity_loop,
+)
+
+# weights (1, k) of seed enumeration and coprime k2 > k1 >= 2 of the
+# nonexistence search
+ORACLE_WEIGHTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5)]
 
 
 def oracle_seeds(k, n0):
@@ -50,7 +61,7 @@ def test_seed_census_k2_n01():
     assert seeds == sorted(seeds, key=lambda s: s.bit_string())
     assert [s.bit_string() for s in seeds] == oracle_seeds(2, 1)
     # the two seeds are bitwise complements of each other
-    assert seeds[0].complement() == seeds[1]
+    assert seeds[1].values == tuple(1 - v for v in seeds[0].values)
 
 
 @pytest.mark.parametrize("k,n0", list(product((2, 3, 4, 5), (0, 1, 2))))
@@ -80,6 +91,39 @@ def test_window_check_matches_loop_oracle():
                     assert verify_structure(chi, up_to).window_violations == expected, (k, n0, cand, up_to)
 
 
+@pytest.mark.parametrize("k1,k2", ORACLE_WEIGHTS)
+def test_window_identity_matches_naive_counter(k1, k2):
+    """On every bit string of width <= 10 and every n it decides, including n
+    with no solution, the slice form of the identity agrees with counting
+    both sides pair by pair."""
+    w = WeightPair(k1, k2)
+    for width in range(1, 11):
+        for cand in product((0, 1), repeat=width):
+            # the counter rejects n beyond its table; the padding is never read
+            chi = ChiTable(cand + (0,) * (k1 - 1) * width, 2, 0)
+            for n in range(k1 * width):
+                r_set = rep_count_weighted(chi, SET, w, n)
+                r_comp = rep_count_weighted(chi, COMPLEMENT, w, n)
+                assert window_identity_holds(cand, w, n) == (r_set == r_comp), (w, cand, n)
+
+
+@pytest.mark.parametrize("k1,k2", ORACLE_WEIGHTS)
+def test_prefix_search_matches_brute_force(k1, k2):
+    """prefix_search keeps exactly the strings, in lexicographic order, whose
+    pair-grid counts agree on both sides at every n in [n0, k1 * width)."""
+    w = WeightPair(k1, k2)
+    for width in range(1, 13):
+        strings = list(product((0, 1), repeat=width))
+        diffs = [
+            pair_grid_rep_values(np.array(cand), SET, w, k1 * width - 1)
+            - pair_grid_rep_values(np.array(cand), COMPLEMENT, w, k1 * width - 1)
+            for cand in strings
+        ]
+        for n0 in (0, 1, 3):
+            expected = [cand for cand, d in zip(strings, diffs) if not d[n0:].any()]
+            assert prefix_search(w, n0, width)[0] == expected, (w, n0, width)
+
+
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_seeds(2, 30)
@@ -97,7 +141,7 @@ def test_extend_matches_hand_table(seed011):
 
 
 def test_extend_commutes_with_complement(seed011):
-    comp = extend_seed(seed011.complement(), 10)
+    comp = extend_seed(SeedAssignment(2, 1, tuple(1 - v for v in seed011.values)), 10)
     chi = extend_seed(seed011, 10)
     assert (comp.bits == 1 - chi.bits).all()
 

@@ -5,33 +5,35 @@ import pytest
 
 from repfn import (
     INCONCLUSIVE,
-    SAT,
     UNSAT,
     PreconditionError,
     SeedAssignment,
     WeightPair,
     extend_seed,
     nonexistence_search,
+    prefix_search,
     rep_values,
     validate_certificate,
 )
 from repfn import bounds
 
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
+# (k1, k2, n0, cap); the last two are refutation depths above 16 bits
+# that an independent breadth-first search confirmed
 GOLDEN_CASES = [
-    (2, 3, 0), (2, 5, 0), (3, 4, 0), (2, 3, 1), (2, 5, 1), (3, 4, 1),
-    (2, 5, 8), (2, 7, 10), (2, 9, 12),
+    (2, 3, 0, 64), (2, 5, 0, 64), (3, 4, 0, 64), (2, 3, 1, 64), (2, 5, 1, 64), (3, 4, 1, 64),
+    (2, 5, 8, 64), (2, 7, 10, 64), (2, 9, 12, 64), (2, 3, 34, 64), (2, 5, 32, 128),
 ]
 
 
 def measured_depths():
     entries = []
-    for k1, k2, n0 in GOLDEN_CASES:
-        outcome = nonexistence_search(WeightPair(k1, k2), n0, 64)
+    for k1, k2, n0, cap in GOLDEN_CASES:
+        outcome = nonexistence_search(WeightPair(k1, k2), n0, cap)
         assert outcome.status == UNSAT
-        assert outcome.unsat_depth is not None and outcome.unsat_depth <= 64
+        assert outcome.unsat_depth is not None and outcome.unsat_depth <= cap
         entries.append(
-            {"k1": k1, "k2": k2, "n0": n0, "cap": 64,
+            {"k1": k1, "k2": k2, "n0": n0, "cap": cap,
              "status": outcome.status, "unsat_depth": outcome.unsat_depth}
         )
     return entries
@@ -50,32 +52,32 @@ def test_weight_preconditions():
         nonexistence_search(WeightPair(2, 4), 0, 16)  # gcd = 2
     with pytest.raises(PreconditionError):
         nonexistence_search(WeightPair(3, 2), 0, 16)  # k2 > k1 violated
-    with pytest.raises(PreconditionError):
-        nonexistence_search(WeightPair(2, 1), 0, 16, check_weights=False)
+
+
+def first_survivor(w, n0, width):
+    survivors, _, _ = prefix_search(w, n0, width, first_only=True)
+    return survivors[0]
 
 
 def test_satisfiable_mode_finds_validated_certificate():
-    """k1 = 1 is deliberately satisfiable; the search must find the canonical
-    solution and the certificate must pass the independent recheck."""
-    outcome = nonexistence_search(WeightPair(1, 2), 1, 48, check_weights=False)
-    assert outcome.status == SAT
-    assert outcome.certificate is not None
-    assert validate_certificate(outcome.certificate, WeightPair(1, 2), 1)
+    """k1 = 1 is satisfiable; the search must find the canonical solution and
+    it must pass the independent recheck."""
+    cert = first_survivor(WeightPair(1, 2), 1, 48)
+    assert validate_certificate(cert, WeightPair(1, 2), 1)
     # the lexicographically first survivor is the flip-rule extension of 011
     expected = extend_seed(SeedAssignment.from_string(2, 1, "011"), 47)
-    assert list(outcome.certificate) == expected.bits.tolist()
+    assert list(cert) == expected.bits.tolist()
 
 
 def test_certificate_validator_rejects_corruption():
-    outcome = nonexistence_search(WeightPair(1, 2), 1, 32, check_weights=False)
-    broken = list(outcome.certificate)
+    broken = list(first_survivor(WeightPair(1, 2), 1, 32))
     broken[20] ^= 1
     assert not validate_certificate(broken, WeightPair(1, 2), 1)
 
 
 def test_certificate_validator_cross_checks_kernel(monkeypatch):
     """The kernel recount is live: one wrong kernel entry rejects a good certificate."""
-    outcome = nonexistence_search(WeightPair(1, 2), 1, 32, check_weights=False)
+    cert = first_survivor(WeightPair(1, 2), 1, 32)
 
     def corrupted(chi, side, w, up_to):
         values = rep_values(chi, side, w, up_to)
@@ -83,15 +85,25 @@ def test_certificate_validator_cross_checks_kernel(monkeypatch):
         return values
 
     monkeypatch.setattr(bounds, "rep_values", corrupted)
-    assert not validate_certificate(outcome.certificate, WeightPair(1, 2), 1)
+    assert not validate_certificate(cert, WeightPair(1, 2), 1)
 
 
-def test_node_budget_gives_inconclusive():
-    outcome = nonexistence_search(
-        WeightPair(1, 2), 1, 48, check_weights=False, node_cap=10
-    )
+def test_node_budget_gives_inconclusive(monkeypatch):
+    monkeypatch.setattr(bounds, "NODE_CAP", 10)
+    outcome = nonexistence_search(WeightPair(2, 3), 34, 64)
     assert outcome.status == INCONCLUSIVE
     assert outcome.certificate is None and outcome.unsat_depth is None
+    assert outcome.nodes == 11
+
+
+def test_cap_below_refutation_depth_is_inconclusive():
+    """(2, 5) at n0 = 32 is refuted only at 113 bits, so a branch survives a
+    64-bit cap: that proves nothing about N*, and the surviving prefix is
+    reported, validated, under an inconclusive status."""
+    outcome = nonexistence_search(WeightPair(2, 5), 32, 64)
+    assert outcome.status == INCONCLUSIVE and outcome.unsat_depth is None
+    assert outcome.certificate is not None and len(outcome.certificate) == 64
+    assert validate_certificate(outcome.certificate, WeightPair(2, 5), 32)
 
 
 def test_search_determinism():
