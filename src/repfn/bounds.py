@@ -1,8 +1,10 @@
 """Constructive lower-bound machinery for the partition identity.
 
-For a table built from a valid seed, every large n admits explicit
-representations n = a1 + k*a2 with a1, a2 on a common side.  The
-construction rests on an exact scale decomposition
+For the set built from a valid seed, every large n admits explicit
+representations n = a1 + k*a2 with a1, a2 on a common side.  The witness
+functions read membership from the seed itself (SeedAssignment.value), at
+O(log n) points per witness and with no table, so n may be any Python int.
+The construction rests on an exact scale decomposition
 
     n = k**i * (k**j + 1) * t + r,      t in [T, k*T - 1],
                                         0 <= r < k**i * (k**j + 1),
@@ -31,7 +33,7 @@ import numpy as np
 
 from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_values
 from .errors import DomainError, NoWitness, PreconditionError, QueryBeyondPrefix
-from .partitions import chain_threshold, prefix_search
+from .partitions import SeedAssignment, chain_threshold, prefix_search
 
 CASE_INTERVAL = "case1"
 CASE_SMALL_SHIFT = "case2"
@@ -166,7 +168,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def extract_witness(
-    chi: ChiTable, n: int, j: int, exclude: frozenset = frozenset()
+    seed: SeedAssignment, n: int, j: int, exclude: frozenset = frozenset()
 ) -> WitnessRecord | None:
     """Produce a representation of n from the decomposition at exponent j.
 
@@ -186,10 +188,8 @@ def extract_witness(
     genuine absence of any admissible pair raises NoWitness: that would
     contradict the construction and must fail loudly.
     """
-    if n > chi.limit:
-        raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {chi.limit}]")
-    k = chi.k
-    d = decompose(k, chi.n0, n, j)
+    k = seed.k
+    d = decompose(k, seed.n0, n, j)
 
     if d.case == CASE_INTERVAL:
         p = k ** (d.i + d.j - 1)
@@ -205,7 +205,7 @@ def extract_witness(
                 raise NoWitness(f"a1={a1} above its block end {a1_hi} at n={n}, j={j}")
             if a2 in exclude:
                 continue
-            b1, b2 = chi.value(a1), chi.value(a2)
+            b1, b2 = seed.value(a1), seed.value(a2)
             if b1 != b2:
                 raise NoWitness(
                     f"blocks disagree at n={n}, j={j}: chi({a1})={b1} vs chi({a2})={b2}"
@@ -220,15 +220,15 @@ def extract_witness(
     # case2: n - (k**i - k - 1 + s) = k**i * m for the shifted base m
     headroom = k**d.i - k - 1
     if headroom < 0:
-        # no small element can fit; also keeps m below the prefix (at i = 0
-        # the shifted base sits above n itself)
+        # no small element can fit (at i = 0 the shifted base m even sits
+        # above n itself)
         return None
     m = (k**d.j + 1) * d.t + k**d.j
-    side_bit = chi.value(m) ^ (d.i & 1)
+    side_bit = seed.value(m) ^ (d.i & 1)
     blk_lo = k**d.i * m
     saw_side_match = False
     for a in range(0, k * d.t_lo + 1):
-        if chi.value(a) != side_bit:
+        if seed.value(a) != side_bit:
             continue
         saw_side_match = True
         if k * a > headroom:
@@ -238,7 +238,7 @@ def extract_witness(
         a1 = n - k * a
         if not blk_lo <= a1 <= blk_lo + k**d.i - 1:
             raise NoWitness(f"a1={a1} outside the shifted block at n={n}, j={j}, a={a}")
-        if chi.value(a1) != side_bit:
+        if seed.value(a1) != side_bit:
             raise NoWitness(
                 f"block side mismatch at n={n}, j={j}: chi({a1}) != chi({m}) parity"
             )
@@ -251,7 +251,7 @@ def extract_witness(
     return None  # below threshold, or pool exhausted by exclusions: skip either way
 
 
-def witness_list(chi: ChiTable, n: int) -> tuple[list[WitnessRecord], list[tuple[int, str]]]:
+def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], list[tuple[int, str]]]:
     """Witnesses for every admissible odd j at n, with pairwise distinct a2.
 
     case1 witnesses are automatically distinct across j (their a1 blocks
@@ -262,15 +262,15 @@ def witness_list(chi: ChiTable, n: int) -> tuple[list[WitnessRecord], list[tuple
     records: list[WitnessRecord] = []
     skipped: list[tuple[int, str]] = []
     used_small: set[int] = set()
-    for j in admissible_j_values(chi.k, chi.n0, n):
-        rec = extract_witness(chi, n, j, exclude=frozenset(used_small))
+    for j in admissible_j_values(seed.k, seed.n0, n):
+        rec = extract_witness(seed, n, j, exclude=frozenset(used_small))
         if rec is None:
-            if used_small and extract_witness(chi, n, j) is not None:
+            if used_small and extract_witness(seed, n, j) is not None:
                 skipped.append((j, "small-element-pool-exhausted"))
             else:
                 skipped.append((j, "below-witness-threshold"))
             continue
-        if rec.a1 + chi.k * rec.a2 != n:
+        if rec.a1 + seed.k * rec.a2 != n:
             raise NoWitness(f"arithmetic breakdown at n={n}, j={j}")
         records.append(rec)
         if rec.decomposition.case == CASE_SMALL_SHIFT:

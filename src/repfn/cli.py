@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -182,8 +183,9 @@ def _cmd_scan_bound(cfg: argparse.Namespace) -> int:
 
 def _cmd_witness(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
-    chi = partitions.extend_seed(seed, cfg.n)
-    records, skipped = bounds.witness_list(chi, cfg.n)
+    # no table is built, but n must still cover the seed window and the seed be valid
+    partitions.check_extension(seed, cfg.n)
+    records, skipped = bounds.witness_list(seed, cfg.n)
     rows = [
         {
             "j": r.decomposition.j,
@@ -278,7 +280,9 @@ def _cmd_classic(cfg: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="repfn",
         description="Build, verify and probe partitions of the naturals with "

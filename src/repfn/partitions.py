@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
 from .errors import (
+    DomainError,
     EnumerationCapExceeded,
     InvalidSeed,
     PreconditionError,
@@ -169,6 +170,22 @@ class SeedAssignment:
         window = range(self.n0, self.k + self.n0)
         return all(window_identity_holds(self.values, w, n) for n in window)
 
+    def value(self, n: int) -> int:
+        """chi(n) of the flip-rule extension of this seed, for any integer n >= 0.
+
+        Dividing by k d times brings n into the seed, and each division
+        flips the bit: chi(n) = seed[n // k**d] xor (d & 1).  O(log_k n)
+        exact integer steps and no table, so n may be arbitrarily large.
+        """
+        if n < 0:
+            raise DomainError(f"n must be nonnegative, got {n}")
+        width = self.k + self.n0
+        flips = 0
+        while n >= width:
+            n //= self.k
+            flips ^= 1
+        return self.values[n] ^ flips
+
 
 def enumerate_seeds(k: int, n0: int) -> list[SeedAssignment]:
     """All initial segments on [0, k + n0) satisfying the window identity,
@@ -201,6 +218,18 @@ def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:
     return bits
 
 
+def check_extension(seed: SeedAssignment, limit: int, require_valid: bool = True) -> None:
+    """The preconditions of :func:`extend_seed` to ``limit``: the prefix
+    covers the seed window and, with ``require_valid``, the seed passes its
+    window identity."""
+    if limit < seed.k + seed.n0 - 1:
+        raise PreconditionError(
+            f"limit must cover the seed window [0, {seed.k + seed.n0 - 1}], got {limit}"
+        )
+    if require_valid and not seed.is_valid():
+        raise InvalidSeed(f"seed {seed.bit_string()} fails the window identity")
+
+
 def extend_seed(seed: SeedAssignment, limit: int, require_valid: bool = True) -> ChiTable:
     """Extend a seed to [0, limit] by the flip rule chi(n) = 1 - chi(n // k).
 
@@ -209,12 +238,7 @@ def extend_seed(seed: SeedAssignment, limit: int, require_valid: bool = True) ->
     the seed must pass its window identity, so the result satisfies the
     partition identity everywhere it is defined.
     """
-    if limit < seed.k + seed.n0 - 1:
-        raise PreconditionError(
-            f"limit must cover the seed window [0, {seed.k + seed.n0 - 1}], got {limit}"
-        )
-    if require_valid and not seed.is_valid():
-        raise InvalidSeed(f"seed {seed.bit_string()} fails the window identity")
+    check_extension(seed, limit, require_valid)
     return ChiTable(_extend_bits(seed, limit), seed.k, seed.n0)
 
 

@@ -3,8 +3,9 @@
 Each oracle computes the same quantity as a library function by a different
 route: the naive per-n counter, the strided sieve and the pair-grid
 histogram for ``rep_values``, a per-n pair loop for the window identity that
-``rep_difference`` decides, a per-base loop for ``verify_block_parity``, and
-a per-n pair loop for ``classic_rep``.  They are slow on purpose and live
+``rep_difference`` decides, a per-base loop for ``verify_block_parity``, a
+per-n pair loop for ``classic_rep``, and the flip rule as a recursion for
+``SeedAssignment.value``.  They are slow on purpose and live
 only in the tests.
 """
 
@@ -53,6 +54,14 @@ def rep_count_weighted(chi: ChiTable, side: str, w: WeightPair, n: int) -> int:
         if bits[a1] == target and bits[a2] == target:
             count += 1
     return count
+
+
+def chi_recursive(seed: str, k: int, n0: int, n: int) -> int:
+    """chi(n) of the flip-rule extension of a seed string, by the rule as
+    written: seed[n] inside the seed, else 1 - chi(n // k)."""
+    if n < k + n0:
+        return int(seed[n])
+    return 1 - chi_recursive(seed, k, n0, n // k)
 
 
 def window_identity_loop(values, k: int, n: int) -> bool:

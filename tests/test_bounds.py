@@ -25,6 +25,7 @@ from repfn import (
     guaranteed_bound,
     witness_list,
 )
+from oracles import chi_recursive
 
 
 def oracle_flog(k, n, scale):
@@ -159,56 +160,48 @@ def test_admissible_j_values():
 
 
 # ------------------------------------------------------------------ witnesses
+# The witness functions read the seed; dense tables below are membership
+# oracles for the asserts only.
 
 def test_witness_spec_point(seed011):
-    chi = extend_seed(seed011, 200)
-    rec = extract_witness(chi, 100, 1)
+    rec = extract_witness(seed011, 100, 1)
     assert (rec.a1, rec.a2, rec.side) == (36, 32, SET)
     assert rec.a1 + 2 * rec.a2 == 100
 
 
-def test_witness_requires_prefix(seed011):
-    chi = extend_seed(seed011, 50)
-    with pytest.raises(QueryBeyondPrefix):
-        extract_witness(chi, 100, 1)
-
-
 def test_witness_small_shift_case(seed011):
     chi = extend_seed(seed011, 200)
-    rec = extract_witness(chi, 70, 1)
+    rec = extract_witness(seed011, 70, 1)
     assert rec.decomposition.case == CASE_SMALL_SHIFT
     assert rec.a1 + 2 * rec.a2 == 70
     assert chi.value(rec.a1) == chi.value(rec.a2)
 
 
 def test_witness_below_threshold_returns_none(seed011):
-    chi = extend_seed(seed011, 50)
     # at n=34 the shifted-base case applies but no small element fits
-    assert extract_witness(chi, 34, 1) is None
+    assert extract_witness(seed011, 34, 1) is None
 
 
 def test_witness_minimal_prefix_small_shift(seed011):
-    """At i=0 the shifted base sits above n; the extractor must report the
-    skip instead of reading past a prefix that ends exactly at n."""
+    """At i=0 the shifted base sits above n and no small element fits; the
+    extractor reports the skip."""
     for n in (8, 10, 11):
-        chi = extend_seed(seed011, n)
-        assert extract_witness(chi, n, 1) is None
+        assert extract_witness(seed011, n, 1) is None
 
 
 def test_witness_exclusion_dedupes_small_elements(seed011):
-    chi = extend_seed(seed011, 300)
     # both admissible j at n=286 land in the small-shift case on one side
-    first = extract_witness(chi, 286, 1)
+    first = extract_witness(seed011, 286, 1)
     assert first.decomposition.case == CASE_SMALL_SHIFT
-    repeat = extract_witness(chi, 286, 3)
+    repeat = extract_witness(seed011, 286, 3)
     assert repeat is not None and repeat.a2 == first.a2  # no exclusion: collision
-    deduped = extract_witness(chi, 286, 3, exclude=frozenset({first.a2}))
+    deduped = extract_witness(seed011, 286, 3, exclude=frozenset({first.a2}))
     assert deduped is None or deduped.a2 != first.a2
 
 
 def test_witness_list_distinct_and_sound(seed011):
     chi = extend_seed(seed011, 300)
-    records, skipped = witness_list(chi, 286)
+    records, skipped = witness_list(seed011, 286)
     assert len({r.a2 for r in records}) == len(records)
     assert len(records) >= guaranteed_bound(2, 1, 286)
     for r in records:
@@ -226,7 +219,7 @@ def test_witness_sweep_across_weights():
         chi = extend_seed(seed, 8000)
         t0 = chain_threshold(k, n0)
         for n in range(t0, 8001):
-            records, _ = witness_list(chi, n)
+            records, _ = witness_list(seed, n)
             a2s = [r.a2 for r in records]
             assert len(set(a2s)) == len(a2s), (k, n0, n)
             for r in records:
@@ -238,10 +231,9 @@ def test_witness_sweep_across_weights():
 
 def test_witness_skip_structure_is_pinned(seed011):
     """The exact small-n skip pattern for k=2, n0=1 (measured, then pinned)."""
-    chi = extend_seed(seed011, 300)
     skip_events = {}
     for n in range(2, 301):
-        _, skipped = witness_list(chi, n)
+        _, skipped = witness_list(seed011, n)
         if skipped:
             skip_events[n] = skipped
     below = {n for n, ev in skip_events.items() if ev == [(1, "below-witness-threshold")]}
@@ -255,15 +247,16 @@ def test_witness_skip_structure_is_pinned(seed011):
     assert set(skip_events) == below | {142, 143, 286, 287}
 
 
-# one shared table for the hypothesis property below (fixtures cannot feed @given)
-_CHI_20K = extend_seed(SeedAssignment.from_string(2, 1, "011"), 20000)
+_SEED_011 = SeedAssignment.from_string(2, 1, "011")
+# one shared oracle table for the hypothesis property below (fixtures cannot feed @given)
+_CHI_20K = extend_seed(_SEED_011, 20000)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 20000))
 def test_witness_list_soundness_property(n):
     chi = _CHI_20K
-    records, _ = witness_list(chi, n)
+    records, _ = witness_list(_SEED_011, n)
     a2s = [r.a2 for r in records]
     assert len(set(a2s)) == len(a2s)
     for r in records:
@@ -272,19 +265,38 @@ def test_witness_list_soundness_property(n):
         assert (r.side == SET) == (chi.value(r.a1) == 1)
 
 
+@pytest.mark.parametrize("k, n0, s", [(2, 1, "011"), (3, 2, "01110"), (5, 3, "01011101")])
+def test_witnesses_at_ten_to_the_hundred(k, n0, s):
+    """At n = 10**100 every admissible odd j gets a record or a skip, the
+    records are representations on their side with distinct a2, and they
+    reach the guaranteed bound; membership, the admissible j and the bound
+    are recomputed here without the library."""
+    n = 10**100
+    records, skipped = witness_list(SeedAssignment.from_string(k, n0, s), n)
+    for r in records:
+        assert r.a1 + k * r.a2 == n
+        bit = 1 if r.side == SET else 0
+        assert chi_recursive(s, k, n0, r.a1) == chi_recursive(s, k, n0, r.a2) == bit
+    assert len({r.a2 for r in records}) == len(records)
+    level = oracle_flog(k, n, (n0 + k) // k + 1)
+    assert len(records) >= level // 4
+    covered = [r.decomposition.j for r in records] + [j for j, _ in skipped]
+    assert sorted(covered) == list(range(1, level // 2 + 1, 2))
+
+
 # ------------------------------------------------------------ checks under -O
 
 _OPTIMIZED_CHECKS = """
-from repfn import NoWitness, SeedAssignment, bounds, extend_seed
+from repfn import NoWitness, SeedAssignment, bounds
 
-chi = extend_seed(SeedAssignment.from_string(2, 1, "011"), 100000)
-record = bounds.extract_witness(chi, 100000, 1)
+seed = SeedAssignment.from_string(2, 1, "011")
+record = bounds.extract_witness(seed, 100000, 1)
 real_extract, real_flog = bounds.extract_witness, bounds.flog
 
 # one record for every j: the distinct-a2 check must fire
-bounds.extract_witness = lambda chi, n, j, exclude=frozenset(): record
+bounds.extract_witness = lambda seed, n, j, exclude=frozenset(): record
 try:
-    bounds.witness_list(chi, 100000)
+    bounds.witness_list(seed, 100000)
     raise SystemExit("witness_list accepted duplicate a2")
 except NoWitness:
     pass

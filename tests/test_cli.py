@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from repfn import COMPLEMENT, SET, ChiTable, WeightPair, guaranteed_bound, validate_certificate
-from repfn.cli import main
-from oracles import rep_count_weighted
+from repfn import partitions
+from repfn.cli import build_parser, main
+from oracles import chi_recursive, rep_count_weighted
 
 
 def run(capsys, *argv):
@@ -180,13 +181,24 @@ def test_witness_no_admissible_j(capsys):
 
 
 def test_witness_below_threshold_reported_not_error(capsys):
-    # the table is built exactly to n, the tightest legal prefix
+    # at n = 10 the only admissible j has i = 0, where no small element fits
     code, out, _ = run(capsys, "witness", "--k", "2", "--n0", "1", "--seed", "011",
                        "--n", "10")
     doc = json.loads(out)
     assert code == 0
     assert doc["records"] == []
     assert doc["skipped"] == [{"j": 1, "reason": "below-witness-threshold"}]
+
+
+@pytest.mark.parametrize("k, n0, seed, n, message", [
+    ("2", "1", "011", "1", "error: limit must cover the seed window [0, 2], got 1\n"),
+    ("2", "1", "011", "-5", "error: limit must cover the seed window [0, 2], got -5\n"),
+    ("3", "2", "01111", "100", "error: seed 01111 fails the window identity\n"),
+])
+def test_witness_rejects_short_n_and_invalid_seed(capsys, k, n0, seed, n, message):
+    """witness builds no table but keeps the preconditions of one to n."""
+    code, out, err = run(capsys, "witness", "--k", k, "--n0", n0, "--seed", seed, "--n", n)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_witness_distinct_a2(capsys):
@@ -276,15 +288,36 @@ def test_plain_format_rejected_elsewhere(capsys):
     assert err == "error: --format csv is not supported by search\n"
 
 
-@pytest.mark.parametrize("command", ["witness", "verify"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_oversized_table_exits_2(capsys, command):
     """A table that cannot be allocated is a usage error, not a failed claim;
     numpy refuses 10**15 bytes before touching any memory."""
-    size = "--n" if command == "witness" else "--limit"
     code, out, err = run(capsys, command, "--k", "2", "--n0", "1", "--seed", "011",
-                         size, str(10**15))
+                         "--limit", str(10**15))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [10**15, 10**100], ids=["1e15", "1e100"])
+def test_witness_at_huge_n_needs_no_table(capsys, monkeypatch, n):
+    """witness reads the seed alone: no table is built, and every record is a
+    representation on its side, checked by the recursive flip-rule oracle."""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("witness built a table")
+
+    monkeypatch.setattr(partitions, "extend_seed", no_table)
+    code, out, err = run(capsys, "witness", "--k", "2", "--n0", "1", "--seed", "011",
+                         "--n", str(n))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["records"] and len(doc["records"]) >= doc["guaranteed_bound"]
+    a2s = [r["a2"] for r in doc["records"]]
+    assert len(set(a2s)) == len(a2s)
+    for r in doc["records"]:
+        assert r["a1"] + 2 * r["a2"] == n
+        bit = 1 if r["side"] == SET else 0
+        assert chi_recursive("011", 2, 1, r["a1"]) == chi_recursive("011", 2, 1, r["a2"]) == bit
 
 
 def test_module_entry_point():
@@ -302,3 +335,27 @@ def test_missing_required_flag_exits_2():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+def test_one_parser_per_process_matches_fresh_processes(capsys, monkeypatch):
+    """main reuses one parser for every call in a process; a witness, a seeds
+    listing, an argparse error and the witness again each print exactly what
+    a fresh ``python -m repfn`` prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this width
+    witness = ["witness", "--k", "3", "--n0", "2", "--seed", "01110", "--n", "100000"]
+    missing_flag = ["witness", "--k", "2", "--n0", "1", "--n", "100"]
+    codes = []
+    for argv in (witness, ["seeds", "--k", "2", "--n0", "1"], missing_flag, witness):
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "repfn", *argv], capture_output=True, text=True
+        )
+        assert (codes[-1], captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+    assert codes == [0, 0, 2, 0]
+    assert build_parser() is build_parser()

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from repfn import (
     COMPLEMENT,
     SET,
     ChiTable,
+    DomainError,
     EnumerationCapExceeded,
     InvalidSeed,
     PreconditionError,
@@ -25,6 +27,7 @@ from repfn import (
 )
 from oracles import (
     block_parity_loop,
+    chi_recursive,
     pair_grid_rep_values,
     rep_count_weighted,
     window_identity_loop,
@@ -170,6 +173,35 @@ def test_extension_satisfies_flip_rule(k, n0, data):
     chi = extend_seed(seed, limit)
     for n in range(k + n0, limit + 1):
         assert chi.value(n) + chi.value(n // k) == 1
+
+
+# the benchmark's three valid seeds, a second (k, n0) = (2, 2) seed, and the
+# corrupted 01111, whose extension is still defined
+VALUE_SEEDS = [(2, 1, "011"), (3, 2, "01110"), (5, 3, "01011101"), (2, 2, "0110"), (3, 2, "01111")]
+
+
+@pytest.mark.parametrize("k, n0, s", VALUE_SEEDS)
+def test_seed_value_matches_extension(k, n0, s):
+    seed = SeedAssignment.from_string(k, n0, s)
+    bits = extend_seed(seed, 2 * 10**5, require_valid=False).bits.tolist()
+    assert [seed.value(n) for n in range(2 * 10**5 + 1)] == bits
+
+
+@pytest.mark.parametrize("k, n0, s", VALUE_SEEDS)
+def test_seed_value_flip_rule_up_to_ten_to_the_hundred(k, n0, s):
+    """1000 n drawn log-uniformly up to 10**100: the flip rule holds and the
+    recursive oracle agrees."""
+    seed = SeedAssignment.from_string(k, n0, s)
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        n = rng.randrange(k + n0, 10 ** rng.randint(1, 100) + 1)
+        assert seed.value(n) == 1 - seed.value(n // k) == chi_recursive(s, k, n0, n), n
+
+
+def test_seed_value_rejects_negative(seed011):
+    for n in (-1, -3, -(10**100)):
+        with pytest.raises(DomainError):
+            seed011.value(n)
 
 
 # ---------------------------------------------------------------- verifiers
