@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Compare the repfn CLI of two source trees, byte for byte.
+
+Runs a fixed list of commands as ``python -m repfn ...`` once with
+``PYTHONPATH=<base>/src`` and once with ``PYTHONPATH=<head>/src``, and
+reports every command whose stdout, stderr, exit code or ``--out`` file
+differs between the two.  Exit status 0 means every command matched.
+
+    python3 scripts/cli_diff.py --base /path/to/old/checkout --head .
+
+The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
+and ``build``, in json and csv), the ``table`` benchmark ops, a corrupted
+seed, one-row ranges, ranges longer than one write chunk, ``--out`` and a
+few usage errors.  ``search`` is left out because its output carries a
+wall time.  Requests refused for their size are left out too: their
+message names the memory they would need, which is not a fixed string.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUT = "{out}"  # replaced by a fresh file path on each side
+
+SEEDS = [("2", "1", "011"), ("3", "2", "01110"), ("5", "3", "01011101")]
+CORRUPTED = ("3", "2", "01111")
+
+
+def _seed(k: str, n0: str, s: str) -> list[str]:
+    return ["--k", k, "--n0", n0, "--seed", s]
+
+
+def commands() -> list[list[str]]:
+    cmds: list[list[str]] = []
+    # the table workload's ops, as perfbench/workloads.py runs them
+    for seed in (*SEEDS, CORRUPTED):
+        cmds.append(["verify", *_seed(*seed), "--limit", "100000"])
+    cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "1000", "--hi", "100000"])
+    cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "1000", "--lo", "0", "--hi", "1000"])
+    for fmt in ("json", "csv"):
+        f = ["--format", fmt]
+        for seed in (*SEEDS, CORRUPTED):
+            cmds.append(["verify", *_seed(*seed), "--limit", "2000", *f])
+        cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "2", *f])  # the fewest rows: n0, n0 + 1
+        cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "1", *f])
+        cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "40000", *f])
+        for seed in (*SEEDS, CORRUPTED):
+            cmds.append(["scan-bound", *_seed(*seed), "--lo", "0", "--hi", "500", *f])
+        cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "7", "--hi", "7", *f])
+        cmds.append(["scan-bound", *_seed(*SEEDS[1]), "--lo", "30", "--hi", "200", *f])
+        cmds.append(["scan-bound", *_seed(*SEEDS[2]), "--lo", "0", "--hi", "40000", *f])
+        for seed in SEEDS:
+            cmds.append(["classic", *_seed(*seed), "--limit", "300", "--lo", "0", "--hi", "200", *f])
+        cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "20", "--lo", "5", "--hi", "5", *f])
+        cmds.append(["classic", *_seed(*SEEDS[1]), "--limit", "40000", "--lo", "0", "--hi", "40000", *f])
+        cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "20", "--lo", "-5", "--hi", "10", *f])
+        for limit in ("2", "50", "40000"):
+            cmds.append(["build", *_seed(*SEEDS[0]), "--limit", limit, *f])
+        cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "1", *f])
+        cmds.append(["build", *_seed(*CORRUPTED), "--limit", "50", *f])
+        cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "100", "--hi", "10", *f])
+        cmds.append(["seeds", "--k", "3", "--n0", "2", *f])
+        cmds.append(["witness", *_seed(*SEEDS[1]), "--n", "100000", *f])
+        cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "0", "--hi", "20000", *f, "--out", OUT])
+        cmds.append(["verify", *_seed(*SEEDS[1]), "--limit", "20000", *f, "--out", OUT])
+        cmds.append(["classic", *_seed(*SEEDS[2]), "--limit", "20000", "--lo", "3", "--hi", "20000", *f, "--out", OUT])
+        cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "20000", *f, "--out", OUT])
+    cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
+    return cmds
+
+
+def run(tree: Path, argv: list[str], scratch: Path) -> tuple[int, bytes, bytes, bytes | None]:
+    out = scratch / "out"
+    out.unlink(missing_ok=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    argv = [str(out) if a == OUT else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "repfn", *argv], capture_output=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", type=Path, required=True, help="source tree to compare against")
+    parser.add_argument("--head", type=Path, required=True, help="source tree under test")
+    args = parser.parse_args()
+
+    fields = ("exit code", "stdout", "stderr", "--out file")
+    cmds = commands()
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = Path(tmp)
+        for argv in cmds:
+            base = run(args.base.resolve(), argv, scratch)
+            head = run(args.head.resolve(), argv, scratch)
+            diffs = [name for name, a, b in zip(fields, base, head) if a != b]
+            if diffs:
+                differ += 1
+                print(f"DIFFERS ({', '.join(diffs)}): repfn {' '.join(argv)}")
+    print(f"{len(cmds) - differ} of {len(cmds)} commands byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,11 +9,16 @@ precondition error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
+import os
+import resource
 import sys
+
+import numpy as np
 
 from . import bounds, partitions
 from .core import COMPLEMENT, R1, R2, R3, SET, WeightPair, classic_rep
@@ -39,12 +44,18 @@ _USAGE_ERRORS = (
 )
 
 
-def _emit(text: str, cfg: argparse.Namespace) -> None:
+@contextlib.contextmanager
+def _sink(cfg: argparse.Namespace):
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, cfg: argparse.Namespace) -> None:
+    with _sink(cfg) as fh:
+        fh.write(text)
 
 
 def _emit_json(doc: dict, cfg: argparse.Namespace) -> None:
@@ -57,6 +68,72 @@ def _emit_csv(header: list[str], rows, cfg: argparse.Namespace) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     _emit(buf.getvalue(), cfg)
+
+
+# rows formatted per write, so the text of a long table is never held whole
+CHUNK = 16384
+
+
+def _emit_table(
+    columns: list[str], table: np.ndarray, cfg: argparse.Namespace, doc: dict | None = None
+) -> None:
+    """Write a 2-D integer table, CHUNK rows at a time.
+
+    Without ``doc`` the bytes are those of ``csv.writer``: the header row,
+    then one row per table row.  With ``doc`` they are those of
+    ``json.dumps({**doc, "columns": columns, "rows": table.tolist()},
+    indent=2)`` plus a newline, so ``"rows"`` must be the document's last
+    key.  Each chunk is formatted by one ``%`` over a row template, not by
+    the pure-Python encoder that ``indent`` forces on ``json.dumps``.
+    """
+    nrows, ncols = table.shape
+    if doc is None:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(columns)
+        head, row, skip, tail = buf.getvalue(), ",".join(["%d"] * ncols) + "\r\n", 0, ""
+    else:
+        doc = {**doc, "columns": columns, "rows": None}
+        if list(doc)[-1] != "rows":
+            raise ValueError('"rows" must be the last key of a table document')
+        head = json.dumps(doc, indent=2)[: -len("null\n}")] + "["
+        # every row carries its leading separator; the first one drops it
+        row = ",\n    [\n" + ",\n".join(["      %d"] * ncols) + "\n    ]"
+        skip, tail = 1, ("\n  ]" if nrows else "]") + "\n}\n"
+    with _sink(cfg) as fh:
+        fh.write(head)
+        for start in range(0, nrows, CHUNK):
+            block = table[start : start + CHUNK]
+            text = (row * len(block)) % tuple(block.ravel().tolist())
+            fh.write(text[skip:] if start == 0 else text)
+        fh.write(tail)
+
+
+# Peak bytes per table entry of each command, from the chi bits to the last
+# output chunk.  Measured as tracemalloc peaks (NumPy buffers and Python
+# objects) at N = 10**6 over every format and over valid and corrupted
+# seeds: build 26.0, verify 61.2, scan-bound 79.7 (lo = 0), classic 114.8
+# (lo = 0, hi = limit); rounded up to a multiple of 8.  Every table grows
+# linearly with N, so a constant times N estimates a request's peak before
+# anything is allocated.
+_BYTES_PER_N = {"build": 32, "verify": 64, "scan-bound": 80, "classic": 120}
+
+
+def _memory_limit() -> int:
+    """Bytes this process may use: physical memory, capped by RLIMIT_AS when set."""
+    limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
+
+
+def _check_memory(cfg: argparse.Namespace, flag: str, size: int) -> None:
+    """Refuse a table over [0, size] whose estimated peak exceeds :func:`_memory_limit`."""
+    need = _BYTES_PER_N[cfg.command] * (size + 1)
+    have = _memory_limit()
+    if need > have:
+        raise PreconditionError(
+            f"{cfg.command} --{flag} {size} needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB this process may use"
+        )
 
 
 def _parse_seed(cfg: argparse.Namespace) -> partitions.SeedAssignment:
@@ -88,8 +165,9 @@ def _cmd_seeds(cfg: argparse.Namespace) -> int:
 
 def _cmd_build(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
+    _check_memory(cfg, "limit", cfg.limit)
     chi = partitions.extend_seed(seed, cfg.limit)
-    bit_string = "".join(map(str, chi.bits.tolist()))
+    bit_string = (chi.bits + ord("0")).tobytes().decode("ascii")
     if cfg.format == "json":
         _emit_json(
             {
@@ -104,7 +182,7 @@ def _cmd_build(cfg: argparse.Namespace) -> int:
             cfg,
         )
     elif cfg.format == "csv":
-        _emit_csv(["n", "chi"], enumerate(chi.bits.tolist()), cfg)
+        _emit_table(["n", "chi"], np.column_stack((np.arange(chi.limit + 1), chi.bits)), cfg)
     else:
         _emit(bit_string + "\n", cfg)
     return 0
@@ -115,17 +193,18 @@ _VERIFY_BLOCK_IMAX = 4
 
 def _cmd_verify(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
+    _check_memory(cfg, "limit", cfg.limit)
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
     structure = partitions.verify_structure(chi, cfg.limit)
     equality = partitions.verify_equality(chi, cfg.limit)
     parity = partitions.verify_block_parity(chi, _VERIFY_BLOCK_IMAX)
-    eq_violations = equality.violations
     ok = structure.ok and equality.passed and parity.ok
     if cfg.format == "csv":
-        _emit_csv(["n", "R_A", "R_comp", "equal"], equality.rows(), cfg)
+        _emit_table(["n", "R_A", "R_comp", "equal"], equality.table(), cfg)
         print(f"verify: {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:
+        eq_violations = equality.ns[~equality.ok]
         _emit_json(
             {
                 "schema": SCHEMA_VERSION,
@@ -144,8 +223,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
                     },
                     "equality": {
                         "passed": equality.passed,
-                        "first_violation": eq_violations[0] if eq_violations else None,
-                        "violation_count": len(eq_violations),
+                        "first_violation": int(eq_violations[0]) if eq_violations.size else None,
+                        "violation_count": eq_violations.size,
                     },
                     "block_parity": {
                         "passed": parity.ok,
@@ -165,10 +244,11 @@ def _cmd_scan_bound(cfg: argparse.Namespace) -> int:
     seed = _parse_seed(cfg)
     if cfg.lo > cfg.hi:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
+    _check_memory(cfg, "hi", cfg.hi)
     chi = partitions.extend_seed(seed, cfg.hi)
     report = bounds.bound_scan(chi, cfg.lo, cfg.hi)
     if cfg.format == "csv":
-        _emit_csv(report.columns, report.rows(), cfg)
+        _emit_table(report.columns, report.table(), cfg)
         print(
             f"scan-bound: {len(report.violations)} violation(s), "
             f"min_ratio={report.min_ratio:.6f}",
@@ -177,7 +257,7 @@ def _cmd_scan_bound(cfg: argparse.Namespace) -> int:
     else:
         doc = {"schema": SCHEMA_VERSION, "command": "scan-bound", "seed": cfg.seed}
         doc.update(report.to_dict())
-        _emit_json(doc, cfg)
+        _emit_table(report.columns, report.table(), cfg, doc)
     return 0 if report.passed else 1
 
 
@@ -257,26 +337,24 @@ def _cmd_classic(cfg: argparse.Namespace) -> int:
         raise PreconditionError(f"hi={cfg.hi} exceeds limit={cfg.limit}")
     if cfg.lo < 0:
         raise PreconditionError(f"n must be nonnegative, got {cfg.lo}")
+    _check_memory(cfg, "limit", cfg.limit)
     chi = partitions.extend_seed(seed, cfg.limit)
     counts = [classic_rep(chi, side, cfg.hi) for side in (SET, COMPLEMENT)]
-    columns = [c[v][cfg.lo :].tolist() for c in counts for v in (R1, R2, R3)]
-    rows = [[n, *vals] for n, vals in zip(range(cfg.lo, cfg.hi + 1), zip(*columns))]
+    table = np.column_stack(
+        (np.arange(cfg.lo, cfg.hi + 1), *(c[v][cfg.lo :] for c in counts for v in (R1, R2, R3)))
+    )
     header = ["n", "r1_set", "r2_set", "r3_set", "r1_comp", "r2_comp", "r3_comp"]
     if cfg.format == "csv":
-        _emit_csv(header, rows, cfg)
+        _emit_table(header, table, cfg)
     else:
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "classic",
-                "k": cfg.k,
-                "n0": cfg.n0,
-                "seed": cfg.seed,
-                "columns": header,
-                "rows": rows,
-            },
-            cfg,
-        )
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "command": "classic",
+            "k": cfg.k,
+            "n0": cfg.n0,
+            "seed": cfg.seed,
+        }
+        _emit_table(header, table, cfg, doc)
     return 0
 
 

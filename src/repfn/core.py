@@ -67,12 +67,6 @@ class ChiTable:
         """Read-only uint8 array; index n gives chi(n)."""
         return self._bits
 
-    def value(self, n: int) -> int:
-        """chi(n), raising QueryBeyondPrefix outside [0, limit]."""
-        if not 0 <= n <= self.limit:
-            raise QueryBeyondPrefix(f"n={n} outside known prefix [0, {self.limit}]")
-        return int(self._bits[n])
-
     def side_bits(self, side: str, up_to: int | None = None) -> np.ndarray:
         """Indicator array of the chosen side on [0, up_to]."""
         _check_side(side)
@@ -207,12 +201,13 @@ class ScanReport:
         bound = [] if self.bound is None else ["bound"]
         return ["n", "R_A", "R_comp", *bound, "ok"]
 
-    def rows(self) -> list[list[int]]:
-        """One row of Python ints per n, in the order of :attr:`columns`."""
+    def table(self) -> np.ndarray:
+        """The 2-D int64 table, one row per n, in the order of :attr:`columns`."""
         bound = () if self.bound is None else (self.bound,)
-        return np.column_stack((self.ns, self.r_set, self.r_comp, *bound, self.ok)).tolist()
+        return np.column_stack((self.ns, self.r_set, self.r_comp, *bound, self.ok))
 
     def to_dict(self) -> dict:
+        """The report's fields without its table; see :meth:`table`."""
         return {
             "kind": self.kind,
             "k": self.k,
@@ -224,5 +219,4 @@ class ScanReport:
             "violations": self.violations,
             "min_ratio": self.min_ratio,
             "columns": self.columns,
-            "rows": self.rows(),
         }

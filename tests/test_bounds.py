@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from repfn import (
     CASE_INTERVAL,
     CASE_SMALL_SHIFT,
+    COMPLEMENT,
     SET,
     DomainError,
     PreconditionError,
     QueryBeyondPrefix,
     SeedAssignment,
+    WeightPair,
     admissible_j_values,
     bound_array,
     bound_scan,
@@ -23,6 +26,7 @@ from repfn import (
     extract_witness,
     flog,
     guaranteed_bound,
+    rep_values,
     witness_list,
 )
 from oracles import chi_recursive
@@ -174,7 +178,7 @@ def test_witness_small_shift_case(seed011):
     rec = extract_witness(seed011, 70, 1)
     assert rec.decomposition.case == CASE_SMALL_SHIFT
     assert rec.a1 + 2 * rec.a2 == 70
-    assert chi.value(rec.a1) == chi.value(rec.a2)
+    assert chi.bits[rec.a1] == chi.bits[rec.a2]
 
 
 def test_witness_below_threshold_returns_none(seed011):
@@ -206,7 +210,7 @@ def test_witness_list_distinct_and_sound(seed011):
     assert len(records) >= guaranteed_bound(2, 1, 286)
     for r in records:
         assert r.a1 + 2 * r.a2 == 286
-        assert chi.value(r.a1) == chi.value(r.a2)
+        assert chi.bits[r.a1] == chi.bits[r.a2]
 
 
 def test_witness_sweep_across_weights():
@@ -224,7 +228,7 @@ def test_witness_sweep_across_weights():
             assert len(set(a2s)) == len(a2s), (k, n0, n)
             for r in records:
                 assert r.a1 + k * r.a2 == n
-                assert chi.value(r.a1) == chi.value(r.a2)
+                assert chi.bits[r.a1] == chi.bits[r.a2]
             if n not in exceptions.get((k, n0), ()):
                 assert len(records) >= guaranteed_bound(k, n0, n), (k, n0, n)
 
@@ -261,8 +265,8 @@ def test_witness_list_soundness_property(n):
     assert len(set(a2s)) == len(a2s)
     for r in records:
         assert r.a1 + 2 * r.a2 == n
-        assert chi.value(r.a1) == chi.value(r.a2)
-        assert (r.side == SET) == (chi.value(r.a1) == 1)
+        assert chi.bits[r.a1] == chi.bits[r.a2]
+        assert (r.side == SET) == (chi.bits[r.a1] == 1)
 
 
 @pytest.mark.parametrize("k, n0, s", [(2, 1, "011"), (3, 2, "01110"), (5, 3, "01011101")])
@@ -331,9 +335,21 @@ def test_bound_scan_small(seed011):
     # R(2) = 0 for this table, so the reported ratio floor is exactly 0
     assert report.min_ratio == 0.0
     assert bound_scan(chi, 100, 2000).min_ratio > 0
-    row100 = dict((n, (rs, b)) for n, rs, _, b, _ in report.rows())
+    row100 = dict((n, (rs, b)) for n, rs, _, b, _ in report.table().tolist())
     assert row100[100][1] == 1  # B(100) = 1
     assert row100[100][0] >= 1
+
+
+@pytest.mark.parametrize(
+    "k, n0, s", [(2, 1, "011"), (3, 2, "01110"), (5, 3, "01011101"), (3, 2, "01111")]
+)
+def test_bound_scan_complement_matches_kernel(k, n0, s):
+    """bound_scan reports R_C as R_A - D; the kernel's complement side must
+    agree.  On the corrupted seed 01111, D is nonzero, so the sign of D counts."""
+    lo, hi = 1000, 10**5
+    chi = extend_seed(SeedAssignment.from_string(k, n0, s), hi, require_valid=False)
+    report = bound_scan(chi, lo, hi)
+    assert np.array_equal(rep_values(chi, COMPLEMENT, WeightPair(1, k), hi)[lo:], report.r_comp)
 
 
 def test_bound_zero_below_fourth_power(seed011):

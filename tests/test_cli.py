@@ -1,14 +1,16 @@
+import argparse
 import csv
 import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repfn import COMPLEMENT, SET, ChiTable, WeightPair, guaranteed_bound, validate_certificate
-from repfn import partitions
-from repfn.cli import build_parser, main
+from repfn import cli, partitions
+from repfn.cli import CHUNK, build_parser, main
 from oracles import chi_recursive, rep_count_weighted
 
 
@@ -124,6 +126,7 @@ def test_scan_bound_json_roundtrip(capsys):
                        "--lo", "30", "--hi", "200")
     doc = json.loads(out)
     assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
     assert doc["passed"] is True and doc["violations"] == []
     assert doc["columns"] == ["n", "R_A", "R_comp", "bound", "ok"]
     # re-validate every claim in the report against the reference counter
@@ -133,6 +136,14 @@ def test_scan_bound_json_roundtrip(capsys):
         assert rep_count_weighted(chi, SET, w, n) == r_a
         assert bound == guaranteed_bound(2, 1, n)
         assert ok == int(r_a >= bound and r_comp >= bound)
+
+
+def _stdlib_csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _build_bits(capsys, limit):
@@ -153,6 +164,7 @@ def test_scan_bound_csv(capsys):
                          "--lo", "90", "--hi", "110", "--format", "csv")
     rows = list(csv.reader(io.StringIO(out)))
     assert code == 0
+    assert out == _stdlib_csv(rows[0], rows[1:])
     assert rows[0] == ["n", "R_A", "R_comp", "bound", "ok"]
     by_n = {r[0]: r for r in rows[1:]}
     assert by_n["100"][3] == "1"  # B(100) = 1
@@ -259,6 +271,12 @@ def test_classic_rows(capsys):
     by_n = {r[0]: list(map(int, r[1:])) for r in rows[1:]}
     # A on [0, 10] is {1, 2, 6, 7, 8, 9, 10}: 3 = 1+2 = 2+1 only
     assert by_n["3"][:3] == [2, 1, 1]
+    code, out_json, _ = run(capsys, "classic", "--k", "2", "--n0", "1", "--seed", "011",
+                            "--limit", "20", "--lo", "0", "--hi", "10")
+    doc = json.loads(out_json)
+    assert out_json == json.dumps(doc, indent=2) + "\n"
+    assert doc["columns"] == rows[0]
+    assert doc["rows"] == [list(map(int, r)) for r in rows[1:]]
 
 
 def test_classic_negative_lo_exits_2(capsys):
@@ -266,6 +284,86 @@ def test_classic_negative_lo_exits_2(capsys):
                          "--limit", "20", "--lo", "-5", "--hi", "10")
     assert code == 2 and out == ""
     assert "n must be nonnegative" in err
+
+
+# ------------------------------------------------------------ table writer
+
+def _writer_table(nrows, ncols):
+    """Values on both sides of 0 and beyond 32 bits, with the int64 extremes."""
+    rng = np.random.default_rng(nrows * 8 + ncols)
+    table = rng.integers(-(2**40), 2**40, size=(nrows, ncols), dtype=np.int64)
+    table[: (nrows + 1) // 2, ::2] //= 2**20  # short numbers too
+    if nrows:
+        table[0, 0] = np.iinfo(np.int64).min
+        table[-1, -1] = np.iinfo(np.int64).max
+        table[nrows // 2, ncols // 2] = 2**31
+    return table
+
+
+def _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols):
+    """csv and json bytes, on stdout and through --out, equal the stdlib's."""
+    columns = [f"c{i}" for i in range(ncols)]
+    table = _writer_table(nrows, ncols)
+    head = {"schema": 1, "command": "table", "seed": "011", "nested": {"a": [1, None]}}
+    expected_json = json.dumps({**head, "columns": columns, "rows": table.tolist()}, indent=2)
+    for doc, expected in ((None, _stdlib_csv(columns, table.tolist())), (head, expected_json + "\n")):
+        cli._emit_table(columns, table, argparse.Namespace(out=None), doc)
+        assert capsys.readouterr().out == expected
+        target = tmp_path / "table.out"
+        cli._emit_table(columns, table, argparse.Namespace(out=str(target)), doc)
+        assert target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("ncols", range(1, 8))
+@pytest.mark.parametrize("nrows", [0, 1, 2, 7, 8, 9, 17])
+def test_emit_table_matches_stdlib_across_chunks(capsys, tmp_path, monkeypatch, nrows, ncols):
+    """With an 8-row chunk every table size meets the chunk boundaries."""
+    monkeypatch.setattr(cli, "CHUNK", 8)
+    _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols)
+
+
+@pytest.mark.parametrize("ncols", [1, 5, 7])
+@pytest.mark.parametrize("nrows", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_emit_table_matches_stdlib_at_chunk_size(capsys, tmp_path, nrows, ncols):
+    _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols)
+
+
+def test_emit_table_rows_must_be_last_key(capsys, tmp_path):
+    target = tmp_path / "table.json"
+    doc = {"schema": 1, "rows": None, "command": "table"}
+    with pytest.raises(ValueError, match="last key"):
+        cli._emit_table(["n"], np.zeros((3, 1), dtype=np.int64),
+                        argparse.Namespace(out=str(target)), doc)
+    assert capsys.readouterr().out == "" and not target.exists()
+
+
+# ------------------------------------------------------------------ memory
+
+_TABLE_COMMANDS = {
+    "build": ["--limit", "1000"],
+    "verify": ["--limit", "1000"],
+    "scan-bound": ["--lo", "0", "--hi", "1000"],
+    "classic": ["--limit", "1000", "--lo", "0", "--hi", "1000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TABLE_COMMANDS))
+def test_table_beyond_memory_exits_2_before_allocating(capsys, monkeypatch, command):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 2**14)
+    monkeypatch.setattr(partitions, "extend_seed", no_table)
+    code, out, err = run(capsys, command, "--k", "2", "--n0", "1", "--seed", "011",
+                         *_TABLE_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {command} --") and "needs about" in err and "GiB" in err
+
+
+def test_memory_limit_honours_rlimit_as(monkeypatch):
+    physical = cli._memory_limit()
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda which: (2**20, cli.resource.RLIM_INFINITY))
+    assert cli._memory_limit() == min(physical, 2**20)
 
 
 # ------------------------------------------------------------------- misc
@@ -291,7 +389,7 @@ def test_plain_format_rejected_elsewhere(capsys):
 @pytest.mark.parametrize("command", ["verify"])
 def test_oversized_table_exits_2(capsys, command):
     """A table that cannot be allocated is a usage error, not a failed claim;
-    numpy refuses 10**15 bytes before touching any memory."""
+    the memory estimate refuses 10**15 entries before anything is allocated."""
     code, out, err = run(capsys, command, "--k", "2", "--n0", "1", "--seed", "011",
                          "--limit", str(10**15))
     assert code == 2 and out == ""

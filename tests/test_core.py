@@ -54,9 +54,6 @@ def test_chi_table_validation():
 def test_chi_table_prefix_is_hard_boundary():
     chi = ChiTable([0, 1, 1], 2, 1)
     assert chi.limit == 2
-    assert chi.value(2) == 1
-    with pytest.raises(QueryBeyondPrefix):
-        chi.value(3)
     with pytest.raises(QueryBeyondPrefix):
         rep_values(chi, SET, WeightPair(1, 2), 3)
 

@@ -140,7 +140,7 @@ def test_extend_matches_hand_table(seed011):
     chi = extend_seed(seed011, 10)
     assert chi.bits.tolist() == [0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1]
     # membership view: A on [0, 10] is {1, 2, 6, 7, 8, 9, 10}
-    assert [n for n in range(11) if chi.value(n)] == [1, 2, 6, 7, 8, 9, 10]
+    assert [n for n in range(11) if chi.bits[n]] == [1, 2, 6, 7, 8, 9, 10]
 
 
 def test_extend_commutes_with_complement(seed011):
@@ -172,7 +172,7 @@ def test_extension_satisfies_flip_rule(k, n0, data):
     limit = data.draw(st.integers(k + n0, 600))
     chi = extend_seed(seed, limit)
     for n in range(k + n0, limit + 1):
-        assert chi.value(n) + chi.value(n // k) == 1
+        assert chi.bits[n] + chi.bits[n // k] == 1
 
 
 # the benchmark's three valid seeds, a second (k, n0) = (2, 2) seed, and the
@@ -239,7 +239,7 @@ def test_verify_structure_all_ones():
 
 def test_verify_equality_hand_value(chi_small):
     report = verify_equality(chi_small, 20)
-    row = dict((n, (rs, rc)) for n, rs, rc, _ in report.rows())
+    row = dict((n, (rs, rc)) for n, rs, rc, _ in report.table().tolist())
     # at n=4: set pair (2, 1), complement pair (4, 0)
     assert row[4] == (1, 1)
     assert report.passed
@@ -294,9 +294,9 @@ def test_block_parity_on_hand_table(seed011):
     report = verify_block_parity(chi, 2)
     assert report.ok
     # read off the table: chi(2)=1; even exponent block 2**2 * 2 + [0, 4) all 1
-    assert [chi.value(n) for n in (8, 9, 10, 11)] == [1, 1, 1, 1]
+    assert [chi.bits[n] for n in (8, 9, 10, 11)] == [1, 1, 1, 1]
     # odd exponent block 2 * 2 + [0, 2) flipped
-    assert [chi.value(n) for n in (4, 5)] == [0, 0]
+    assert [chi.bits[n] for n in (4, 5)] == [0, 0]
 
 
 def test_block_parity_zero_violations(chi_small):
@@ -368,6 +368,6 @@ def test_block_constancy_and_alternation(data):
         base = k**i
         if base * n + base - 1 > chi.limit:
             break
-        block = {chi.value(base * n + j) for j in range(base)}
+        block = {chi.bits[base * n + j] for j in range(base)}
         assert len(block) == 1
-        assert block.pop() == chi.value(n) ^ (i & 1)
+        assert block.pop() == chi.bits[n] ^ (i & 1)
