@@ -9,17 +9,22 @@ differs between the two.  Exit status 0 means every command matched.
     python3 scripts/cli_diff.py --base /path/to/old/checkout --head .
 
 The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
-and ``build``, in json and csv), the ``table`` benchmark ops, a corrupted
-seed, one-row ranges, ranges longer than one write chunk, ``--out`` and a
-few usage errors.  ``search`` is left out because its output carries a
-wall time.  Requests refused for their size are left out too: their
-message names the memory they would need, which is not a fixed string.
+and ``build``, in json and csv), the ``table`` and ``search`` benchmark
+ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
+``--out`` and a few usage errors.  ``search`` runs the golden cases of
+``tests/test_search.py`` and outcomes of every kind: unsat, a certificate
+((2, 5, 32) at cap 64) and the node cap ((2, 3, 44)).  Its stdout carries
+the search's own wall time, so the value of ``"wall_time_s"`` is masked on
+both sides before comparing; nothing else is.  Requests refused for their
+size are left out: their message names the memory they would need, which
+is not a fixed string.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +34,16 @@ OUT = "{out}"  # replaced by a fresh file path on each side
 
 SEEDS = [("2", "1", "011"), ("3", "2", "01110"), ("5", "3", "01011101")]
 CORRUPTED = ("3", "2", "01111")
+
+# (k1, k2, n0, cap): the search benchmark ops, the golden cases, a deeper
+# refutation, a cap below the refutation depth and a run past the node cap
+SEARCHES = [
+    (2, 3, 34, 256), (2, 5, 8, 256), (2, 5, 32, 256), (2, 7, 10, 256), (2, 9, 12, 256),
+    (2, 3, 0, 64), (2, 5, 0, 64), (3, 4, 0, 64), (2, 3, 1, 64), (2, 5, 1, 64), (3, 4, 1, 64),
+    (2, 5, 8, 64), (2, 7, 10, 64), (2, 9, 12, 64), (2, 3, 34, 64), (2, 5, 32, 128),
+    (2, 3, 40, 256), (2, 5, 32, 64), (2, 3, 44, 256),
+]
+WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
 
 
 def _seed(k: str, n0: str, s: str) -> list[str]:
@@ -71,6 +86,11 @@ def commands() -> list[list[str]]:
         cmds.append(["classic", *_seed(*SEEDS[2]), "--limit", "20000", "--lo", "3", "--hi", "20000", *f, "--out", OUT])
         cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "20000", *f, "--out", OUT])
     cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
+    for k1, k2, n0, cap in SEARCHES:
+        cmds.append(["search", "--k1", str(k1), "--k2", str(k2), "--n0", str(n0), "--cap", str(cap)])
+    cmds.append(["search", "--k1", "2", "--k2", "3", "--n0", "34", "--cap", "64", "--format", "csv"])
+    for fmt in ("json", "csv", "plain"):
+        cmds.append(["seeds", "--k", "7", "--n0", "17", "--format", fmt])
     return cmds
 
 
@@ -80,7 +100,10 @@ def run(tree: Path, argv: list[str], scratch: Path) -> tuple[int, bytes, bytes, 
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     argv = [str(out) if a == OUT else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "repfn", *argv], capture_output=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr, out.read_bytes() if out.exists() else None
+    stdout = proc.stdout
+    if argv[0] == "search":
+        stdout = WALL_TIME.sub(b'"wall_time_s": <masked>', stdout)
+    return proc.returncode, stdout, proc.stderr, out.read_bytes() if out.exists() else None
 
 
 def main() -> int:

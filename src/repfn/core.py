@@ -143,8 +143,14 @@ def rep_difference(chi: ChiTable, w: WeightPair, up_to: int) -> np.ndarray:
     if w.k1 != 1:
         raise PreconditionError(f"identity requires k1 = 1, got k1 = {w.k1}")
     bits = chi.side_bits(SET, up_to)
-    q = np.arange(up_to + 1, dtype=np.int64) // w.k2
-    return np.cumsum(bits, dtype=np.int64)[q] + _class_prefix(bits, w.k2) - (q + 1)
+    k, top = w.k2, up_to // w.k2
+    # S(q) - (q + 1) for q = n // k, added to the k consecutive n sharing q
+    per_q = np.cumsum(bits[: top + 1], dtype=np.int64) - np.arange(1, top + 2)
+    diff = _class_prefix(bits, k)
+    grid = diff[: top * k].reshape(top, k)
+    grid += per_q[:top, None]
+    diff[top * k :] += per_q[top]
+    return diff
 
 
 R1 = "r1"

@@ -25,7 +25,6 @@ time, serves both the seed enumeration and the nonexistence search in
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,12 @@ from .errors import (
 
 # exhaustive seed search is 2**(k + n0); beyond this it stops being interactive
 ENUMERATION_CAP = 24
+
+# byte value -> character of SeedAssignment.bit_string
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+# prefix_search advances 2**BLOCK_BITS prefixes of the free bits at a time
+BLOCK_BITS = 12
 
 
 def _check_params(k: int, n0: int) -> None:
@@ -86,60 +91,108 @@ def window_identity_holds(values, w: WeightPair, n: int) -> bool:
 def prefix_search(
     w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
 ) -> tuple[list[tuple[int, ...]], int, int]:
-    """Depth-first search for 0/1 prefixes of length ``width`` on which the
-    identity holds at every n >= n0 that they decide.
+    """Search for 0/1 prefixes of length ``width`` on which the identity
+    holds at every n >= n0 that they decide.
 
-    Bits are assigned in increasing index order, 0 before 1.  The identity
-    at n reads chi on [0, n // k1] only (k1 <= k2), so bit d settles exactly
-    the n in [k1*d, k1*(d+1)) intersected with [n0, infinity), and a branch
-    dies at its first violation.  Returns (survivors, nodes, deepest): the
-    surviving prefixes in lexicographic order (only the first with
-    ``first_only``), the children tried, and the most bits any branch held.
-    The search stops once ``nodes`` exceeds ``node_cap``.
+    The identity at n reads chi on [0, n // k1] only (k1 <= k2), so bit d
+    settles exactly the n in [k1*d, k1*(d+1)) intersected with
+    [n0, infinity), and a prefix dies at its first violation.  The search
+    is a block frontier.  The first ``free`` = min(n0 // k1, width) bits
+    settle no n, so every prefix of that length is live; they are taken in
+    blocks of 2**BLOCK_BITS consecutive prefixes (the last BLOCK_BITS free
+    bits vary within a block), in increasing order.  A block's frontier is
+    a uint8 matrix F[depth, row] with its rows in lexicographic order.
+    Each further depth doubles the rows (row r gives children 2r, bit 0,
+    and 2r + 1, bit 1), decides the n the new bit settles on all of them at
+    once and keeps the rows that pass.
+
+    Returns (survivors, nodes, deepest) as a depth-first search trying 0
+    before 1 would: the surviving prefixes in lexicographic order (only the
+    first with ``first_only``), the children tried, and the most bits any
+    branch held.  ``nodes`` counts children in preorder, so with
+    ``first_only`` it is the preorder rank of the first survivor.  Once it
+    exceeds ``node_cap`` the search stops and reports ``node_cap + 1``,
+    with the survivors of rank at most ``node_cap`` (``deepest`` then only
+    covers the blocks searched).
     """
     k1 = w.k1
+    free = min(n0 // k1, width)
+    low = min(BLOCK_BITS, free)
+    high = free - low
     settled = [
         [_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))]
         for d in range(width)
     ]
-    bits = [0] * width
+    # the low free bits of every block: column v holds the bits of v, built
+    # one row at a time (a single int64 broadcast would be the peak)
+    values = np.arange(1 << low)
+    low_bits = np.empty((low, 1 << low), dtype=np.uint8)
+    for i in range(low):
+        low_bits[i] = values >> (low - 1 - i) & 1
+
+    def free_rank(v: int) -> int:
+        """Children tried at depths 1..free up to the free prefix v, inclusive:
+        the sum over i < free of (v >> i) + 1, which is 2v - popcount(v) + free."""
+        return 2 * v - v.bit_count() + free
+
     survivors: list[tuple[int, ...]] = []
-    nodes = deepest = 0
-
-    def dfs(d: int) -> bool:
-        """Extend the prefix bits[:d]; True stops the whole search."""
-        nonlocal nodes, deepest
-        if d > deepest:
-            deepest = d
-        if d == width:
-            survivors.append(tuple(bits))
-            return first_only
-        for v in (0, 1):
-            nodes += 1
-            if nodes > node_cap:
-                return True
-            bits[d] = v
-            # window_identity_holds, inlined on the slices of this depth
+    deep_nodes = deepest = 0  # deep_nodes: children tried below the free bits
+    for block in range(1 << high):
+        deep_before = deep_nodes
+        frontier = np.empty((free, 1 << low), dtype=np.uint8)
+        frontier[:high] = (block >> np.arange(high - 1, -1, -1) & 1)[:, None]
+        frontier[high:] = low_bits
+        kept = []  # per depth below the free bits: indices of the children that pass
+        for d in range(free, width):
+            rows = frontier.shape[1]
+            children = np.empty((d + 1, 2 * rows), dtype=np.uint8)
+            children[:d, 0::2] = frontier
+            children[:d, 1::2] = frontier
+            children[d, 0::2] = 0
+            children[d, 1::2] = 1
+            ok = np.ones(2 * rows, dtype=bool)
             for s2, s1, c in settled[d]:
-                if sum(bits[s2]) + sum(bits[s1]) != c:
-                    break
-            else:
-                if dfs(d + 1):
-                    return True
-        return False
+                # int32 sums: half the bytes of the default uint64 temporaries
+                weight = children[s2].sum(axis=0, dtype=np.int32)
+                weight += children[s1].sum(axis=0, dtype=np.int32)
+                ok &= weight == c
+            kept.append(np.flatnonzero(ok))
+            deep_nodes += 2 * rows
+            frontier = children[:, kept[-1]]
+            if not kept[-1].size:
+                break
+        found = frontier.shape[1]
+        deepest = max(deepest, width if found else frontier.shape[0] - 1)
+        total = free_rank(((block + 1) << low) - 1) + deep_nodes
+        if found:
+            take = found
+            if first_only or total > node_cap:
+                # preorder rank of each survivor: walk its row back through kept
+                at = np.arange(1 if first_only else found)
+                steps = np.zeros(at.size, dtype=np.int64)
+                for keep in reversed(kept):
+                    child = keep[at]
+                    steps += child + 1
+                    at = child >> 1
+                ranks = [
+                    free_rank((block << low) + r) + deep_before + step
+                    for r, step in zip(at.tolist(), steps.tolist())
+                ]
+                take = sum(rank <= node_cap for rank in ranks)  # ranks rise along the rows
+            survivors.extend(map(tuple, frontier[:, :take].T.tolist()))
+            if first_only and take:
+                return survivors, ranks[0], width
+        if total > node_cap:
+            return survivors, node_cap + 1, deepest
+    return survivors, total, deepest
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, width + 200))
-    try:
-        dfs(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return survivors, nodes, deepest
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeedAssignment:
-    """chi restricted to [0, k + n0): candidate initial segment."""
+    """chi restricted to [0, k + n0): candidate initial segment.
+
+    Slotted: a census holds thousands of them (9236 at k = 7, n0 = 17).
+    """
 
     k: int
     n0: int
@@ -151,7 +204,7 @@ class SeedAssignment:
             raise PreconditionError(
                 f"seed must have length k + n0 = {self.k + self.n0}, got {len(self.values)}"
             )
-        if any(v not in (0, 1) for v in self.values):
+        if not set(self.values) <= {0, 1}:
             raise PreconditionError("seed values must be 0 or 1")
 
     @classmethod
@@ -162,7 +215,7 @@ class SeedAssignment:
         return cls(k, n0, tuple(int(c) for c in s))
 
     def bit_string(self) -> str:
-        return "".join(map(str, self.values))
+        return bytes(self.values).translate(_BIT_CHARS).decode("ascii")
 
     def is_valid(self) -> bool:
         """Window identity at every n in [n0, k + n0)."""

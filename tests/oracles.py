@@ -4,11 +4,14 @@ Each oracle computes the same quantity as a library function by a different
 route: the naive per-n counter, the strided sieve and the pair-grid
 histogram for ``rep_values``, a per-n pair loop for the window identity that
 ``rep_difference`` decides, a per-base loop for ``verify_block_parity``, a
-per-n pair loop for ``classic_rep``, and the flip rule as a recursion for
-``SeedAssignment.value``.  They are slow on purpose and live
-only in the tests.
+per-n pair loop for ``classic_rep``, the flip rule as a recursion for
+``SeedAssignment.value``, and a recursive depth-first search for the block
+frontier of ``prefix_search``.  They are slow on purpose and live only in
+the tests.
 """
 
+import math
+import sys
 from itertools import islice
 
 import numpy as np
@@ -22,6 +25,7 @@ from repfn import (
     QueryBeyondPrefix,
     WeightPair,
 )
+from repfn.partitions import _solution_slices
 
 MAX_STORED_VIOLATIONS = 100
 
@@ -162,3 +166,52 @@ def block_parity_loop(chi: ChiTable, i_max: int) -> BlockParityReport:
         below_threshold_checked=below_checked,
         below_threshold_mismatches=below_mismatch,
     )
+
+
+def prefix_search_dfs(
+    w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
+) -> tuple[list[tuple[int, ...]], int, int]:
+    """prefix_search as a recursive depth-first search, one frame per child.
+
+    Bits are assigned in increasing index order, 0 before 1; bit d settles
+    the n in [k1*d, k1*(d+1)) at or above n0, and a branch dies at its first
+    violation.  ``nodes`` counts the children tried, in preorder, and the
+    search stops once it exceeds ``node_cap``.
+    """
+    k1 = w.k1
+    settled = [
+        [_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))]
+        for d in range(width)
+    ]
+    bits = [0] * width
+    survivors: list[tuple[int, ...]] = []
+    nodes = deepest = 0
+
+    def dfs(d: int) -> bool:
+        """Extend the prefix bits[:d]; True stops the whole search."""
+        nonlocal nodes, deepest
+        if d > deepest:
+            deepest = d
+        if d == width:
+            survivors.append(tuple(bits))
+            return first_only
+        for v in (0, 1):
+            nodes += 1
+            if nodes > node_cap:
+                return True
+            bits[d] = v
+            for s2, s1, c in settled[d]:
+                if sum(bits[s2]) + sum(bits[s1]) != c:
+                    break
+            else:
+                if dfs(d + 1):
+                    return True
+        return False
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, width + 200))
+    try:
+        dfs(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return survivors, nodes, deepest

@@ -100,6 +100,21 @@ def test_bound_array_matches_pointwise():
         assert arr[n] == expected
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_bound_array_matches_pointwise_across_powers(k):
+    """The bound steps exactly at the cuts k**e * T: ranges starting below
+    T, short ranges straddling each cut, and ranges starting or ending on a
+    cut agree with guaranteed_bound n by n."""
+    for n0 in (0, 1, 3):
+        t0 = chain_threshold(k, n0)
+        cuts = [t0 * k**e for e in range(7)]
+        ranges = [(0, 600), (cuts[4], cuts[5] - 1), (cuts[4] - 1, cuts[6]), (cuts[5], cuts[5])]
+        ranges += [(c - 2, c + 2) for c in cuts]
+        for lo, hi in ranges:
+            expected = [guaranteed_bound(k, n0, n) if n >= t0 else 0 for n in range(lo, hi + 1)]
+            assert bound_array(k, n0, lo, hi).tolist() == expected, (n0, lo, hi)
+
+
 # -------------------------------------------------------------- decomposition
 
 def test_decompose_spec_point():

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from repfn import (
     rep_values,
     validate_certificate,
 )
-from repfn import bounds
+from repfn import bounds, partitions
+from oracles import prefix_search_dfs
 
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
 # (k1, k2, n0, cap); the last two are refutation depths above 16 bits
@@ -110,3 +113,56 @@ def test_search_determinism():
     a = nonexistence_search(WeightPair(2, 3), 1, 64)
     b = nonexistence_search(WeightPair(2, 3), 1, 64)
     assert (a.status, a.unsat_depth, a.nodes) == (b.status, b.unsat_depth, b.nodes)
+
+
+# seed enumeration weights (1, k) and coprime k2 > k1 >= 2
+FRONTIER_WEIGHTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (2, 7)]
+FRONTIER_WIDTHS = [*range(1, 13), 16, 20, 24]
+
+
+@pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
+def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
+    """The block frontier returns the survivors and the preorder node count
+    of the recursive search, with and without first_only, and under node
+    caps that stop it early, one short of the count and at the count.
+    Blocks hold 4096 prefixes (one or two blocks here) and 4 (many blocks;
+    at most 2**7 of them, as more only slow the test).
+    ``deepest`` is compared wherever the cap is not hit."""
+    w = WeightPair(k1, k2)
+    for n0 in range(14):
+        block_sizes = (2, 12) if n0 // k1 <= 9 else (12,)
+        for width in FRONTIER_WIDTHS:
+            total = prefix_search_dfs(w, n0, width)[1]
+            for first_only in (False, True):
+                for cap in (math.inf, 1, 50, max(total - 1, 1), total):
+                    expected = prefix_search_dfs(w, n0, width, first_only, cap)
+                    for block_bits in block_sizes:
+                        monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
+                        got = prefix_search(w, n0, width, first_only, cap)
+                        case = (n0, width, first_only, cap, block_bits)
+                        assert got[:2] == expected[:2], case
+                        if expected[1] <= cap:
+                            assert got[2] == expected[2], case
+
+
+def test_prefix_search_matches_oracle_on_benchmark_case():
+    """(2, 3, 34) at 256 bits: 32 blocks of 2**12 free prefixes, half a
+    million nodes, refuted at 29 bits; and the same search stopped by a
+    node cap of 200,000, partway through its blocks."""
+    w = WeightPair(2, 3)
+    for cap in (math.inf, 200_000):
+        expected = prefix_search_dfs(w, 34, 256, True, cap)
+        assert prefix_search(w, 34, 256, True, cap) == expected, cap
+
+
+def test_search_memory_is_bounded():
+    """The frontier of (2, 3, 34), whose 17 free bits give 131072 prefixes,
+    is held one block at a time: traced allocations peak under 2 MiB."""
+    tracemalloc.start()
+    try:
+        outcome = nonexistence_search(WeightPair(2, 3), 34, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == UNSAT and outcome.unsat_depth == 29
+    assert peak < 2 * 2**20, peak
