@@ -11,7 +11,8 @@ differs between the two.  Exit status 0 means every command matched.
 The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
 and ``build``, in json and csv), the ``table`` and ``search`` benchmark
 ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
-``--out`` and a few usage errors.  ``search`` runs the golden cases of
+``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
+and a few usage errors.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, a certificate
 ((2, 5, 32) at cap 64) and the node cap ((2, 3, 44)).  Its stdout carries
 the search's own wall time, so the value of ``"wall_time_s"`` is masked on
@@ -31,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 OUT = "{out}"  # replaced by a fresh file path on each side
+MISSING = "{missing}"  # replaced by a path in a directory that does not exist
 
 SEEDS = [("2", "1", "011"), ("3", "2", "01110"), ("5", "3", "01011101")]
 CORRUPTED = ("3", "2", "01111")
@@ -91,6 +93,13 @@ def commands() -> list[list[str]]:
     cmds.append(["search", "--k1", "2", "--k2", "3", "--n0", "34", "--cap", "64", "--format", "csv"])
     for fmt in ("json", "csv", "plain"):
         cmds.append(["seeds", "--k", "7", "--n0", "17", "--format", fmt])
+    # commands that load no NumPy: witnesses at 10**100, help and usage errors
+    for fmt in ("json", "csv"):
+        for seed in SEEDS:
+            cmds.append(["witness", *_seed(*seed), "--n", str(10**100), "--format", fmt])
+    cmds.append(["--help"])
+    cmds.append([])
+    cmds.append(["witness", *_seed(*SEEDS[0]), "--n", "1000", "--out", MISSING])
     return cmds
 
 
@@ -98,10 +107,11 @@ def run(tree: Path, argv: list[str], scratch: Path) -> tuple[int, bytes, bytes, 
     out = scratch / "out"
     out.unlink(missing_ok=True)
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [str(out) if a == OUT else a for a in argv]
+    paths = {OUT: str(out), MISSING: str(scratch / "missing" / "out")}
+    argv = [paths.get(a, a) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "repfn", *argv], capture_output=True, env=env)
     stdout = proc.stdout
-    if argv[0] == "search":
+    if argv[:1] == ["search"]:
         stdout = WALL_TIME.sub(b'"wall_time_s": <masked>', stdout)
     return proc.returncode, stdout, proc.stderr, out.read_bytes() if out.exists() else None
 

@@ -29,8 +29,7 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
+from ._numpy import np
 from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
 from .errors import DomainError, NoWitness, PreconditionError, QueryBeyondPrefix
 from .partitions import SeedAssignment, chain_threshold, prefix_search
@@ -401,6 +400,7 @@ def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome
     if depth_cap < 1:
         raise PreconditionError(f"depth_cap must be >= 1, got {depth_cap}")
 
+    np.ndarray  # load NumPy now: elapsed times the search, not a first import
     start = time.perf_counter()
     survivors, nodes, deepest = prefix_search(w, n0, depth_cap, first_only=True, node_cap=NODE_CAP)
     elapsed = time.perf_counter() - start

@@ -18,9 +18,8 @@ import os
 import resource
 import sys
 
-import numpy as np
-
 from . import bounds, partitions
+from ._numpy import np
 from .core import COMPLEMENT, R1, R2, R3, SET, WeightPair, classic_rep
 from .errors import (
     DomainError,
@@ -47,7 +46,12 @@ _USAGE_ERRORS = (
 @contextlib.contextmanager
 def _sink(cfg: argparse.Namespace):
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(cfg.out, "w", encoding="utf-8")
+        except OSError as exc:
+            # a path that cannot be written is a usage error, not a failed claim
+            raise PreconditionError(f"cannot open --out {cfg.out}: {exc.strerror}") from exc
+        with fh:
             yield fh
     else:
         yield sys.stdout

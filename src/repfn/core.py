@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .errors import PreconditionError, QueryBeyondPrefix
 
 SET = "set"

@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .core import SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
 from .errors import (
     DomainError,
@@ -119,10 +118,9 @@ def prefix_search(
     free = min(n0 // k1, width)
     low = min(BLOCK_BITS, free)
     high = free - low
-    settled = [
-        [_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))]
-        for d in range(width)
-    ]
+    # settled[d - free]: the slices of the n that bit d settles, built when the
+    # search first reaches depth d, so memory follows the depth reached, not width
+    settled: list[list[tuple[slice, slice, int]]] = []
     # the low free bits of every block: column v holds the bits of v, built
     # one row at a time (a single int64 broadcast would be the peak)
     values = np.arange(1 << low)
@@ -144,6 +142,8 @@ def prefix_search(
         frontier[high:] = low_bits
         kept = []  # per depth below the free bits: indices of the children that pass
         for d in range(free, width):
+            if d - free == len(settled):
+                settled.append([_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))])
             rows = frontier.shape[1]
             children = np.empty((d + 1, 2 * rows), dtype=np.uint8)
             children[:d, 0::2] = frontier
@@ -151,7 +151,7 @@ def prefix_search(
             children[d, 0::2] = 0
             children[d, 1::2] = 1
             ok = np.ones(2 * rows, dtype=bool)
-            for s2, s1, c in settled[d]:
+            for s2, s1, c in settled[d - free]:
                 # int32 sums: half the bytes of the default uint64 temporaries
                 weight = children[s2].sum(axis=0, dtype=np.int32)
                 weight += children[s1].sum(axis=0, dtype=np.int32)

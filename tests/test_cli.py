@@ -376,6 +376,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert target.read_text() == "011\n100\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--k", "2", "--n0", "1", "--seed", "011", "--n", "1000"],
+        ["verify", "--k", "2", "--n0", "1", "--seed", "011", "--limit", "100", "--format", "csv"],
+        ["seeds", "--k", "2", "--n0", "1"],
+    ],
+    ids=["json", "table", "plain"],
+)
+def test_out_in_missing_directory_exits_2(tmp_path, capsys, argv):
+    """An --out path that cannot be opened is a usage error (exit 2), not a
+    failed claim (exit 1) and not a traceback."""
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot open --out {target}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_plain_format_rejected_elsewhere(capsys):
     code, _, err = run(capsys, "verify", "--k", "2", "--n0", "1", "--seed", "011",
                        "--limit", "100", "--format", "plain")

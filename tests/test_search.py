@@ -166,3 +166,20 @@ def test_search_memory_is_bounded():
         tracemalloc.stop()
     assert outcome.status == UNSAT and outcome.unsat_depth == 29
     assert peak < 2 * 2**20, peak
+
+
+def test_search_memory_follows_depth_reached_not_cap():
+    """(2, 3, 1) is refuted at 3 bits; a cap of 10**6 bits changes neither
+    the outcome nor the memory, which follows the depths the search reaches."""
+    w = WeightPair(2, 3)
+    small = nonexistence_search(w, 1, 64)
+    tracemalloc.start()
+    try:
+        large = nonexistence_search(w, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = ("status", "unsat_depth", "nodes", "certificate")
+    assert [getattr(large, f) for f in fields] == [getattr(small, f) for f in fields]
+    assert small.status == UNSAT
+    assert peak < 2**16, peak
