@@ -13,8 +13,9 @@ and ``build``, in json and csv), the ``table`` and ``search`` benchmark
 ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
-``tests/test_search.py`` and outcomes of every kind: unsat, a certificate
-((2, 5, 32) at cap 64) and the node cap ((2, 3, 44)).  Its stdout carries
+``tests/test_search.py`` and outcomes of every kind: unsat, certificates
+((2, 5, 32) at cap 64, and caps at or below n0 // k1, whose prefixes of up
+to 8000 bits decide no n) and the node cap ((2, 3, 44)).  Its stdout carries
 the search's own wall time, so the value of ``"wall_time_s"`` is masked on
 both sides before comparing; nothing else is.  Requests refused for their
 size are left out: their message names the memory they would need, which
@@ -38,12 +39,13 @@ SEEDS = [("2", "1", "011"), ("3", "2", "01110"), ("5", "3", "01011101")]
 CORRUPTED = ("3", "2", "01111")
 
 # (k1, k2, n0, cap): the search benchmark ops, the golden cases, a deeper
-# refutation, a cap below the refutation depth and a run past the node cap
+# refutation, caps below the refutation depth and a run past the node cap
 SEARCHES = [
     (2, 3, 34, 256), (2, 5, 8, 256), (2, 5, 32, 256), (2, 7, 10, 256), (2, 9, 12, 256),
     (2, 3, 0, 64), (2, 5, 0, 64), (3, 4, 0, 64), (2, 3, 1, 64), (2, 5, 1, 64), (3, 4, 1, 64),
     (2, 5, 8, 64), (2, 7, 10, 64), (2, 9, 12, 64), (2, 3, 34, 64), (2, 5, 32, 128),
     (2, 3, 40, 256), (2, 5, 32, 64), (2, 3, 44, 256),
+    (2, 3, 2000, 1000), (2, 3, 16000, 8000), (3, 4, 900, 300),
 ]
 WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
 
@@ -100,6 +102,7 @@ def commands() -> list[list[str]]:
     cmds.append(["--help"])
     cmds.append([])
     cmds.append(["witness", *_seed(*SEEDS[0]), "--n", "1000", "--out", MISSING])
+    cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "100000", "--out", MISSING])
     return cmds
 
 

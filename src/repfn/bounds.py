@@ -15,12 +15,14 @@ representations with pairwise distinct a2, which certifies the guaranteed
 lower bound B(n) = floor(floor(log_k(n / T)) / 4) on the representation
 count.  All logarithms here are exact integer quantities; floating point is
 forbidden in this module's arithmetic because boundary values of n would
-misclassify.
+misclassify.  The one float, ``min_ratio`` of :func:`bound_scan`, is
+reported for reading and decides nothing.
 
 The module also runs the prefix search of :mod:`repfn.partitions` at
 weights k2 > k1 >= 2 (coprime), showing that no 0/1 assignment of a prefix
 can satisfy the set/complement count equality: every branch dies at a
-measurable depth.
+measurable depth.  A prefix the search returns is rechecked through
+:func:`repfn.core.rep_difference` and the counting kernel.
 """
 
 from __future__ import annotations
@@ -345,35 +347,18 @@ class SearchOutcome:
 def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
     """Independent recheck of the equality constraints a certificate claims.
 
-    Tallies both sides over the full pair grid (a plain double loop,
-    sharing no code with the search's incremental counter) for every fully
-    determined n, i.e. n <= k1 * len(bits) - 1, then cross-checks the
-    counting kernel on [n0, len(bits)).
+    Decides D = R_A - R_C by :func:`repfn.core.rep_difference`, which counts
+    no pairs and shares no code with the search, at every n the prefix
+    determines, i.e. n in [n0, k1 * len(bits) - 1]; then cross-checks the
+    counting kernel's R_A - R_C against D on [0, len(bits)).
     """
-    bits = [int(b) for b in bits]
     size = len(bits)
     if size == 0:
         return True
-    top = w.k1 * size - 1
-    r_set = [0] * (top + 1)
-    r_comp = [0] * (top + 1)
-    for a1 in range(size):
-        for a2 in range(size):
-            s = w.k1 * a1 + w.k2 * a2
-            if s > top:
-                break
-            if bits[a1] and bits[a2]:
-                r_set[s] += 1
-            elif not bits[a1] and not bits[a2]:
-                r_comp[s] += 1
-    if any(r_set[n] != r_comp[n] for n in range(n0, top + 1)):
-        return False
-    # cross-route agreement with the kernel where the prefix allows
     chi = ChiTable(bits, k=2, n0=0)  # k/n0 are construction metadata, unused by counting
-    return all(
-        rep_values(chi, side, w, size - 1)[n0:].tolist() == counts[n0:size]
-        for side, counts in ((SET, r_set), (COMPLEMENT, r_comp))
-    )
+    diff = rep_difference(chi, w, w.k1 * size - 1)
+    kernel = rep_values(chi, SET, w, size - 1) - rep_values(chi, COMPLEMENT, w, size - 1)
+    return not diff[n0:].any() and np.array_equal(kernel, diff[:size])
 
 
 def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome:

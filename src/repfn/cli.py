@@ -17,6 +17,7 @@ import json
 import os
 import resource
 import sys
+from typing import TextIO
 
 from . import bounds, partitions
 from ._numpy import np
@@ -44,34 +45,29 @@ _USAGE_ERRORS = (
 
 
 @contextlib.contextmanager
-def _sink(cfg: argparse.Namespace):
-    if cfg.out:
-        try:
-            fh = open(cfg.out, "w", encoding="utf-8")
-        except OSError as exc:
-            # a path that cannot be written is a usage error, not a failed claim
-            raise PreconditionError(f"cannot open --out {cfg.out}: {exc.strerror}") from exc
-        with fh:
-            yield fh
-    else:
+def _open_out(path: str | None):
+    """The stream a command writes its data to: stdout, or the --out file,
+    opened before the command does any work."""
+    if not path:
         yield sys.stdout
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        # a path that cannot be written is a usage error, not a failed claim
+        raise PreconditionError(f"cannot open --out {path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
 
 
-def _emit(text: str, cfg: argparse.Namespace) -> None:
-    with _sink(cfg) as fh:
-        fh.write(text)
+def _emit_json(doc: dict, out: TextIO) -> None:
+    out.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_json(doc: dict, cfg: argparse.Namespace) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", cfg)
-
-
-def _emit_csv(header: list[str], rows, cfg: argparse.Namespace) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def _emit_csv(header: list[str], rows, out: TextIO) -> None:
+    writer = csv.writer(out)
     writer.writerow(header)
     writer.writerows(rows)
-    _emit(buf.getvalue(), cfg)
 
 
 # rows formatted per write, so the text of a long table is never held whole
@@ -79,7 +75,7 @@ CHUNK = 16384
 
 
 def _emit_table(
-    columns: list[str], table: np.ndarray, cfg: argparse.Namespace, doc: dict | None = None
+    columns: list[str], table: np.ndarray, out: TextIO, doc: dict | None = None
 ) -> None:
     """Write a 2-D integer table, CHUNK rows at a time.
 
@@ -103,13 +99,12 @@ def _emit_table(
         # every row carries its leading separator; the first one drops it
         row = ",\n    [\n" + ",\n".join(["      %d"] * ncols) + "\n    ]"
         skip, tail = 1, ("\n  ]" if nrows else "]") + "\n}\n"
-    with _sink(cfg) as fh:
-        fh.write(head)
-        for start in range(0, nrows, CHUNK):
-            block = table[start : start + CHUNK]
-            text = (row * len(block)) % tuple(block.ravel().tolist())
-            fh.write(text[skip:] if start == 0 else text)
-        fh.write(tail)
+    out.write(head)
+    for start in range(0, nrows, CHUNK):
+        block = table[start : start + CHUNK]
+        text = (row * len(block)) % tuple(block.ravel().tolist())
+        out.write(text[skip:] if start == 0 else text)
+    out.write(tail)
 
 
 # Peak bytes per table entry of each command, from the chi bits to the last
@@ -118,8 +113,11 @@ def _emit_table(
 # seeds: build 26.0, verify 61.2, scan-bound 79.7 (lo = 0), classic 114.8
 # (lo = 0, hi = limit); rounded up to a multiple of 8.  Every table grows
 # linearly with N, so a constant times N estimates a request's peak before
-# anything is allocated.
-_BYTES_PER_N = {"build": 32, "verify": 64, "scan-bound": 80, "classic": 120}
+# anything is allocated.  For search N is the number of free bits,
+# min(n0 // k1, cap), which sets the height of its frontier matrices:
+# 20724 bytes per free bit at most, over (k1, k2) in (2, 3), (3, 4),
+# (2, 9), (5, 7) and free = 500, 2000, 8000, with cap = free and 2 * free.
+_BYTES_PER_N = {"build": 32, "verify": 64, "scan-bound": 80, "classic": 120, "search": 20728}
 
 
 def _memory_limit() -> int:
@@ -129,13 +127,16 @@ def _memory_limit() -> int:
     return limit if soft == resource.RLIM_INFINITY else min(limit, soft)
 
 
-def _check_memory(cfg: argparse.Namespace, flag: str, size: int) -> None:
-    """Refuse a table over [0, size] whose estimated peak exceeds :func:`_memory_limit`."""
+def _check_memory(cfg: argparse.Namespace, size: int, *flags: str) -> None:
+    """Refuse a request over [0, size] (table entries, or free search bits)
+    whose estimated peak exceeds :func:`_memory_limit`; ``flags`` name the
+    options that set ``size``."""
     need = _BYTES_PER_N[cfg.command] * (size + 1)
     have = _memory_limit()
     if need > have:
+        given = " ".join(f"--{flag} {getattr(cfg, flag)}" for flag in flags)
         raise PreconditionError(
-            f"{cfg.command} --{flag} {size} needs about {need / 2**30:.1f} GiB, "
+            f"{cfg.command} {given} needs about {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB this process may use"
         )
 
@@ -144,7 +145,7 @@ def _parse_seed(cfg: argparse.Namespace) -> partitions.SeedAssignment:
     return partitions.SeedAssignment.from_string(cfg.k, cfg.n0, cfg.seed)
 
 
-def _cmd_seeds(cfg: argparse.Namespace) -> int:
+def _cmd_seeds(cfg: argparse.Namespace, out: TextIO) -> int:
     found = partitions.enumerate_seeds(cfg.k, cfg.n0)
     strings = [s.bit_string() for s in found]
     if cfg.format == "json":
@@ -157,19 +158,19 @@ def _cmd_seeds(cfg: argparse.Namespace) -> int:
                 "count": len(strings),
                 "seeds": strings,
             },
-            cfg,
+            out,
         )
     elif cfg.format == "csv":
-        _emit_csv(["seed"], [[s] for s in strings], cfg)
+        _emit_csv(["seed"], [[s] for s in strings], out)
     else:
-        _emit("".join(s + "\n" for s in strings), cfg)
+        out.write("".join(s + "\n" for s in strings))
     print(f"{len(strings)} valid seed(s) for k={cfg.k}, n0={cfg.n0}", file=sys.stderr)
     return 0
 
 
-def _cmd_build(cfg: argparse.Namespace) -> int:
+def _cmd_build(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
-    _check_memory(cfg, "limit", cfg.limit)
+    _check_memory(cfg, cfg.limit, "limit")
     chi = partitions.extend_seed(seed, cfg.limit)
     bit_string = (chi.bits + ord("0")).tobytes().decode("ascii")
     if cfg.format == "json":
@@ -183,21 +184,21 @@ def _cmd_build(cfg: argparse.Namespace) -> int:
                 "limit": cfg.limit,
                 "bits": bit_string,
             },
-            cfg,
+            out,
         )
     elif cfg.format == "csv":
-        _emit_table(["n", "chi"], np.column_stack((np.arange(chi.limit + 1), chi.bits)), cfg)
+        _emit_table(["n", "chi"], np.column_stack((np.arange(chi.limit + 1), chi.bits)), out)
     else:
-        _emit(bit_string + "\n", cfg)
+        out.write(bit_string + "\n")
     return 0
 
 
 _VERIFY_BLOCK_IMAX = 4
 
 
-def _cmd_verify(cfg: argparse.Namespace) -> int:
+def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
-    _check_memory(cfg, "limit", cfg.limit)
+    _check_memory(cfg, cfg.limit, "limit")
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
     structure = partitions.verify_structure(chi, cfg.limit)
@@ -205,7 +206,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
     parity = partitions.verify_block_parity(chi, _VERIFY_BLOCK_IMAX)
     ok = structure.ok and equality.passed and parity.ok
     if cfg.format == "csv":
-        _emit_table(["n", "R_A", "R_comp", "equal"], equality.table(), cfg)
+        _emit_table(["n", "R_A", "R_comp", "equal"], equality.table(), out)
         print(f"verify: {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:
         eq_violations = equality.ns[~equality.ok]
@@ -239,20 +240,20 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
                     },
                 },
             },
-            cfg,
+            out,
         )
     return 0 if ok else 1
 
 
-def _cmd_scan_bound(cfg: argparse.Namespace) -> int:
+def _cmd_scan_bound(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
     if cfg.lo > cfg.hi:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
-    _check_memory(cfg, "hi", cfg.hi)
+    _check_memory(cfg, cfg.hi, "hi")
     chi = partitions.extend_seed(seed, cfg.hi)
     report = bounds.bound_scan(chi, cfg.lo, cfg.hi)
     if cfg.format == "csv":
-        _emit_table(report.columns, report.table(), cfg)
+        _emit_table(report.columns, report.table(), out)
         print(
             f"scan-bound: {len(report.violations)} violation(s), "
             f"min_ratio={report.min_ratio:.6f}",
@@ -261,11 +262,11 @@ def _cmd_scan_bound(cfg: argparse.Namespace) -> int:
     else:
         doc = {"schema": SCHEMA_VERSION, "command": "scan-bound", "seed": cfg.seed}
         doc.update(report.to_dict())
-        _emit_table(report.columns, report.table(), cfg, doc)
+        _emit_table(report.columns, report.table(), out, doc)
     return 0 if report.passed else 1
 
 
-def _cmd_witness(cfg: argparse.Namespace) -> int:
+def _cmd_witness(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
     # no table is built, but n must still cover the seed window and the seed be valid
     partitions.check_extension(seed, cfg.n)
@@ -288,7 +289,7 @@ def _cmd_witness(cfg: argparse.Namespace) -> int:
         _emit_csv(
             ["j", "i", "t", "r", "case", "s", "a1", "a2", "side"],
             ([v["j"], v["i"], v["t"], v["r"], v["case"], v["s"], v["a1"], v["a2"], v["side"]] for v in rows),
-            cfg,
+            out,
         )
     else:
         _emit_json(
@@ -305,13 +306,15 @@ def _cmd_witness(cfg: argparse.Namespace) -> int:
                 "records": rows,
                 "skipped": [{"j": j, "reason": reason} for j, reason in skipped],
             },
-            cfg,
+            out,
         )
     return 0
 
 
-def _cmd_search(cfg: argparse.Namespace) -> int:
-    outcome = bounds.nonexistence_search(WeightPair(cfg.k1, cfg.k2), cfg.n0, cfg.cap)
+def _cmd_search(cfg: argparse.Namespace, out: TextIO) -> int:
+    w = WeightPair(cfg.k1, cfg.k2)
+    _check_memory(cfg, min(cfg.n0 // w.k1, cfg.cap), "n0", "cap")
+    outcome = bounds.nonexistence_search(w, cfg.n0, cfg.cap)
     _emit_json(
         {
             "schema": SCHEMA_VERSION,
@@ -328,12 +331,12 @@ def _cmd_search(cfg: argparse.Namespace) -> int:
             if outcome.certificate is not None
             else None,
         },
-        cfg,
+        out,
     )
     return 0
 
 
-def _cmd_classic(cfg: argparse.Namespace) -> int:
+def _cmd_classic(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
     if cfg.lo > cfg.hi:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
@@ -341,7 +344,7 @@ def _cmd_classic(cfg: argparse.Namespace) -> int:
         raise PreconditionError(f"hi={cfg.hi} exceeds limit={cfg.limit}")
     if cfg.lo < 0:
         raise PreconditionError(f"n must be nonnegative, got {cfg.lo}")
-    _check_memory(cfg, "limit", cfg.limit)
+    _check_memory(cfg, cfg.limit, "limit")
     chi = partitions.extend_seed(seed, cfg.limit)
     counts = [classic_rep(chi, side, cfg.hi) for side in (SET, COMPLEMENT)]
     table = np.column_stack(
@@ -349,7 +352,7 @@ def _cmd_classic(cfg: argparse.Namespace) -> int:
     )
     header = ["n", "r1_set", "r2_set", "r3_set", "r1_comp", "r2_comp", "r3_comp"]
     if cfg.format == "csv":
-        _emit_table(header, table, cfg)
+        _emit_table(header, table, out)
     else:
         doc = {
             "schema": SCHEMA_VERSION,
@@ -358,7 +361,7 @@ def _cmd_classic(cfg: argparse.Namespace) -> int:
             "n0": cfg.n0,
             "seed": cfg.seed,
         }
-        _emit_table(header, table, cfg, doc)
+        _emit_table(header, table, out, doc)
     return 0
 
 
@@ -420,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: --format {cfg.format} is not supported by {cfg.command}", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[cfg.command](cfg)
+        with _open_out(cfg.out) as out:
+            return _HANDLERS[cfg.command](cfg, out)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

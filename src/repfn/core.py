@@ -16,6 +16,7 @@ accumulation (counts never exceed n, so 64 bits is ample).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from ._numpy import np
 from .errors import PreconditionError, QueryBeyondPrefix
@@ -94,14 +95,18 @@ class WeightPair:
             raise PreconditionError(f"weights must be positive, got ({self.k1}, {self.k2})")
 
 
-def _class_prefix(u: np.ndarray, k: int) -> np.ndarray:
-    """F[x] = u[x] + u[x - k] + u[x - 2k] + ...: prefix sums within each residue class mod k."""
-    rows = -(-u.size // k)
-    f = np.zeros(rows * k, dtype=np.int64)
-    f[: u.size] = u
-    grid = f.reshape(rows, k)
+def _class_prefix(u: np.ndarray, k: int, size: int, step: int = 1) -> np.ndarray:
+    """F[x] = v[x] + v[x - k] + v[x - 2k] + ...: prefix sums within each
+    residue class mod k of v, where v[step*i] = u[i] and v is 0 elsewhere.
+
+    Returned for x in [0, size) padded to a whole number of rows of k, so
+    ``reshape(-1, k)`` gives the (q, r) grid of x = k*q + r.
+    """
+    f = np.zeros(-(-size // k) * k, dtype=np.int64)
+    f[: step * u.size : step] = u
+    grid = f.reshape(-1, k)
     np.cumsum(grid, axis=0, out=grid)
-    return f[: u.size]
+    return f
 
 
 def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int) -> np.ndarray:
@@ -117,9 +122,7 @@ def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int) -> np.ndarra
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
     member = chi.side_bits(side, up_to)
-    u = np.zeros(up_to + 1, dtype=np.uint8)
-    u[:: w.k1] = member[: up_to // w.k1 + 1]
-    f = _class_prefix(u, w.k2)
+    f = _class_prefix(member[: up_to // w.k1 + 1], w.k2, up_to + 1, w.k1)
     edges = np.flatnonzero(np.diff(member[: up_to // w.k2 + 1], prepend=0, append=0))
     values = np.zeros(up_to + 1, dtype=np.int64)
     for s, e in zip(edges[0::2].tolist(), edges[1::2].tolist()):
@@ -131,25 +134,31 @@ def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int) -> np.ndarra
 
 
 def rep_difference(chi: ChiTable, w: WeightPair, up_to: int) -> np.ndarray:
-    """R_{1,k}(A, n) - R_{1,k}(complement, n) for n in [0, up_to], in O(up_to).
+    """R_{k1,k2}(A, n) - R_{k1,k2}(complement, n) for n in [0, up_to], in
+    O(up_to), for coprime k1 <= k2; chi must be known on [0, up_to // k1].
 
-    For k1 = 1 each a2 in [0, n // k] gives one solution, contributing
-    chi(a1) + chi(a2) - 1 to the difference, so the difference is
-    S(n // k) + T(n) - (n // k + 1): S counts A on [0, n // k] and T counts
-    A in n's residue class mod k up to n.  It counts no pairs, so it is an
-    independent check on :func:`rep_values`.
+    Each solution of k1*a1 + k2*a2 = n adds chi(a1) + chi(a2) - 1.  The a1
+    term is chi on the multiples of k1 summed along n's class mod k2, as in
+    :func:`rep_values`.  For n = k2*q + r the a2 are the x <= q in one class
+    mod k1, the largest being q - s with s = -r * k2**-1 mod k1, so the a2
+    term is P(q - s) for P the prefix sums of chi - 1 along the classes mod
+    k1: one shifted add per class of the columns r mod k1.  It counts no
+    pairs, so it is an independent check on :func:`rep_values`.
     """
-    if w.k1 != 1:
-        raise PreconditionError(f"identity requires k1 = 1, got k1 = {w.k1}")
-    bits = chi.side_bits(SET, up_to)
-    k, top = w.k2, up_to // w.k2
-    # S(q) - (q + 1) for q = n // k, added to the k consecutive n sharing q
-    per_q = np.cumsum(bits[: top + 1], dtype=np.int64) - np.arange(1, top + 2)
-    diff = _class_prefix(bits, k)
-    grid = diff[: top * k].reshape(top, k)
-    grid += per_q[:top, None]
-    diff[top * k :] += per_q[top]
-    return diff
+    k1, k2 = w.k1, w.k2
+    if k1 > k2 or gcd(k1, k2) != 1:
+        raise PreconditionError(f"identity requires coprime k1 <= k2, got ({k1}, {k2})")
+    bits = chi.side_bits(SET, up_to // k1)
+    top = up_to // k2
+    # the a2 term's int8 temporaries are freed before the a1 term is allocated
+    per_q = _class_prefix(bits[: top + 1].astype(np.int8) - 1, k1, top + 1)
+    diff = _class_prefix(bits, k2, up_to + 1, k1)
+    grid = diff.reshape(-1, k2)
+    inverse = pow(k2, -1, k1)
+    for r0 in range(k1):
+        cols = grid[-r0 * inverse % k1 :, r0::k1]  # rows q >= s
+        cols += per_q[: len(cols), None]
+    return diff[: up_to + 1]
 
 
 R1 = "r1"

@@ -80,8 +80,8 @@ def window_identity_holds(values, w: WeightPair, n: int) -> bool:
     tuple or list of ints covering [0, n // k1].
 
     Each solution of k1*a1 + k2*a2 = n adds chi(a1) + chi(a2) - 1 to the
-    difference of the two counts; for k1 = 1 this is core.rep_difference at
-    one n.
+    difference of the two counts; this is core.rep_difference at one n, for
+    any coprime k1 <= k2.
     """
     s2, s1, c = _solution_slices(w, n)
     return sum(values[s2]) + sum(values[s1]) == c

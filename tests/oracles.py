@@ -5,8 +5,9 @@ route: the naive per-n counter, the strided sieve and the pair-grid
 histogram for ``rep_values``, a per-n pair loop for the window identity that
 ``rep_difference`` decides, a per-base loop for ``verify_block_parity``, a
 per-n pair loop for ``classic_rep``, the flip rule as a recursion for
-``SeedAssignment.value``, and a recursive depth-first search for the block
-frontier of ``prefix_search``.  They are slow on purpose and live only in
+``SeedAssignment.value``, a recursive depth-first search for the block
+frontier of ``prefix_search``, and a pair-grid double loop for
+``validate_certificate``.  They are slow on purpose and live only in
 the tests.
 """
 
@@ -215,3 +216,23 @@ def prefix_search_dfs(
     finally:
         sys.setrecursionlimit(old_limit)
     return survivors, nodes, deepest
+
+
+def validate_certificate_pairs(bits, w: WeightPair, n0: int) -> bool:
+    """validate_certificate by tallying both sides over the full pair grid,
+    a plain double loop, at every n in [n0, k1 * len(bits) - 1]."""
+    bits = [int(b) for b in bits]
+    size = len(bits)
+    top = w.k1 * size - 1
+    r_set = [0] * (top + 1)
+    r_comp = [0] * (top + 1)
+    for a1 in range(size):
+        for a2 in range(size):
+            s = w.k1 * a1 + w.k2 * a2
+            if s > top:
+                break
+            if bits[a1] and bits[a2]:
+                r_set[s] += 1
+            elif not bits[a1] and not bits[a2]:
+                r_comp[s] += 1
+    return all(r_set[n] == r_comp[n] for n in range(n0, top + 1))

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import io
 import json
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from repfn import COMPLEMENT, SET, ChiTable, WeightPair, guaranteed_bound, validate_certificate
-from repfn import cli, partitions
+from repfn import bounds, cli, partitions
 from repfn.cli import CHUNK, build_parser, main
 from oracles import chi_recursive, rep_count_weighted
 
@@ -307,10 +306,11 @@ def _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols):
     head = {"schema": 1, "command": "table", "seed": "011", "nested": {"a": [1, None]}}
     expected_json = json.dumps({**head, "columns": columns, "rows": table.tolist()}, indent=2)
     for doc, expected in ((None, _stdlib_csv(columns, table.tolist())), (head, expected_json + "\n")):
-        cli._emit_table(columns, table, argparse.Namespace(out=None), doc)
+        cli._emit_table(columns, table, sys.stdout, doc)
         assert capsys.readouterr().out == expected
         target = tmp_path / "table.out"
-        cli._emit_table(columns, table, argparse.Namespace(out=str(target)), doc)
+        with cli._open_out(str(target)) as out:
+            cli._emit_table(columns, table, out, doc)
         assert target.read_bytes() == expected.encode()
 
 
@@ -328,13 +328,12 @@ def test_emit_table_matches_stdlib_at_chunk_size(capsys, tmp_path, nrows, ncols)
     _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols)
 
 
-def test_emit_table_rows_must_be_last_key(capsys, tmp_path):
-    target = tmp_path / "table.json"
+def test_emit_table_rows_must_be_last_key():
+    out = io.StringIO()
     doc = {"schema": 1, "rows": None, "command": "table"}
     with pytest.raises(ValueError, match="last key"):
-        cli._emit_table(["n"], np.zeros((3, 1), dtype=np.int64),
-                        argparse.Namespace(out=str(target)), doc)
-    assert capsys.readouterr().out == "" and not target.exists()
+        cli._emit_table(["n"], np.zeros((3, 1), dtype=np.int64), out, doc)
+    assert out.getvalue() == ""
 
 
 # ------------------------------------------------------------------ memory
@@ -360,6 +359,21 @@ def test_table_beyond_memory_exits_2_before_allocating(capsys, monkeypatch, comm
     assert err.startswith(f"error: {command} --") and "needs about" in err and "GiB" in err
 
 
+@pytest.mark.parametrize("n0,cap", [(1000, 10**6), (10**6, 1000)], ids=["n0", "cap"])
+def test_search_beyond_memory_exits_2_before_searching(capsys, monkeypatch, n0, cap):
+    """The search's frontier grows with its free bits, min(n0 // k1, cap):
+    either option alone can make it too large."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 2**20)
+    monkeypatch.setattr(bounds, "prefix_search", no_search)
+    code, out, err = run(capsys, "search", "--k1", "2", "--k2", "3",
+                         "--n0", str(n0), "--cap", str(cap))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: search --n0 {n0} --cap {cap} needs about") and "GiB" in err
+
+
 def test_memory_limit_honours_rlimit_as(monkeypatch):
     physical = cli._memory_limit()
     monkeypatch.setattr(cli.resource, "getrlimit", lambda which: (2**20, cli.resource.RLIM_INFINITY))
@@ -382,17 +396,33 @@ def test_out_flag_writes_file(tmp_path, capsys):
         ["witness", "--k", "2", "--n0", "1", "--seed", "011", "--n", "1000"],
         ["verify", "--k", "2", "--n0", "1", "--seed", "011", "--limit", "100", "--format", "csv"],
         ["seeds", "--k", "2", "--n0", "1"],
+        ["verify", "--k", "2", "--n0", "1", "--seed", "011", "--limit", "100"],
     ],
-    ids=["json", "table", "plain"],
+    ids=["json", "table", "plain", "before-work"],
 )
-def test_out_in_missing_directory_exits_2(tmp_path, capsys, argv):
+def test_out_in_missing_directory_exits_2(tmp_path, capsys, monkeypatch, argv):
     """An --out path that cannot be opened is a usage error (exit 2), not a
-    failed claim (exit 1) and not a traceback."""
+    failed claim (exit 1) and not a traceback; it is opened before the
+    command builds anything."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(partitions, "extend_seed", no_table)
     target = tmp_path / "missing" / "out.txt"
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert (code, out) == (2, "")
     assert err == f"error: cannot open --out {target}: No such file or directory\n"
     assert not target.parent.exists()
+
+
+def test_error_after_open_leaves_empty_out_file(tmp_path, capsys):
+    """--out is opened before the work, so a refused request leaves an empty
+    file behind, as a shell redirection would."""
+    target = tmp_path / "out.json"
+    code, out, err = run(capsys, "build", "--k", "2", "--n0", "1", "--seed", "010",
+                         "--limit", "100", "--out", str(target))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert target.read_bytes() == b""
 
 
 def test_plain_format_rejected_elsewhere(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,12 +246,37 @@ def test_total_identity_examples():
     assert rep_difference(chi, WeightPair(1, 2), 4).tolist() == [-1, 0, 0, 0, 0]
 
 
-def test_total_identity_requires_k1_one():
+def test_total_identity_requires_coprime_k1_at_most_k2():
     chi = ChiTable([1, 1, 1], 2, 0)
     with pytest.raises(PreconditionError):
-        rep_difference(chi, WeightPair(2, 3), 2)
+        rep_difference(chi, WeightPair(3, 2), 2)  # k1 > k2
+    with pytest.raises(PreconditionError):
+        rep_difference(chi, WeightPair(2, 4), 2)  # gcd = 2
     with pytest.raises(QueryBeyondPrefix):
         rep_difference(chi, WeightPair(1, 3), 3)
+
+
+COPRIME_WEIGHTS = [
+    (k1, k2) for k2 in range(1, 10) for k1 in range(1, k2 + 1) if math.gcd(k1, k2) == 1
+]
+
+
+@pytest.mark.parametrize("k1,k2", COPRIME_WEIGHTS)
+def test_total_identity_matches_pair_grid_at_coprime_weights(k1, k2, rng):
+    """On random tables of ``size`` bits, D = R_A - R_C equals the pair-grid
+    difference at every up_to the table decides, [0, k1*size - 1]; one more
+    n needs a bit the table does not hold."""
+    w = WeightPair(k1, k2)
+    for size in (1, 2, 5, 23):
+        chi = random_table(rng, size - 1)
+        bits = chi.bits
+        for up_to in range(k1 * size):
+            expected = pair_grid_rep_values(bits, SET, w, up_to) - pair_grid_rep_values(
+                bits, COMPLEMENT, w, up_to
+            )
+            assert rep_difference(chi, w, up_to).tolist() == expected.tolist(), (size, up_to)
+        with pytest.raises(QueryBeyondPrefix):
+            rep_difference(chi, w, k1 * size)
 
 
 def test_total_identity_randomized_with_brute_recount(rng):

@@ -8,6 +8,7 @@ import pytest
 from repfn import (
     INCONCLUSIVE,
     UNSAT,
+    SET,
     PreconditionError,
     SeedAssignment,
     WeightPair,
@@ -18,7 +19,7 @@ from repfn import (
     validate_certificate,
 )
 from repfn import bounds, partitions
-from oracles import prefix_search_dfs
+from oracles import prefix_search_dfs, validate_certificate_pairs
 
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
 # (k1, k2, n0, cap); the last two are refutation depths above 16 bits
@@ -79,12 +80,15 @@ def test_certificate_validator_rejects_corruption():
 
 
 def test_certificate_validator_cross_checks_kernel(monkeypatch):
-    """The kernel recount is live: one wrong kernel entry rejects a good certificate."""
+    """The kernel recount is live: one wrong kernel entry rejects a good
+    certificate.  Only the set side is corrupted: the same error on both
+    sides would cancel in R_A - R_C, the quantity the certificate claims."""
     cert = first_survivor(WeightPair(1, 2), 1, 32)
 
     def corrupted(chi, side, w, up_to):
         values = rep_values(chi, side, w, up_to)
-        values[-1] += 1
+        if side == SET:
+            values[-1] += 1
         return values
 
     monkeypatch.setattr(bounds, "rep_values", corrupted)
@@ -143,6 +147,24 @@ def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
                         assert got[:2] == expected[:2], case
                         if expected[1] <= cap:
                             assert got[2] == expected[2], case
+
+
+@pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
+def test_certificate_verdicts_match_pair_grid(k1, k2):
+    """validate_certificate and the pair-grid double loop agree on the first
+    survivors of the 12-bit prefix search at every even n0 up to 12*k1, and
+    on each of their single-bit flips; both verdicts occur."""
+    w = WeightPair(k1, k2)
+    verdicts = {True: 0, False: 0}
+    for n0 in range(0, k1 * 12 + 1, 2):
+        survivors, _, _ = prefix_search(w, n0, 12)
+        for cert in survivors[:8]:
+            flips = [cert[:i] + (1 - cert[i],) + cert[i + 1 :] for i in range(len(cert))]
+            for bits in (cert, *flips):
+                verdict = validate_certificate(bits, w, n0)
+                assert verdict == validate_certificate_pairs(bits, w, n0), (n0, bits)
+                verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 def test_prefix_search_matches_oracle_on_benchmark_case():
