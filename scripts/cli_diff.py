@@ -9,8 +9,8 @@ differs between the two.  Exit status 0 means every command matched.
     python3 scripts/cli_diff.py --base /path/to/old/checkout --head .
 
 The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
-and ``build``, in json and csv), the ``table`` and ``search`` benchmark
-ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
+and ``build``, in json and csv), seed censuses in every format, empty and
+of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
@@ -47,6 +47,9 @@ SEARCHES = [
     (2, 3, 40, 256), (2, 5, 32, 64), (2, 3, 44, 256),
     (2, 3, 2000, 1000), (2, 3, 16000, 8000), (3, 4, 900, 300),
 ]
+# (k, n0) of seed censuses: none at (2, 0), the benchmark's (7, 17) and
+# 379,494 seeds at (2, 22)
+CENSUSES = [(2, 0), (3, 2), (5, 3), (6, 4), (2, 22), (7, 17)]
 WALL_TIME = re.compile(rb'"wall_time_s": [^,\n]*')
 
 
@@ -83,7 +86,6 @@ def commands() -> list[list[str]]:
         cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "1", *f])
         cmds.append(["build", *_seed(*CORRUPTED), "--limit", "50", *f])
         cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "100", "--hi", "10", *f])
-        cmds.append(["seeds", "--k", "3", "--n0", "2", *f])
         cmds.append(["witness", *_seed(*SEEDS[1]), "--n", "100000", *f])
         cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "0", "--hi", "20000", *f, "--out", OUT])
         cmds.append(["verify", *_seed(*SEEDS[1]), "--limit", "20000", *f, "--out", OUT])
@@ -93,8 +95,9 @@ def commands() -> list[list[str]]:
     for k1, k2, n0, cap in SEARCHES:
         cmds.append(["search", "--k1", str(k1), "--k2", str(k2), "--n0", str(n0), "--cap", str(cap)])
     cmds.append(["search", "--k1", "2", "--k2", "3", "--n0", "34", "--cap", "64", "--format", "csv"])
-    for fmt in ("json", "csv", "plain"):
-        cmds.append(["seeds", "--k", "7", "--n0", "17", "--format", fmt])
+    for k, n0 in CENSUSES:
+        for fmt in ("json", "csv", "plain"):
+            cmds.append(["seeds", "--k", str(k), "--n0", str(n0), "--format", fmt])
     # commands that load no NumPy: witnesses at 10**100, help and usage errors
     for fmt in ("json", "csv"):
         for seed in SEEDS:

@@ -8,7 +8,7 @@ to verify the count equality on a short prefix.
 
 import argparse
 
-from repfn import enumerate_seeds, extend_seed, verify_equality
+from repfn import SeedAssignment, enumerate_seeds, extend_seed, verify_equality
 
 
 def main() -> None:
@@ -23,12 +23,13 @@ def main() -> None:
     for k in range(2, args.max_k + 1):
         for n0 in range(0, args.max_n0 + 1):
             seeds = enumerate_seeds(k, n0)
-            strings = [s.bit_string() for s in seeds]
+            strings = ["".join(map(str, row)) for row in seeds.tolist()]
             flipped = {s.translate(str.maketrans("01", "10")) for s in strings}
             assert flipped == set(strings), "census not complement-closed"
             print(f"{k:>3} {n0:>3} {len(seeds):>6}  {' '.join(strings) or '-'}")
-            if seeds:
-                scan = verify_equality(extend_seed(seeds[0], args.check_limit),
+            if len(seeds):
+                first = SeedAssignment(k, n0, tuple(seeds[0].tolist()))
+                scan = verify_equality(extend_seed(first, args.check_limit),
                                        args.check_limit)
                 assert scan.passed, (k, n0, scan.violations[:3])
     print("\nall listed seeds extend to tables with exact count equality "

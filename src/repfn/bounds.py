@@ -390,8 +390,8 @@ def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome
     survivors, nodes, deepest = prefix_search(w, n0, depth_cap, first_only=True, node_cap=NODE_CAP)
     elapsed = time.perf_counter() - start
     status, unsat_depth, cert = INCONCLUSIVE, None, None
-    if survivors:
-        cert = survivors[0]
+    if len(survivors):
+        cert = tuple(survivors[0].tolist())
         if not validate_certificate(cert, w, n0):
             raise AssertionError("search produced a certificate the recheck rejects")
     elif nodes <= NODE_CAP:

@@ -147,7 +147,10 @@ def _parse_seed(cfg: argparse.Namespace) -> partitions.SeedAssignment:
 
 def _cmd_seeds(cfg: argparse.Namespace, out: TextIO) -> int:
     found = partitions.enumerate_seeds(cfg.k, cfg.n0)
-    strings = [s.bit_string() for s in found]
+    # one decode for the whole census, cut into rows of k + n0 characters
+    text = (found + ord("0")).tobytes().decode("ascii")
+    width = found.shape[1]
+    strings = [text[i : i + width] for i in range(0, len(text), width)]
     if cfg.format == "json":
         _emit_json(
             {

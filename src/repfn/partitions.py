@@ -89,7 +89,7 @@ def window_identity_holds(values, w: WeightPair, n: int) -> bool:
 
 def prefix_search(
     w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
-) -> tuple[list[tuple[int, ...]], int, int]:
+) -> tuple[np.ndarray, int, int]:
     """Search for 0/1 prefixes of length ``width`` on which the identity
     holds at every n >= n0 that they decide.
 
@@ -106,13 +106,14 @@ def prefix_search(
     once and keeps the rows that pass.
 
     Returns (survivors, nodes, deepest) as a depth-first search trying 0
-    before 1 would: the surviving prefixes in lexicographic order (only the
-    first with ``first_only``), the children tried, and the most bits any
-    branch held.  ``nodes`` counts children in preorder, so with
-    ``first_only`` it is the preorder rank of the first survivor.  Once it
-    exceeds ``node_cap`` the search stops and reports ``node_cap + 1``,
-    with the survivors of rank at most ``node_cap`` (``deepest`` then only
-    covers the blocks searched).
+    before 1 would: the surviving prefixes, one per row of a C-contiguous
+    uint8 array of shape (count, width), in lexicographic order (only the
+    first with ``first_only``; no rows when none survive), the children
+    tried, and the most bits any branch held.  ``nodes`` counts children
+    in preorder, so with ``first_only`` it is the preorder rank of the
+    first survivor.  Once it exceeds ``node_cap`` the search stops and
+    reports ``node_cap + 1``, with the survivors of rank at most
+    ``node_cap`` (``deepest`` then only covers the blocks searched).
     """
     k1 = w.k1
     free = min(n0 // k1, width)
@@ -133,7 +134,8 @@ def prefix_search(
         the sum over i < free of (v >> i) + 1, which is 2v - popcount(v) + free."""
         return 2 * v - v.bit_count() + free
 
-    survivors: list[tuple[int, ...]] = []
+    # per block: the rows of its surviving prefixes, after a first block of none
+    survivors = [np.empty((0, width), dtype=np.uint8)]
     deep_nodes = deepest = 0  # deep_nodes: children tried below the free bits
     for block in range(1 << high):
         deep_before = deep_nodes
@@ -179,19 +181,20 @@ def prefix_search(
                     for r, step in zip(at.tolist(), steps.tolist())
                 ]
                 take = sum(rank <= node_cap for rank in ranks)  # ranks rise along the rows
-            survivors.extend(map(tuple, frontier[:, :take].T.tolist()))
+            survivors.append(frontier[:, :take].T)
             if first_only and take:
-                return survivors, ranks[0], width
+                return np.concatenate(survivors), ranks[0], width
         if total > node_cap:
-            return survivors, node_cap + 1, deepest
-    return survivors, total, deepest
+            return np.concatenate(survivors), node_cap + 1, deepest
+    return np.concatenate(survivors), total, deepest
 
 
 @dataclass(frozen=True, slots=True)
 class SeedAssignment:
     """chi restricted to [0, k + n0): candidate initial segment.
 
-    Slotted: a census holds thousands of them (9236 at k = 7, n0 = 17).
+    A census is an array from :func:`enumerate_seeds`, not a list of these;
+    ``SeedAssignment(k, n0, tuple(row))`` makes one from a row's ``tolist()``.
     """
 
     k: int
@@ -240,10 +243,11 @@ class SeedAssignment:
         return self.values[n] ^ flips
 
 
-def enumerate_seeds(k: int, n0: int) -> list[SeedAssignment]:
-    """All initial segments on [0, k + n0) satisfying the window identity,
-    in lexicographic order of the bit string: the survivors of
-    :func:`prefix_search` at weights (1, k).
+def enumerate_seeds(k: int, n0: int) -> np.ndarray:
+    """All initial segments on [0, k + n0) satisfying the window identity:
+    the survivors of :func:`prefix_search` at weights (1, k), a C-contiguous
+    uint8 array with one seed per row, of shape (count, k + n0), rows in
+    lexicographic order.
 
     The result is closed under bitwise complement, since flipping every bit
     leaves the two sides of the window identity equal.
@@ -254,8 +258,7 @@ def enumerate_seeds(k: int, n0: int) -> list[SeedAssignment]:
         raise EnumerationCapExceeded(
             f"k + n0 = {width} exceeds the exhaustive-search cap {ENUMERATION_CAP}"
         )
-    survivors, _, _ = prefix_search(WeightPair(1, k), n0, width)
-    return [SeedAssignment(k, n0, bits) for bits in survivors]
+    return prefix_search(WeightPair(1, k), n0, width)[0]
 
 
 def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:

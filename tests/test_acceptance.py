@@ -67,7 +67,8 @@ def test_criterion_1_partition_identity():
     checked = 0
     seeds_seen = 0
     for k, n0 in product((2, 3, 4, 5), (0, 1, 2)):
-        for seed in enumerate_seeds(k, n0):
+        for row in enumerate_seeds(k, n0).tolist():
+            seed = SeedAssignment(k, n0, tuple(row))
             seeds_seen += 1
             chi = extend_seed(seed, 10**6)
             scan = verify_equality(chi, 10**6)
@@ -96,11 +97,11 @@ def test_criterion_2_seed_census():
                 ok = False
         if ok:
             oracle.append("".join(map(str, cand)))
-    listed = [s.bit_string() for s in enumerate_seeds(2, 1)]
+    listed = ["".join(map(str, row)) for row in enumerate_seeds(2, 1).tolist()]
     census_ok = listed == sorted(oracle) == ["011", "100"]
     closure_ok = True
     for k, n0 in product((2, 3, 4, 5), (0, 1, 2)):
-        strings = {s.bit_string() for s in enumerate_seeds(k, n0)}
+        strings = {"".join(map(str, row)) for row in enumerate_seeds(k, n0).tolist()}
         flipped = {s.translate(str.maketrans("01", "10")) for s in strings}
         closure_ok = closure_ok and strings == flipped
     report(
@@ -113,7 +114,8 @@ def test_criterion_3_block_parity():
     """Zero violations of the block parity relation up to i=4, N=50000."""
     total_checked = 0
     for k, n0 in product((2, 3), (0, 1, 2)):
-        for seed in enumerate_seeds(k, n0):
+        for row in enumerate_seeds(k, n0).tolist():
+            seed = SeedAssignment(k, n0, tuple(row))
             rep = verify_block_parity(extend_seed(seed, 50000), 4)
             assert rep.ok, (k, n0, seed.bit_string(), rep.violations[:5])
             assert all(c > 0 for c in rep.checked_per_i)
@@ -220,7 +222,7 @@ def test_criterion_8_nonexistence_search():
     pinned = json.loads(GOLDEN.read_text())["entries"]
     assert entries == [e for e in pinned if e["n0"] == 0]
     survivors, _, _ = prefix_search(WeightPair(1, 2), 1, 48, first_only=True)
-    assert validate_certificate(survivors[0], WeightPair(1, 2), 1)
+    assert validate_certificate(tuple(survivors[0].tolist()), WeightPair(1, 2), 1)
     report(
         "criterion 8: nonexistence search UNSAT depths pinned, k1 = 1 certificate validated",
         True,

@@ -234,7 +234,7 @@ def test_witness_sweep_across_weights():
     guaranteed bound except at the pinned small-n exceptions for k=2."""
     exceptions = {(2, 1): {34, 35, 46, 47}}  # only j=1 admissible, below threshold
     for k, n0 in ((2, 1), (3, 1), (3, 2), (5, 1)):
-        seed = enumerate_seeds(k, n0)[0]
+        seed = SeedAssignment(k, n0, tuple(enumerate_seeds(k, n0)[0].tolist()))
         chi = extend_seed(seed, 8000)
         t0 = chain_threshold(k, n0)
         for n in range(t0, 8001):

@@ -37,6 +37,21 @@ def test_seeds_json(capsys):
     assert doc["count"] == 2
 
 
+def test_seeds_empty_census(capsys):
+    """k = 2, n0 = 0 has no seed: json lists none, csv is the header alone
+    and plain prints nothing."""
+    assert partitions.enumerate_seeds(2, 0).shape == (0, 2)
+    base = ["seeds", "--k", "2", "--n0", "0", "--format"]
+    code, out, err = run(capsys, *base, "json")
+    doc = {"schema": 1, "command": "seeds", "k": 2, "n0": 0, "count": 0, "seeds": []}
+    assert (code, out) == (0, json.dumps(doc, indent=2) + "\n")
+    assert err == "0 valid seed(s) for k=2, n0=0\n"
+    header = io.StringIO()
+    csv.writer(header).writerow(["seed"])
+    assert run(capsys, *base, "csv")[:2] == (0, header.getvalue())
+    assert run(capsys, *base, "plain")[:2] == (0, "")
+
+
 def test_seeds_cap_exceeded_exits_2(capsys):
     code, _, err = run(capsys, "seeds", "--k", "2", "--n0", "30")
     assert code == 2

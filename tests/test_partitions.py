@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -38,6 +39,11 @@ from oracles import (
 ORACLE_WEIGHTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5)]
 
 
+def census_strings(k, n0):
+    """enumerate_seeds(k, n0) as bit strings, one per row."""
+    return ["".join(map(str, row)) for row in enumerate_seeds(k, n0).tolist()]
+
+
 def oracle_seeds(k, n0):
     """Independent exhaustive oracle: check the window identity literally."""
     return [
@@ -59,22 +65,21 @@ def test_seed_validation():
 
 
 def test_seed_census_k2_n01():
-    seeds = enumerate_seeds(2, 1)
-    assert [s.bit_string() for s in seeds] == ["011", "100"]
-    assert seeds == sorted(seeds, key=lambda s: s.bit_string())
-    assert [s.bit_string() for s in seeds] == oracle_seeds(2, 1)
+    seeds = enumerate_seeds(2, 1).tolist()
+    assert census_strings(2, 1) == ["011", "100"] == oracle_seeds(2, 1)
+    assert seeds == sorted(seeds)
     # the two seeds are bitwise complements of each other
-    assert seeds[1].values == tuple(1 - v for v in seeds[0].values)
+    assert seeds[1] == [1 - v for v in seeds[0]]
 
 
 @pytest.mark.parametrize("k,n0", list(product((2, 3, 4, 5), (0, 1, 2))))
 def test_seed_census_matches_oracle(k, n0):
-    assert [s.bit_string() for s in enumerate_seeds(k, n0)] == oracle_seeds(k, n0)
+    assert census_strings(k, n0) == oracle_seeds(k, n0)
 
 
 @pytest.mark.parametrize("k,n0", list(product((2, 3, 4, 5), (0, 1, 2))))
 def test_seed_census_complement_closed(k, n0):
-    strings = {s.bit_string() for s in enumerate_seeds(k, n0)}
+    strings = set(census_strings(k, n0))
     assert {s.translate(str.maketrans("01", "10")) for s in strings} == strings
 
 
@@ -124,7 +129,21 @@ def test_prefix_search_matches_brute_force(k1, k2):
         ]
         for n0 in (0, 1, 3):
             expected = [cand for cand, d in zip(strings, diffs) if not d[n0:].any()]
-            assert prefix_search(w, n0, width)[0] == expected, (w, n0, width)
+            got = prefix_search(w, n0, width)[0]
+            assert [tuple(r) for r in got.tolist()] == expected, (w, n0, width)
+
+
+def test_census_memory_is_one_byte_per_bit():
+    """The 139,358 seeds of k = 3, n0 = 21 take 24 bytes each, and building
+    the census peaks under 16 MiB of traced allocations."""
+    tracemalloc.start()
+    try:
+        seeds = enumerate_seeds(3, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seeds.shape == (139_358, 24) and seeds.nbytes == 139_358 * 24
+    assert peak < 16 * 2**20, peak
 
 
 def test_enumeration_cap():
@@ -165,10 +184,10 @@ def test_extensions_agree_on_common_prefix(seed011):
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(2, 5), n0=st.integers(0, 3), data=st.data())
 def test_extension_satisfies_flip_rule(k, n0, data):
-    seeds = enumerate_seeds(k, n0)
+    seeds = enumerate_seeds(k, n0).tolist()
     if not seeds:
         return
-    seed = seeds[data.draw(st.integers(0, len(seeds) - 1))]
+    seed = SeedAssignment(k, n0, tuple(seeds[data.draw(st.integers(0, len(seeds) - 1))]))
     limit = data.draw(st.integers(k + n0, 600))
     chi = extend_seed(seed, limit)
     for n in range(k + n0, limit + 1):
@@ -283,7 +302,8 @@ def test_verify_equality_counts_on_random_table(rng):
 
 @pytest.mark.parametrize("k,n0", list(product((2, 3), (1, 2))))
 def test_equality_scan_all_seeds(k, n0):
-    for seed in enumerate_seeds(k, n0):
+    for row in enumerate_seeds(k, n0).tolist():
+        seed = SeedAssignment(k, n0, tuple(row))
         assert verify_equality(extend_seed(seed, 3000), 3000).passed
 
 
@@ -334,7 +354,7 @@ def _parity_tables(k: int):
     extension with a dozen corrupted bits, and a start n0 that puts the
     threshold above the full-block count of the high powers."""
     rng = np.random.default_rng(7 * k)
-    seed = enumerate_seeds(k, 1)[0]
+    seed = SeedAssignment(k, 1, tuple(enumerate_seeds(k, 1)[0].tolist()))
     for limit in (k**4 + 5, 1999):
         noisy = (rng.random(limit + 1) < 0.5).astype(np.uint8)
         yield ChiTable(noisy, k, 1), f"random limit={limit}"
@@ -359,8 +379,8 @@ def test_block_constancy_and_alternation(data):
     """chi is constant on each block k**i * n + [0, k**i) and alternates in i."""
     k = data.draw(st.integers(2, 3))
     n0 = data.draw(st.integers(1, 2))
-    seeds = enumerate_seeds(k, n0)
-    seed = seeds[data.draw(st.integers(0, len(seeds) - 1))]
+    seeds = enumerate_seeds(k, n0).tolist()
+    seed = SeedAssignment(k, n0, tuple(seeds[data.draw(st.integers(0, len(seeds) - 1))]))
     chi = extend_seed(seed, 3000)
     threshold = (n0 + k) // k + 1
     n = data.draw(st.integers(threshold, 20))

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repfn import (
@@ -12,6 +13,7 @@ from repfn import (
     PreconditionError,
     SeedAssignment,
     WeightPair,
+    enumerate_seeds,
     extend_seed,
     nonexistence_search,
     prefix_search,
@@ -60,7 +62,7 @@ def test_weight_preconditions():
 
 def first_survivor(w, n0, width):
     survivors, _, _ = prefix_search(w, n0, width, first_only=True)
-    return survivors[0]
+    return tuple(survivors[0].tolist())
 
 
 def test_satisfiable_mode_finds_validated_certificate():
@@ -144,9 +146,33 @@ def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
                         monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
                         got = prefix_search(w, n0, width, first_only, cap)
                         case = (n0, width, first_only, cap, block_bits)
-                        assert got[:2] == expected[:2], case
+                        assert [tuple(r) for r in got[0].tolist()] == expected[0], case
+                        assert got[1] == expected[1], case
                         if expected[1] <= cap:
                             assert got[2] == expected[2], case
+
+
+@pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
+def test_survivors_are_one_uint8_matrix(k1, k2):
+    """Complete, first_only, node-capped and empty results alike are one
+    C-contiguous uint8 array of shape (count, width), count being the
+    depth-first oracle's number of survivors."""
+    w = WeightPair(k1, k2)
+    seen = set()
+    for n0 in range(14):
+        for width in (1, 8, 16):
+            for mode, first_only, cap in (
+                ("complete", False, math.inf), ("first_only", True, math.inf),
+                ("capped", False, 1), ("capped", False, 50),
+            ):
+                survivors, _, _ = prefix_search(w, n0, width, first_only, cap)
+                count = len(prefix_search_dfs(w, n0, width, first_only, cap)[0])
+                case = (n0, width, mode, cap)
+                assert survivors.dtype == np.uint8 and survivors.flags.c_contiguous, case
+                assert survivors.shape == (count, width), case
+                seen.add((mode, count > 0))
+    assert seen == {(m, f) for m in ("complete", "first_only", "capped") for f in (False, True)}
+    assert enumerate_seeds(2, 0).shape == (0, 2)
 
 
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
@@ -158,7 +184,7 @@ def test_certificate_verdicts_match_pair_grid(k1, k2):
     verdicts = {True: 0, False: 0}
     for n0 in range(0, k1 * 12 + 1, 2):
         survivors, _, _ = prefix_search(w, n0, 12)
-        for cert in survivors[:8]:
+        for cert in map(tuple, survivors[:8].tolist()):
             flips = [cert[:i] + (1 - cert[i],) + cert[i + 1 :] for i in range(len(cert))]
             for bits in (cert, *flips):
                 verdict = validate_certificate(bits, w, n0)
@@ -174,7 +200,8 @@ def test_prefix_search_matches_oracle_on_benchmark_case():
     w = WeightPair(2, 3)
     for cap in (math.inf, 200_000):
         expected = prefix_search_dfs(w, 34, 256, True, cap)
-        assert prefix_search(w, 34, 256, True, cap) == expected, cap
+        survivors, nodes, deepest = prefix_search(w, 34, 256, True, cap)
+        assert ([tuple(r) for r in survivors.tolist()], nodes, deepest) == expected, cap
 
 
 def test_search_memory_is_bounded():
