@@ -114,10 +114,11 @@ def _emit_table(
 # (lo = 0, hi = limit); rounded up to a multiple of 8.  Every table grows
 # linearly with N, so a constant times N estimates a request's peak before
 # anything is allocated.  For search N is the number of free bits,
-# min(n0 // k1, cap), which sets the height of its frontier matrices:
-# 20724 bytes per free bit at most, over (k1, k2) in (2, 3), (3, 4),
-# (2, 9), (5, 7) and free = 500, 2000, 8000, with cap = free and 2 * free.
-_BYTES_PER_N = {"build": 32, "verify": 64, "scan-bound": 80, "classic": 120, "search": 20728}
+# min(n0 // k1, cap), which sets the words per prefix of its packed
+# frontier: 11326 bytes per free bit at most, over (k1, k2) in (2, 3),
+# (3, 4), (2, 9), (5, 7) and free = 500, 2000, 8000, with cap = free and
+# 2 * free (measured as peak / (free + 1) around the whole command).
+_BYTES_PER_N = {"build": 32, "verify": 64, "scan-bound": 80, "classic": 120, "search": 11328}
 
 
 def _memory_limit() -> int:
@@ -145,29 +146,38 @@ def _parse_seed(cfg: argparse.Namespace) -> partitions.SeedAssignment:
     return partitions.SeedAssignment.from_string(cfg.k, cfg.n0, cfg.seed)
 
 
+def _seed_rows(found: np.ndarray, before: bytes, after: bytes) -> str:
+    """The seeds of a census as text, each one the row template ``before``,
+    its bits as 0/1 characters, ``after``."""
+    count, width = found.shape
+    rows = np.empty((count, len(before) + width + len(after)), dtype=np.uint8)
+    rows[:, : len(before)] = np.frombuffer(before, dtype=np.uint8)
+    rows[:, len(before) : len(before) + width] = found + ord("0")
+    rows[:, len(before) + width :] = np.frombuffer(after, dtype=np.uint8)
+    return rows.tobytes().decode("ascii")
+
+
 def _cmd_seeds(cfg: argparse.Namespace, out: TextIO) -> int:
     found = partitions.enumerate_seeds(cfg.k, cfg.n0)
-    # one decode for the whole census, cut into rows of k + n0 characters
-    text = (found + ord("0")).tobytes().decode("ascii")
-    width = found.shape[1]
-    strings = [text[i : i + width] for i in range(0, len(text), width)]
+    # the bytes of json.dumps(indent=2) and of csv.writer, with no str per seed
     if cfg.format == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "seeds",
-                "k": cfg.k,
-                "n0": cfg.n0,
-                "count": len(strings),
-                "seeds": strings,
-            },
-            out,
-        )
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "command": "seeds",
+            "k": cfg.k,
+            "n0": cfg.n0,
+            "count": len(found),
+            "seeds": None,
+        }
+        out.write(json.dumps(doc, indent=2)[: -len("null\n}")] + "[")
+        # every seed carries its leading separator; the first one drops it
+        out.write(_seed_rows(found, b',\n    "', b'"')[1:])
+        out.write(("\n  ]" if len(found) else "]") + "\n}\n")
     elif cfg.format == "csv":
-        _emit_csv(["seed"], [[s] for s in strings], out)
+        out.write("seed\r\n" + _seed_rows(found, b"", b"\r\n"))
     else:
-        out.write("".join(s + "\n" for s in strings))
-    print(f"{len(strings)} valid seed(s) for k={cfg.k}, n0={cfg.n0}", file=sys.stderr)
+        out.write(_seed_rows(found, b"", b"\n"))
+    print(f"{len(found)} valid seed(s) for k={cfg.k}, n0={cfg.n0}", file=sys.stderr)
     return 0
 
 

@@ -44,7 +44,7 @@ ENUMERATION_CAP = 24
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 # prefix_search advances 2**BLOCK_BITS prefixes of the free bits at a time
-BLOCK_BITS = 12
+BLOCK_BITS = 14
 
 
 def _check_params(k: int, n0: int) -> None:
@@ -87,6 +87,55 @@ def window_identity_holds(values, w: WeightPair, n: int) -> bool:
     return sum(values[s2]) + sum(values[s1]) == c
 
 
+def _ap_bits(first: int, step: int, count: int) -> int:
+    """The int with bits first, first + step, ..., ``count`` of them, set:
+    the geometric series (2**(step*count) - 1) / (2**step - 1), shifted."""
+    if count <= 0:
+        return 0
+    return ((1 << step * count) - 1) // ((1 << step) - 1) << first
+
+
+def _packed_bits(lo: int, step: int, count: int, free: int) -> int:
+    """The packed positions of the chi indices lo, lo + step, ..., ``count``
+    of them: index i < free sits at bit free - 1 - i, any other at bit i."""
+    below = max(0, min(count, -((lo - free) // step)))  # indices under free
+    top = lo + (below - 1) * step  # the last of them
+    return _ap_bits(free - 1 - top, step, below) | _ap_bits(top + step, step, count - below)
+
+
+def _depth_checks(w: WeightPair, n0: int, free: int, d: int) -> list[tuple[list, int]]:
+    """One (terms, c) per n >= n0 that bit d settles and that has c > 0
+    solutions, on prefixes packed as in :func:`prefix_search`: the identity
+    at n holds when the popcounts of word & value over the (word, value)
+    terms sum to c.  The terms mark the a1 and the a2 of n, and again the
+    one bit that is both, if any, as it counts twice."""
+    checks = []
+    for n in range(max(n0, w.k1 * d), w.k1 * (d + 1)):
+        s2, s1, c = _solution_slices(w, n)
+        if c:
+            a2 = _packed_bits(s2.start, w.k1, c, free)
+            a1 = _packed_bits(s1.start - w.k2 * (c - 1), w.k2, c, free)
+            terms = [
+                (i, np.uint64(word))
+                for mask in (a1 | a2, a1 & a2)
+                for i in range(-(-mask.bit_length() // 64))
+                if (word := mask >> 64 * i & 0xFFFFFFFFFFFFFFFF)
+            ]
+            checks.append((terms, c))
+    return checks
+
+
+def _unpack(packed: np.ndarray, free: int, width: int) -> np.ndarray:
+    """Prefixes packed one per column, as in :func:`prefix_search`, as a
+    C-contiguous uint8 array of shape (count, width)."""
+    rows = np.ascontiguousarray(packed.T, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(rows, axis=1, bitorder="little")
+    out = np.empty((len(bits), width), dtype=np.uint8)
+    out[:, :free] = bits[:, :free][:, ::-1]
+    out[:, free:] = bits[:, free:width]
+    return out
+
+
 def prefix_search(
     w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
 ) -> tuple[np.ndarray, int, int]:
@@ -100,10 +149,14 @@ def prefix_search(
     settle no n, so every prefix of that length is live; they are taken in
     blocks of 2**BLOCK_BITS consecutive prefixes (the last BLOCK_BITS free
     bits vary within a block), in increasing order.  A block's frontier is
-    a uint8 matrix F[depth, row] with its rows in lexicographic order.
-    Each further depth doubles the rows (row r gives children 2r, bit 0,
-    and 2r + 1, bit 1), decides the n the new bit settles on all of them at
-    once and keeps the rows that pass.
+    a uint64 matrix F[word, r] whose columns are its prefixes in
+    lexicographic order, each packed in the words of its column: free bit
+    i at position free - 1 - i, so that the free bits read as an integer
+    are the prefix's lexicographic rank, and deeper bit d at position d.
+    Each further depth doubles the prefixes (prefix r gives children 2r,
+    bit 0, and 2r + 1, bit 1), decides the n the new bit settles on all of
+    them at once, each by popcounts of the children under a mask of its a1
+    and a2, and keeps the children that pass.
 
     Returns (survivors, nodes, deepest) as a depth-first search trying 0
     before 1 would: the surviving prefixes, one per row of a C-contiguous
@@ -119,15 +172,11 @@ def prefix_search(
     free = min(n0 // k1, width)
     low = min(BLOCK_BITS, free)
     high = free - low
-    # settled[d - free]: the slices of the n that bit d settles, built when the
-    # search first reaches depth d, so memory follows the depth reached, not width
-    settled: list[list[tuple[slice, slice, int]]] = []
-    # the low free bits of every block: column v holds the bits of v, built
-    # one row at a time (a single int64 broadcast would be the peak)
-    values = np.arange(1 << low)
-    low_bits = np.empty((low, 1 << low), dtype=np.uint8)
-    for i in range(low):
-        low_bits[i] = values >> (low - 1 - i) & 1
+    # settled[d - free]: _depth_checks of bit d, built when the search first
+    # reaches depth d, so memory follows the depth reached, not width
+    settled: list[list[tuple[list, int]]] = []
+    words = max(1, -(-free // 64))  # of a free prefix
+    low_values = np.arange(1 << low, dtype=np.uint64)
 
     def free_rank(v: int) -> int:
         """Children tried at depths 1..free up to the free prefix v, inclusive:
@@ -139,32 +188,33 @@ def prefix_search(
     deep_nodes = deepest = 0  # deep_nodes: children tried below the free bits
     for block in range(1 << high):
         deep_before = deep_nodes
-        frontier = np.empty((free, 1 << low), dtype=np.uint8)
-        frontier[:high] = (block >> np.arange(high - 1, -1, -1) & 1)[:, None]
-        frontier[high:] = low_bits
+        # frontier[word, row]: the block's prefixes, one per column
+        frontier = np.empty((words, 1 << low), dtype=np.uint64)
+        frontier[:] = np.frombuffer((block << low).to_bytes(8 * words, "little"), "<u8")[:, None]
+        frontier[0] |= low_values
         kept = []  # per depth below the free bits: indices of the children that pass
         for d in range(free, width):
             if d - free == len(settled):
-                settled.append([_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))])
-            rows = frontier.shape[1]
-            children = np.empty((d + 1, 2 * rows), dtype=np.uint8)
-            children[:d, 0::2] = frontier
-            children[:d, 1::2] = frontier
-            children[d, 0::2] = 0
-            children[d, 1::2] = 1
-            ok = np.ones(2 * rows, dtype=bool)
-            for s2, s1, c in settled[d - free]:
-                # int32 sums: half the bytes of the default uint64 temporaries
-                weight = children[s2].sum(axis=0, dtype=np.int32)
-                weight += children[s1].sum(axis=0, dtype=np.int32)
+                settled.append(_depth_checks(w, n0, free, d))
+            if d >> 6 == len(frontier):  # bit d opens a new word
+                frontier = np.concatenate((frontier, np.zeros_like(frontier[:1])))
+            children = frontier.repeat(2, axis=1)
+            children[d >> 6, 1::2] |= np.uint64(1 << (d & 63))
+            ok = np.ones(children.shape[1], dtype=bool)
+            for ((word, value), *rest), c in settled[d - free]:
+                weight = np.bitwise_count(children[word] & value)
+                if 2 * c > 255:  # the uint8 popcounts could wrap
+                    weight = weight.astype(np.int64)
+                for word, value in rest:
+                    weight += np.bitwise_count(children[word] & value)
                 ok &= weight == c
             kept.append(np.flatnonzero(ok))
-            deep_nodes += 2 * rows
+            deep_nodes += children.shape[1]
             frontier = children[:, kept[-1]]
             if not kept[-1].size:
                 break
         found = frontier.shape[1]
-        deepest = max(deepest, width if found else frontier.shape[0] - 1)
+        deepest = max(deepest, width if found else d)
         total = free_rank(((block + 1) << low) - 1) + deep_nodes
         if found:
             take = found
@@ -181,7 +231,7 @@ def prefix_search(
                     for r, step in zip(at.tolist(), steps.tolist())
                 ]
                 take = sum(rank <= node_cap for rank in ranks)  # ranks rise along the rows
-            survivors.append(frontier[:, :take].T)
+            survivors.append(_unpack(frontier[:, :take], free, width))
             if first_only and take:
                 return np.concatenate(survivors), ranks[0], width
         if total > node_cap:

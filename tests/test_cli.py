@@ -52,6 +52,22 @@ def test_seeds_empty_census(capsys):
     assert run(capsys, *base, "plain")[:2] == (0, "")
 
 
+@pytest.mark.parametrize("k,n0", [(2, 1), (3, 2), (7, 17)])
+def test_seeds_bytes_match_stdlib_encoders(capsys, k, n0):
+    """json, csv and plain output of a census, written from the census
+    array through row templates, are byte for byte those of
+    json.dumps(indent=2), csv.writer and one line per seed."""
+    seeds = ["".join(map(str, row)) for row in partitions.enumerate_seeds(k, n0).tolist()]
+    assert seeds
+    base = ["seeds", "--k", str(k), "--n0", str(n0), "--format"]
+    doc = {"schema": 1, "command": "seeds", "k": k, "n0": n0, "count": len(seeds), "seeds": seeds}
+    assert run(capsys, *base, "json")[:2] == (0, json.dumps(doc, indent=2) + "\n")
+    table = io.StringIO()
+    csv.writer(table).writerows([["seed"], *([s] for s in seeds)])
+    assert run(capsys, *base, "csv")[:2] == (0, table.getvalue())
+    assert run(capsys, *base, "plain")[:2] == (0, "".join(s + "\n" for s in seeds))
+
+
 def test_seeds_cap_exceeded_exits_2(capsys):
     code, _, err = run(capsys, "seeds", "--k", "2", "--n0", "30")
     assert code == 2

@@ -126,30 +126,109 @@ FRONTIER_WEIGHTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (2, 
 FRONTIER_WIDTHS = [*range(1, 13), 16, 20, 24]
 
 
+def assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_sizes):
+    """prefix_search returns the survivors and the node count of the
+    recursive search in blocks of 2**block_bits prefixes for each size, and
+    its ``deepest`` wherever the cap is not hit; returns the oracle's result."""
+    expected = prefix_search_dfs(w, n0, width, first_only, cap)
+    for block_bits in block_sizes:
+        monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
+        got = prefix_search(w, n0, width, first_only, cap)
+        case = (n0, width, first_only, cap, block_bits)
+        assert [tuple(r) for r in got[0].tolist()] == expected[0], case
+        assert got[1] == expected[1], case
+        if expected[1] <= cap:
+            assert got[2] == expected[2], case
+    return expected
+
+
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
 def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
     """The block frontier returns the survivors and the preorder node count
     of the recursive search, with and without first_only, and under node
     caps that stop it early, one short of the count and at the count.
-    Blocks hold 4096 prefixes (one or two blocks here) and 4 (many blocks;
-    at most 2**7 of them, as more only slow the test).
+    Blocks hold 2**14 prefixes (one block here) and 4 (many blocks; at
+    most 2**7 of them, as more only slow the test).
     ``deepest`` is compared wherever the cap is not hit."""
     w = WeightPair(k1, k2)
     for n0 in range(14):
-        block_sizes = (2, 12) if n0 // k1 <= 9 else (12,)
+        block_sizes = (2, 14) if n0 // k1 <= 9 else (14,)
         for width in FRONTIER_WIDTHS:
             total = prefix_search_dfs(w, n0, width)[1]
             for first_only in (False, True):
                 for cap in (math.inf, 1, 50, max(total - 1, 1), total):
-                    expected = prefix_search_dfs(w, n0, width, first_only, cap)
-                    for block_bits in block_sizes:
-                        monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
-                        got = prefix_search(w, n0, width, first_only, cap)
-                        case = (n0, width, first_only, cap, block_bits)
-                        assert [tuple(r) for r in got[0].tolist()] == expected[0], case
-                        assert got[1] == expected[1], case
-                        if expected[1] <= cap:
-                            assert got[2] == expected[2], case
+                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_sizes)
+
+
+# one to three words of the packed frontier, each side of a word boundary
+WORD_WIDTHS = [63, 64, 65, 70, 130]
+
+
+@pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
+def test_prefix_search_matches_oracle_across_words(k1, k2, monkeypatch):
+    """Prefixes of 63 to 130 bits, packed in one to three uint64 words,
+    complete, with first_only and under node caps of 1 and 50, in blocks
+    of 2**14 prefixes and of 4 (where that makes at most 2**7 blocks)."""
+    w = WeightPair(k1, k2)
+    for n0 in range(0, 14, 3):
+        block_sizes = (2, 14) if n0 // k1 <= 9 else (14,)
+        for width in WORD_WIDTHS:
+            for first_only in (False, True):
+                for cap in (math.inf, 1, 50):
+                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_sizes)
+
+
+def test_free_prefix_wider_than_a_word(monkeypatch):
+    """(2, 3) at n0 = 140 has 70 free bits, so a free prefix's rank spans
+    two words.  At widths up to the free bits every prefix survives; past
+    them the first prefixes all die at bit 70.  first_only and node caps
+    from 1 to 20000 match the recursive search in blocks of 2**14 and 4."""
+    w = WeightPair(2, 3)
+    found = set()
+    for width in (64, 65, 70, 71, 80, 140):
+        for first_only in (False, True):
+            caps = (1, 50, 200, 20_000) + ((math.inf,) if first_only and width <= 70 else ())
+            for cap in caps:
+                expected = assert_matches_oracle(monkeypatch, w, 140, width, first_only, cap, (2, 14))
+                found.add(len(expected[0]) > 0)
+    assert found == {False, True}
+
+
+@pytest.mark.parametrize("k1,k2,n0", [(1, 2, 1), (1, 3, 2), (1, 5, 3)])
+def test_identity_sums_past_255(k1, k2, n0):
+    """At 600 bits of weights (1, k) an n has up to 301 solutions, so its
+    identity sum passes 255, the most a uint8 popcount can hold: the
+    complete search still matches the recursive one."""
+    w = WeightPair(k1, k2)
+    expected = prefix_search_dfs(w, n0, 600)
+    survivors, nodes, deepest = prefix_search(w, n0, 600)
+    assert len(expected[0]) > 0
+    assert ([tuple(r) for r in survivors.tolist()], nodes, deepest) == expected
+
+
+def test_packed_checks_match_solution_slices():
+    """The popcount checks of each depth give, on random prefixes, the sum
+    over the solution slices of the unpacked bits, with free bits packed in
+    reverse: free prefixes of 0 to 130 bits, weights (1, 3), (2, 3) and (3, 7)."""
+    rng = np.random.default_rng(11)
+    for k1, k2 in ((1, 3), (2, 3), (3, 7)):
+        w = WeightPair(k1, k2)
+        for free in (0, 5, 63, 64, 65, 70, 130):
+            n0 = k1 * free
+            for d in range(free, free + 140, 7):
+                bits = rng.integers(0, 2, d + 1).tolist()
+                packed = sum(b << (free - 1 - i if i < free else i) for i, b in enumerate(bits))
+                words = [packed >> 64 * i & (2**64 - 1) for i in range(d // 64 + 1)]
+                expected = []
+                for n in range(max(n0, k1 * d), k1 * (d + 1)):
+                    s2, s1, c = partitions._solution_slices(w, n)
+                    if c:
+                        expected.append((sum(bits[s2]) + sum(bits[s1]), c))
+                got = [
+                    (sum((words[i] & int(v)).bit_count() for i, v in terms), c)
+                    for terms, c in partitions._depth_checks(w, n0, free, d)
+                ]
+                assert got == expected, (k1, k2, free, d)
 
 
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
@@ -194,7 +273,7 @@ def test_certificate_verdicts_match_pair_grid(k1, k2):
 
 
 def test_prefix_search_matches_oracle_on_benchmark_case():
-    """(2, 3, 34) at 256 bits: 32 blocks of 2**12 free prefixes, half a
+    """(2, 3, 34) at 256 bits: 8 blocks of 2**14 free prefixes, half a
     million nodes, refuted at 29 bits; and the same search stopped by a
     node cap of 200,000, partway through its blocks."""
     w = WeightPair(2, 3)
@@ -206,7 +285,8 @@ def test_prefix_search_matches_oracle_on_benchmark_case():
 
 def test_search_memory_is_bounded():
     """The frontier of (2, 3, 34), whose 17 free bits give 131072 prefixes,
-    is held one block at a time: traced allocations peak under 2 MiB."""
+    is held one block of 2**14 packed prefixes at a time: traced
+    allocations peak under 2 MiB."""
     tracemalloc.start()
     try:
         outcome = nonexistence_search(WeightPair(2, 3), 34, 256)
