@@ -11,6 +11,7 @@ differs between the two.  Exit status 0 means every command matched.
 The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
 and ``build``, in json and csv), seed censuses in every format, empty and
 of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
+``scan-bound`` and ``classic`` over a million rows,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
@@ -91,6 +92,9 @@ def commands() -> list[list[str]]:
         cmds.append(["verify", *_seed(*SEEDS[1]), "--limit", "20000", *f, "--out", OUT])
         cmds.append(["classic", *_seed(*SEEDS[2]), "--limit", "20000", "--lo", "3", "--hi", "20000", *f, "--out", OUT])
         cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "20000", *f, "--out", OUT])
+        # about 245 write chunks, with 7-digit n
+        cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "0", "--hi", "1000000", *f])
+        cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "1000000", "--lo", "0", "--hi", "1000000", *f])
     cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
     for k1, k2, n0, cap in SEARCHES:
         cmds.append(["search", "--k1", str(k1), "--k2", str(k2), "--n0", str(n0), "--cap", str(cap)])

@@ -17,6 +17,7 @@ import json
 import os
 import resource
 import sys
+from collections.abc import Sequence
 from typing import TextIO
 
 from . import bounds, partitions
@@ -70,55 +71,94 @@ def _emit_csv(header: list[str], rows, out: TextIO) -> None:
     writer.writerows(rows)
 
 
-# rows formatted per write, so the text of a long table is never held whole
-CHUNK = 16384
+# rows formatted per write, so the text of a long table is never held whole;
+# a larger chunk formats no faster and leaves a larger heap behind
+CHUNK = 4096
+
+
+def _format_rows(cols: list[np.ndarray], seps: list[str]) -> str:
+    """The text of one chunk: row i is seps[0], cols[0][i], seps[1], ...,
+    cols[-1][i], seps[-1], each value in decimal.
+
+    The rows are one (rows, width) uint8 buffer filled with a row template,
+    the separators with a NUL field per column as wide as its widest value.
+    Each digit position is one NumPy pass over a column; digits above a
+    number's lead stay NUL, and the NULs are dropped from the decoded text.
+    """
+    cols = [col.astype(np.int64, copy=False) for col in cols]
+    spans = [(int(col.min()), int(col.max())) for col in cols]
+    template, fields = seps[0], []
+    for (lo, hi), sep in zip(spans, seps[1:]):
+        width = (lo < 0) + len(str(max(-lo, hi)))
+        fields.append((len(template), width))
+        template += "\0" * width + sep
+    rows = np.empty((len(cols[0]), len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template.encode(), dtype=np.uint8)
+    for col, (lo, _), (at, width) in zip(cols, spans, fields):
+        if lo < 0:
+            np.copyto(rows[:, at], ord("-"), where=col < 0)
+        mag = np.abs(col).astype(np.uint64)  # |int64 min| wraps to -2**63, read back as 2**63
+        # every value shows the digits up to the lead of the smallest one
+        rest, place, least = mag, 1, max(int(mag.min()), 1)
+        for pos in range(at + width - 1, at + (lo < 0) - 1, -1):
+            # // and a subtraction: np.divmod on uint64 is several times slower
+            quot = rest // 10
+            np.copyto(rows[:, pos], rest - quot * 10 + ord("0"), casting="unsafe",
+                      where=place <= least or mag >= place)
+            rest, place = quot, place * 10
+    # a str straight from the buffer: a tobytes() copy first costs as much
+    # again, and dropping NULs from the str beats a boolean mask on the array
+    return str(rows.ravel(), "ascii").replace("\0", "")
 
 
 def _emit_table(
-    columns: list[str], table: np.ndarray, out: TextIO, doc: dict | None = None
+    columns: list[str], cols: Sequence[np.ndarray], out: TextIO, doc: dict | None = None
 ) -> None:
-    """Write a 2-D integer table, CHUNK rows at a time.
+    """Write equal-length 1-D integer columns as a table, CHUNK rows at a time.
 
     Without ``doc`` the bytes are those of ``csv.writer``: the header row,
-    then one row per table row.  With ``doc`` they are those of
-    ``json.dumps({**doc, "columns": columns, "rows": table.tolist()},
-    indent=2)`` plus a newline, so ``"rows"`` must be the document's last
-    key.  Each chunk is formatted by one ``%`` over a row template, not by
-    the pure-Python encoder that ``indent`` forces on ``json.dumps``.
+    then one row per index.  With ``doc`` they are those of
+    ``json.dumps({**doc, "columns": columns, "rows": rows}, indent=2)`` plus
+    a newline, where ``rows`` lists each index's values, so ``"rows"`` must
+    be the document's last key.  Each chunk is formatted in NumPy by
+    :func:`_format_rows`, with no Python int per value and without the
+    pure-Python encoder that ``indent`` forces on ``json.dumps``.
     """
-    nrows, ncols = table.shape
+    nrows = len(cols[0])
     if doc is None:
         buf = io.StringIO()
         csv.writer(buf).writerow(columns)
-        head, row, skip, tail = buf.getvalue(), ",".join(["%d"] * ncols) + "\r\n", 0, ""
+        head, skip, tail = buf.getvalue(), 0, ""
+        seps = ["", *[","] * (len(cols) - 1), "\r\n"]
     else:
         doc = {**doc, "columns": columns, "rows": None}
         if list(doc)[-1] != "rows":
             raise ValueError('"rows" must be the last key of a table document')
         head = json.dumps(doc, indent=2)[: -len("null\n}")] + "["
         # every row carries its leading separator; the first one drops it
-        row = ",\n    [\n" + ",\n".join(["      %d"] * ncols) + "\n    ]"
+        seps = [",\n    [\n      ", *[",\n      "] * (len(cols) - 1), "\n    ]"]
         skip, tail = 1, ("\n  ]" if nrows else "]") + "\n}\n"
     out.write(head)
     for start in range(0, nrows, CHUNK):
-        block = table[start : start + CHUNK]
-        text = (row * len(block)) % tuple(block.ravel().tolist())
+        text = _format_rows([col[start : start + CHUNK] for col in cols], seps)
         out.write(text[skip:] if start == 0 else text)
     out.write(tail)
 
 
 # Peak bytes per table entry of each command, from the chi bits to the last
 # output chunk.  Measured as tracemalloc peaks (NumPy buffers and Python
-# objects) at N = 10**6 over every format and over valid and corrupted
-# seeds: build 26.0, verify 61.2, scan-bound 79.7 (lo = 0), classic 114.8
-# (lo = 0, hi = limit); rounded up to a multiple of 8.  Every table grows
-# linearly with N, so a constant times N estimates a request's peak before
-# anything is allocated.  For search N is the number of free bits,
-# min(n0 // k1, cap), which sets the words per prefix of its packed
-# frontier: 11326 bytes per free bit at most, over (k1, k2) in (2, 3),
-# (3, 4), (2, 9), (5, 7) and free = 500, 2000, 8000, with cap = free and
-# 2 * free (measured as peak / (free + 1) around the whole command).
-_BYTES_PER_N = {"build": 32, "verify": 64, "scan-bound": 80, "classic": 120, "search": 11328}
+# objects) of main() writing to --out, at N = 2 * 10**5 and 10**6 over every
+# format and over valid and corrupted seeds, the larger of the two (the
+# writer's chunk buffers weigh more per n at the smaller N): build 10.4,
+# verify 34.0, scan-bound 58.1 (lo = 0), classic 65.9 (lo = 0, hi = limit);
+# rounded up to a multiple of 8.  Every table grows linearly with N, so a
+# constant times N estimates a request's peak before anything is allocated.
+# For search N is the number of free bits, min(n0 // k1, cap), which sets
+# the words per prefix of its packed frontier: 11326 bytes per free bit at
+# most, over (k1, k2) in (2, 3), (3, 4), (2, 9), (5, 7) and free = 500,
+# 2000, 8000, with cap = free and 2 * free (measured as peak / (free + 1)
+# around the whole command).
+_BYTES_PER_N = {"build": 16, "verify": 40, "scan-bound": 64, "classic": 72, "search": 11328}
 
 
 def _memory_limit() -> int:
@@ -185,6 +225,9 @@ def _cmd_build(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
     _check_memory(cfg, cfg.limit, "limit")
     chi = partitions.extend_seed(seed, cfg.limit)
+    if cfg.format == "csv":
+        _emit_table(["n", "chi"], (np.arange(chi.limit + 1), chi.bits), out)
+        return 0
     bit_string = (chi.bits + ord("0")).tobytes().decode("ascii")
     if cfg.format == "json":
         _emit_json(
@@ -199,8 +242,6 @@ def _cmd_build(cfg: argparse.Namespace, out: TextIO) -> int:
             },
             out,
         )
-    elif cfg.format == "csv":
-        _emit_table(["n", "chi"], np.column_stack((np.arange(chi.limit + 1), chi.bits)), out)
     else:
         out.write(bit_string + "\n")
     return 0
@@ -360,8 +401,8 @@ def _cmd_classic(cfg: argparse.Namespace, out: TextIO) -> int:
     _check_memory(cfg, cfg.limit, "limit")
     chi = partitions.extend_seed(seed, cfg.limit)
     counts = [classic_rep(chi, side, cfg.hi) for side in (SET, COMPLEMENT)]
-    table = np.column_stack(
-        (np.arange(cfg.lo, cfg.hi + 1), *(c[v][cfg.lo :] for c in counts for v in (R1, R2, R3)))
+    table = (
+        np.arange(cfg.lo, cfg.hi + 1), *(c[v][cfg.lo :] for c in counts for v in (R1, R2, R3))
     )
     header = ["n", "r1_set", "r2_set", "r3_set", "r1_comp", "r2_comp", "r3_comp"]
     if cfg.format == "csv":

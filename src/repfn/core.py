@@ -215,13 +215,13 @@ class ScanReport:
         bound = [] if self.bound is None else ["bound"]
         return ["n", "R_A", "R_comp", *bound, "ok"]
 
-    def table(self) -> np.ndarray:
-        """The 2-D int64 table, one row per n, in the order of :attr:`columns`."""
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The per-n arrays, one entry per n, in the order of :attr:`columns`."""
         bound = () if self.bound is None else (self.bound,)
-        return np.column_stack((self.ns, self.r_set, self.r_comp, *bound, self.ok))
+        return (self.ns, self.r_set, self.r_comp, *bound, self.ok)
 
     def to_dict(self) -> dict:
-        """The report's fields without its table; see :meth:`table`."""
+        """The report's fields without its per-n arrays; see :meth:`table`."""
         return {
             "kind": self.kind,
             "k": self.k,

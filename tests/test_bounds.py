@@ -350,7 +350,7 @@ def test_bound_scan_small(seed011):
     # R(2) = 0 for this table, so the reported ratio floor is exactly 0
     assert report.min_ratio == 0.0
     assert bound_scan(chi, 100, 2000).min_ratio > 0
-    row100 = dict((n, (rs, b)) for n, rs, _, b, _ in report.table().tolist())
+    row100 = dict(zip(report.ns.tolist(), zip(report.r_set.tolist(), report.bound.tolist())))
     assert row100[100][1] == 1  # B(100) = 1
     assert row100[100][0] >= 1
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,18 +331,18 @@ def _writer_table(nrows, ncols):
     return table
 
 
-def _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols):
+def _check_writer_against_stdlib(capsys, tmp_path, cols):
     """csv and json bytes, on stdout and through --out, equal the stdlib's."""
-    columns = [f"c{i}" for i in range(ncols)]
-    table = _writer_table(nrows, ncols)
+    columns = [f"c{i}" for i in range(len(cols))]
+    rows = [[int(v) for v in row] for row in zip(*cols)]
     head = {"schema": 1, "command": "table", "seed": "011", "nested": {"a": [1, None]}}
-    expected_json = json.dumps({**head, "columns": columns, "rows": table.tolist()}, indent=2)
-    for doc, expected in ((None, _stdlib_csv(columns, table.tolist())), (head, expected_json + "\n")):
-        cli._emit_table(columns, table, sys.stdout, doc)
+    expected_json = json.dumps({**head, "columns": columns, "rows": rows}, indent=2)
+    for doc, expected in ((None, _stdlib_csv(columns, rows)), (head, expected_json + "\n")):
+        cli._emit_table(columns, cols, sys.stdout, doc)
         assert capsys.readouterr().out == expected
         target = tmp_path / "table.out"
         with cli._open_out(str(target)) as out:
-            cli._emit_table(columns, table, out, doc)
+            cli._emit_table(columns, cols, out, doc)
         assert target.read_bytes() == expected.encode()
 
 
@@ -350,44 +351,88 @@ def _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols):
 def test_emit_table_matches_stdlib_across_chunks(capsys, tmp_path, monkeypatch, nrows, ncols):
     """With an 8-row chunk every table size meets the chunk boundaries."""
     monkeypatch.setattr(cli, "CHUNK", 8)
-    _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols)
+    _check_writer_against_stdlib(capsys, tmp_path, _writer_table(nrows, ncols).T)
 
 
 @pytest.mark.parametrize("ncols", [1, 5, 7])
-@pytest.mark.parametrize("nrows", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("nrows", [m * CHUNK + d for m in (1, 4) for d in (-1, 0, 1)])
 def test_emit_table_matches_stdlib_at_chunk_size(capsys, tmp_path, nrows, ncols):
-    _check_writer_against_stdlib(capsys, tmp_path, nrows, ncols)
+    """One row short of, exactly at and one row past one and four chunks."""
+    _check_writer_against_stdlib(capsys, tmp_path, _writer_table(nrows, ncols).T)
+
+
+@pytest.mark.parametrize(
+    "col",
+    [
+        np.array([True, False, False, True, True]),
+        np.array([0, 1, 9, 10, 99, 100, 255], dtype=np.uint8),
+        # one chunk holds 1- to 19-digit numbers of both signs
+        np.array([0, 7, -7, 10, -99, 12345, 10**18, -(10**18) + 1, 999, 10**9], dtype=np.int64),
+        np.zeros(11, dtype=np.int64),
+        np.array([-128, 127, 0, -1], dtype=np.int8),  # |-128| wraps in int8
+    ],
+    ids=["bool", "uint8", "widths-in-one-chunk", "all-zero", "int8"],
+)
+def test_emit_table_column_kinds(capsys, tmp_path, monkeypatch, col):
+    """Columns of other dtypes and widths, alone and next to an int64 column,
+    in chunks of 8 and of CHUNK rows."""
+    for chunk in (8, CHUNK):
+        monkeypatch.setattr(cli, "CHUNK", chunk)
+        _check_writer_against_stdlib(capsys, tmp_path, [col])
+        _check_writer_against_stdlib(capsys, tmp_path, [np.arange(len(col)) - 3, col])
 
 
 def test_emit_table_rows_must_be_last_key():
     out = io.StringIO()
     doc = {"schema": 1, "rows": None, "command": "table"}
     with pytest.raises(ValueError, match="last key"):
-        cli._emit_table(["n"], np.zeros((3, 1), dtype=np.int64), out, doc)
+        cli._emit_table(["n"], np.zeros((3, 1), dtype=np.int64).T, out, doc)
     assert out.getvalue() == ""
 
 
 # ------------------------------------------------------------------ memory
 
-_TABLE_COMMANDS = {
-    "build": ["--limit", "1000"],
-    "verify": ["--limit", "1000"],
-    "scan-bound": ["--lo", "0", "--hi", "1000"],
-    "classic": ["--limit", "1000", "--lo", "0", "--hi", "1000"],
-}
+_TABLE_COMMANDS = ("build", "classic", "scan-bound", "verify")
 
 
-@pytest.mark.parametrize("command", sorted(_TABLE_COMMANDS))
+def _table_argv(command, n):
+    """A table command over [0, n] for the seed 011."""
+    sizes = {
+        "build": ["--limit", n],
+        "verify": ["--limit", n],
+        "scan-bound": ["--lo", "0", "--hi", n],
+        "classic": ["--limit", n, "--lo", "0", "--hi", n],
+    }
+    return [command, "--k", "2", "--n0", "1", "--seed", "011", *sizes[command]]
+
+
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
 def test_table_beyond_memory_exits_2_before_allocating(capsys, monkeypatch, command):
     def no_table(*args, **kwargs):
         raise AssertionError("the table was built")
 
-    monkeypatch.setattr(cli, "_memory_limit", lambda: 2**14)
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 2**13)
     monkeypatch.setattr(partitions, "extend_seed", no_table)
-    code, out, err = run(capsys, command, "--k", "2", "--n0", "1", "--seed", "011",
-                         *_TABLE_COMMANDS[command])
+    code, out, err = run(capsys, *_table_argv(command, "1000"))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {command} --") and "needs about" in err and "GiB" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", _TABLE_COMMANDS)
+def test_table_peak_within_memory_estimate(capsys, tmp_path, command, fmt):
+    """The estimate the memory guard checks before allocating bounds the
+    traced peak of the whole command, from the seed to the last chunk."""
+    n = 200_000
+    argv = [*_table_argv(command, str(n)), "--format", fmt, "--out", str(tmp_path / "table")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= cli._BYTES_PER_N[command] * (n + 1), peak / (n + 1)
 
 
 @pytest.mark.parametrize("n0,cap", [(1000, 10**6), (10**6, 1000)], ids=["n0", "cap"])

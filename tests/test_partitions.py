@@ -258,7 +258,7 @@ def test_verify_structure_all_ones():
 
 def test_verify_equality_hand_value(chi_small):
     report = verify_equality(chi_small, 20)
-    row = dict((n, (rs, rc)) for n, rs, rc, _ in report.table().tolist())
+    row = dict(zip(report.ns.tolist(), zip(report.r_set.tolist(), report.r_comp.tolist())))
     # at n=4: set pair (2, 1), complement pair (4, 0)
     assert row[4] == (1, 1)
     assert report.passed
