@@ -11,7 +11,8 @@ differs between the two.  Exit status 0 means every command matched.
 The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
 and ``build``, in json and csv), seed censuses in every format, empty and
 of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
-``scan-bound`` and ``classic`` over a million rows,
+``scan-bound``, ``classic`` and ``verify`` over a million rows, ``verify``
+over ten million, ``verify`` on a non-seed with many equality violations,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
@@ -38,6 +39,8 @@ MISSING = "{missing}"  # replaced by a path in a directory that does not exist
 
 SEEDS = [("2", "1", "011"), ("3", "2", "01110"), ("5", "3", "01011101")]
 CORRUPTED = ("3", "2", "01111")
+# fails the window identity at n = 2, and equality at many n after it
+NON_SEED = ("2", "1", "010")
 
 # (k1, k2, n0, cap): the search benchmark ops, the golden cases, a deeper
 # refutation, caps below the refutation depth and a run past the node cap
@@ -95,6 +98,9 @@ def commands() -> list[list[str]]:
         # about 245 write chunks, with 7-digit n
         cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "0", "--hi", "1000000", *f])
         cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "1000000", "--lo", "0", "--hi", "1000000", *f])
+        for seed in (CORRUPTED, NON_SEED):
+            cmds.append(["verify", *_seed(*seed), "--limit", "1000000", *f])
+    cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000"])
     cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
     for k1, k2, n0, cap in SEARCHES:
         cmds.append(["search", "--k1", str(k1), "--k2", str(k2), "--n0", str(n0), "--cap", str(cap)])

@@ -150,9 +150,10 @@ def _emit_table(
 # objects) of main() writing to --out, at N = 2 * 10**5 and 10**6 over every
 # format and over valid and corrupted seeds, the larger of the two (the
 # writer's chunk buffers weigh more per n at the smaller N): build 10.4,
-# verify 34.0, scan-bound 58.1 (lo = 0), classic 65.9 (lo = 0, hi = limit);
-# rounded up to a multiple of 8.  Every table grows linearly with N, so a
-# constant times N estimates a request's peak before anything is allocated.
+# verify 36.3 (csv; json counts nothing and peaks at 13.1), scan-bound 58.1
+# (lo = 0), classic 65.9 (lo = 0, hi = limit); rounded up to a multiple of 8.
+# Every table grows linearly with N, so a constant times N estimates a
+# request's peak before anything is allocated.
 # For search N is the number of free bits, min(n0 // k1, cap), which sets
 # the words per prefix of its packed frontier: 11326 bytes per free bit at
 # most, over (k1, k2) in (2, 3), (3, 4), (2, 9), (5, 7) and free = 500,
@@ -263,7 +264,8 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
         _emit_table(["n", "R_A", "R_comp", "equal"], equality.table(), out)
         print(f"verify: {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:
-        eq_violations = equality.ns[~equality.ok]
+        # from the flags D == 0 alone, with no array of the violations
+        eq_count = equality.ok.size - int(np.count_nonzero(equality.ok))
         _emit_json(
             {
                 "schema": SCHEMA_VERSION,
@@ -282,8 +284,10 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
                     },
                     "equality": {
                         "passed": equality.passed,
-                        "first_violation": int(eq_violations[0]) if eq_violations.size else None,
-                        "violation_count": eq_violations.size,
+                        "first_violation": equality.lo + int(equality.ok.argmin())
+                        if eq_count
+                        else None,
+                        "violation_count": eq_count,
                     },
                     "block_parity": {
                         "passed": parity.ok,

@@ -15,7 +15,9 @@ accumulation (counts never exceed n, so 64 bits is ample).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 from ._numpy import np
@@ -182,12 +184,17 @@ def classic_rep(chi: ChiTable, side: str, up_to: int) -> dict[str, np.ndarray]:
 
 @dataclass
 class ScanReport:
-    """Per-n record of set/complement counts, optionally against a lower bound.
+    """Per-n record of set/complement counts on [lo, hi], optionally against
+    a lower bound.
 
     ``kind`` is "equality" (flag: counts agree; ``bound`` is None) or
-    "bound" (flag: both counts reach the guaranteed bound).  ``min_ratio``
-    is the running minimum of r_set / max(1, ln n) over the scan, reported
-    for bound scans and never asserted.
+    "bound" (flag: both counts reach the guaranteed bound).  ``diff`` is
+    D = R_A - R_C on [lo, hi], which decides equality alone.  The per-n
+    columns ``ns``, ``r_set`` (R_A, from ``count``) and ``r_comp``
+    (R_A - D) are built on first read, so a report that is only judged
+    counts nothing; a scan that built them already assigns them.
+    ``min_ratio`` is the running minimum of r_set / max(1, ln n) over the
+    scan, reported for bound scans and never asserted.
     """
 
     kind: str
@@ -195,16 +202,27 @@ class ScanReport:
     n0: int
     lo: int
     hi: int
-    ns: np.ndarray = field(repr=False)
-    r_set: np.ndarray = field(repr=False)
-    r_comp: np.ndarray = field(repr=False)
     ok: np.ndarray = field(repr=False)
+    diff: np.ndarray | None = field(default=None, repr=False)
+    count: Callable[[], np.ndarray] | None = field(default=None, repr=False)
     bound: np.ndarray | None = field(default=None, repr=False)
     min_ratio: float | None = None
 
+    @cached_property
+    def ns(self) -> np.ndarray:
+        return np.arange(self.lo, self.hi + 1)
+
+    @cached_property
+    def r_set(self) -> np.ndarray:
+        return self.count()
+
+    @cached_property
+    def r_comp(self) -> np.ndarray:
+        return self.r_set - self.diff
+
     @property
     def violations(self) -> list[int]:
-        return [int(n) for n in self.ns[~self.ok]]
+        return (self.lo + np.flatnonzero(~self.ok)).tolist()
 
     @property
     def passed(self) -> bool:

@@ -311,6 +311,12 @@ def enumerate_seeds(k: int, n0: int) -> np.ndarray:
     return prefix_search(WeightPair(1, k), n0, width)[0]
 
 
+def _quotient_bits(bits: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
+    """bits[n // d] for n in [lo, hi], with no index array: the bits on
+    [lo // d, hi // d], each repeated d times, cut to the range."""
+    return np.repeat(bits[lo // d : hi // d + 1], d)[lo % d : lo % d + hi - lo + 1]
+
+
 def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:
     width = seed.k + seed.n0
     bits = np.empty(limit + 1, dtype=np.uint8)
@@ -319,7 +325,7 @@ def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:
     lo = width
     while lo <= limit:
         hi = min(limit, seed.k * lo - 1)
-        bits[lo : hi + 1] = 1 - bits[np.arange(lo, hi + 1) // seed.k]
+        np.bitwise_xor(_quotient_bits(bits, seed.k, lo, hi), 1, out=bits[lo : hi + 1])
         lo = hi + 1
     return bits
 
@@ -373,11 +379,10 @@ def verify_structure(chi: ChiTable, up_to: int) -> StructureReport:
     flip_first = None
     flip_count = 0
     if up_to >= k + n0:
-        ns = np.arange(k + n0, up_to + 1)
-        bad = ns[bits[ns] == bits[ns // k]]
-        flip_count = int(bad.size)
+        bad = bits[k + n0 : up_to + 1] == _quotient_bits(bits, k, k + n0, up_to)
+        flip_count = int(np.count_nonzero(bad))
         if flip_count:
-            flip_first = int(bad[0])
+            flip_first = k + n0 + int(bad.argmax())
     return StructureReport(
         checked_up_to=up_to,
         window_violations=tuple(window),
@@ -389,8 +394,9 @@ def verify_structure(chi: ChiTable, up_to: int) -> StructureReport:
 def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
     """Compare R_{1,k} on the set and its complement for every n in [n0, up_to].
 
-    The identity is decided by the difference D = R_A - R_C alone; the
-    complement's counts are reported as R_A - D, so the kernel runs once.
+    The identity is decided by the difference D = R_A - R_C alone.  The
+    counting kernel runs only if the report's R_A column is read, and the
+    complement's counts are then R_A - D.
     """
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
@@ -399,17 +405,15 @@ def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
     w = WeightPair(1, chi.k)
     lo = chi.n0
     diff = rep_difference(chi, w, up_to)[lo:]
-    r_set = rep_values(chi, SET, w, up_to)[lo:]
     return ScanReport(
         kind="equality",
         k=chi.k,
         n0=chi.n0,
         lo=lo,
         hi=up_to,
-        ns=np.arange(lo, up_to + 1),
-        r_set=r_set,
-        r_comp=r_set - diff,
         ok=diff == 0,
+        diff=diff,
+        count=lambda: rep_values(chi, SET, w, up_to)[lo:],
     )
 
 
@@ -461,33 +465,34 @@ def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
     below_checked = 0
     below_mismatch = 0
 
-    def compare(ns: np.ndarray, blocks: np.ndarray, i: int, judge: bool) -> int:
-        """Tally one row of blocks per base n in ns; return the cells judged."""
+    def compare(i: int, start: int, stop: int, judge: bool) -> int:
+        """Tally the blocks of the bases n in [start, stop), the last one
+        possibly cut at the limit; return the cells judged."""
         nonlocal violation_count, below_checked, below_mismatch
-        bad = blocks != (bits[ns] ^ (i & 1))[:, None]
+        base = k**i
+        lo, hi = base * start, min(base * stop, limit + 1) - 1
+        cells, parents = bits[lo : hi + 1], _quotient_bits(bits, base, lo, hi)
+        # odd i flips the block: a cell equal to its base's bit is wrong
+        bad = cells == parents if i & 1 else cells != parents
+        count = int(np.count_nonzero(bad))
         if not judge:
             below_checked += bad.size
-            below_mismatch += int(np.count_nonzero(bad))
+            below_mismatch += count
             return 0
-        violation_count += int(np.count_nonzero(bad))
+        violation_count += count
         room = _MAX_STORED_VIOLATIONS - len(violations)
-        if room > 0:
-            rows, js = np.nonzero(bad)
-            violations.extend(zip(ns[rows[:room]].tolist(), [i] * room, js[:room].tolist()))
+        if count and room > 0:
+            cell = np.flatnonzero(bad)[:room]
+            ns, js = (start + cell // base).tolist(), (cell % base).tolist()
+            violations.extend(zip(ns, [i] * room, js))
         return bad.size
 
     for i in range(1, i_max + 1):
-        base = k**i
-        # full blocks: base*n + base - 1 <= limit, for n in [0, m)
-        m = (limit + 1) // base
-        full = bits[: m * base].reshape(m, base)
+        # bases n with a cell k**i * n + j <= limit: n in [0, m)
+        m = limit // k**i + 1
         cut = min(threshold, m)
-        compare(np.arange(cut), full[:cut], i, judge=False)
-        judged = compare(np.arange(cut, m), full[cut:], i, judge=True)
-        # one partial block may remain
-        if base * m <= limit:
-            judged += compare(np.array([m]), bits[base * m :][None, :], i, judge=m >= threshold)
-        checked_per_i.append(judged)
+        compare(i, 0, cut, judge=False)
+        checked_per_i.append(compare(i, cut, m, judge=True))
 
     return BlockParityReport(
         i_max=i_max,

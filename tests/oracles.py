@@ -3,7 +3,8 @@
 Each oracle computes the same quantity as a library function by a different
 route: the naive per-n counter, the strided sieve and the pair-grid
 histogram for ``rep_values``, a per-n pair loop for the window identity that
-``rep_difference`` decides, a per-base loop for ``verify_block_parity``, a
+``rep_difference`` decides, a per-n loop for the flip check of
+``verify_structure``, a per-base loop for ``verify_block_parity``, a
 per-n pair loop for ``classic_rep``, the flip rule as a recursion for
 ``SeedAssignment.value``, a recursive depth-first search for the block
 frontier of ``prefix_search``, and a pair-grid double loop for
@@ -116,6 +117,18 @@ def classic_counts(bits, side: str, n: int) -> tuple[int, int, int]:
             else:
                 r1 += 1
     return r1, r2, r3
+
+
+def flip_rule_loop(chi: ChiTable, up_to: int) -> tuple[int | None, int]:
+    """(first violation, violation count) of the flip rule
+    chi(n) = 1 - chi(n // k) over n in [k + n0, up_to], one n at a time."""
+    first, count = None, 0
+    for n in range(chi.k + chi.n0, up_to + 1):
+        if chi.bits[n] == chi.bits[n // chi.k]:
+            count += 1
+            if first is None:
+                first = n
+    return first, count
 
 
 def block_parity_loop(chi: ChiTable, i_max: int) -> BlockParityReport:

@@ -150,6 +150,27 @@ def test_verify_csv_rows(capsys):
         assert (r_a == r_comp) == (equal == 1)
 
 
+def test_verify_json_runs_no_counting_kernel(capsys, monkeypatch):
+    """JSON verify decides equality from D alone: with the counting kernel
+    made to raise, its documents and exit codes are those of an unpatched
+    run, on a valid seed and on the corrupted 01111.  The csv table reads
+    R_A, so it still reaches the kernel."""
+    argvs = [
+        ["verify", "--k", "2", "--n0", "1", "--seed", "011", "--limit", "2000"],
+        ["verify", "--k", "3", "--n0", "2", "--seed", "01111", "--limit", "2000"],
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0, 1]
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the counting kernel ran")
+
+    monkeypatch.setattr(partitions, "rep_values", no_kernel)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    with pytest.raises(AssertionError, match="counting kernel"):
+        main([*argvs[0], "--format", "csv"])
+
+
 # -------------------------------------------------------------- scan-bound
 
 def test_scan_bound_json_roundtrip(capsys):

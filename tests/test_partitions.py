@@ -29,6 +29,7 @@ from repfn import (
 from oracles import (
     block_parity_loop,
     chi_recursive,
+    flip_rule_loop,
     pair_grid_rep_values,
     rep_count_weighted,
     window_identity_loop,
@@ -245,8 +246,35 @@ def test_verify_structure_detects_flip(seed011):
     broken = ChiTable(bits, 2, 1)
     report = verify_structure(broken, 200)
     assert not report.ok
-    # the flip breaks the rule at n=50 or at one of its children
-    assert report.flip_first_violation in [50] + list(range(100, 102))
+    # the flip breaks the rule at n=50 and at its children 100 and 101
+    assert (report.flip_first_violation, report.flip_violation_count) == flip_rule_loop(broken, 200)
+    assert report.flip_first_violation == 50
+
+
+def _flip_tables(k: int, n0: int):
+    """(chi, label) pairs on [0, 8k + n0 + 5]: random bits, and the
+    extension of a random seed with a few corrupted bits."""
+    rng = np.random.default_rng(100 * k + n0)
+    limit = 8 * k + n0 + 5
+    yield ChiTable((rng.random(limit + 1) < 0.5).astype(np.uint8), k, n0), "random"
+    seed = SeedAssignment(k, n0, tuple(rng.integers(0, 2, size=k + n0).tolist()))
+    for flips in (1, 3):
+        bits = extend_seed(seed, limit, require_valid=False).bits.copy()
+        bits[rng.integers(0, limit + 1, size=flips)] ^= 1
+        yield ChiTable(bits, k, n0), f"{flips} corrupted"
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n0", [0, 1, 2, 3])
+def test_flip_check_matches_loop_oracle(k, n0):
+    """The flip check's first violation and count equal the per-n loop's
+    at every up_to: every residue mod k, and below k + n0, where no n is
+    checked."""
+    for chi, label in _flip_tables(k, n0):
+        for up_to in range(chi.limit + 1):
+            report = verify_structure(chi, up_to)
+            got = (report.flip_first_violation, report.flip_violation_count)
+            assert got == flip_rule_loop(chi, up_to), (label, up_to)
 
 
 def test_verify_structure_all_ones():
