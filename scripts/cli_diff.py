@@ -13,6 +13,7 @@ and ``build``, in json and csv), seed censuses in every format, empty and
 of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
 ``scan-bound``, ``classic`` and ``verify`` over a million rows, ``verify``
 over ten million, ``verify`` on a non-seed with many equality violations,
+``verify`` with k**4 far above the limit,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
@@ -100,6 +101,9 @@ def commands() -> list[list[str]]:
         cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "1000000", "--lo", "0", "--hi", "1000000", *f])
         for seed in (CORRUPTED, NON_SEED):
             cmds.append(["verify", *_seed(*seed), "--limit", "1000000", *f])
+        # k**4 far beyond the limit: every level past the first is one cut block
+        for k in (200, 1000):
+            cmds.append(["verify", *_seed(str(k), "0", "0" + "1" * (k - 1)), "--limit", str(3 * k), *f])
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000"])
     cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
     for k1, k2, n0, cap in SEARCHES:

@@ -302,18 +302,17 @@ def bound_scan(chi: ChiTable, lo: int, hi: int) -> ScanReport:
     bound = bound_array(chi.k, chi.n0, lo, hi)
     ok = (r_set >= bound) & (r_comp >= bound)
     ratios = r_set / np.maximum(1.0, np.log(np.maximum(ns, 1).astype(np.float64)))
-    report = ScanReport(
+    return ScanReport(
         kind="bound",
         k=chi.k,
         n0=chi.n0,
         lo=lo,
         hi=hi,
         ok=ok,
+        counts=lambda: (ns, r_set, r_comp),
         bound=bound,
         min_ratio=float(ratios.min()) if ns.size else None,
     )
-    report.ns, report.r_set, report.r_comp = ns, r_set, r_comp
-    return report
 
 
 UNSAT = "unsat"

@@ -188,11 +188,10 @@ class ScanReport:
     a lower bound.
 
     ``kind`` is "equality" (flag: counts agree; ``bound`` is None) or
-    "bound" (flag: both counts reach the guaranteed bound).  ``diff`` is
-    D = R_A - R_C on [lo, hi], which decides equality alone.  The per-n
-    columns ``ns``, ``r_set`` (R_A, from ``count``) and ``r_comp``
-    (R_A - D) are built on first read, so a report that is only judged
-    counts nothing; a scan that built them already assigns them.
+    "bound" (flag: both counts reach the guaranteed bound).  ``counts``
+    builds the per-n columns ``(ns, r_set, r_comp)``, n and R_{1,k} on the
+    set and on the complement; it runs on the first read of any of them,
+    so a report that is only judged from its flags need count nothing.
     ``min_ratio`` is the running minimum of r_set / max(1, ln n) over the
     scan, reported for bound scans and never asserted.
     """
@@ -203,22 +202,25 @@ class ScanReport:
     lo: int
     hi: int
     ok: np.ndarray = field(repr=False)
-    diff: np.ndarray | None = field(default=None, repr=False)
-    count: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    counts: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
     bound: np.ndarray | None = field(default=None, repr=False)
     min_ratio: float | None = None
 
     @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.counts()
+
+    @property
     def ns(self) -> np.ndarray:
-        return np.arange(self.lo, self.hi + 1)
+        return self._columns[0]
 
-    @cached_property
+    @property
     def r_set(self) -> np.ndarray:
-        return self.count()
+        return self._columns[1]
 
-    @cached_property
+    @property
     def r_comp(self) -> np.ndarray:
-        return self.r_set - self.diff
+        return self._columns[2]
 
     @property
     def violations(self) -> list[int]:

@@ -312,9 +312,20 @@ def enumerate_seeds(k: int, n0: int) -> np.ndarray:
 
 
 def _quotient_bits(bits: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
-    """bits[n // d] for n in [lo, hi], with no index array: the bits on
-    [lo // d, hi // d], each repeated d times, cut to the range."""
-    return np.repeat(bits[lo // d : hi // d + 1], d)[lo % d : lo % d + hi - lo + 1]
+    """bits[n // d] for n in [lo, hi] (lo <= hi), with no index array.
+
+    A range that holds a whole quotient is the bits on [lo // d, hi // d],
+    each repeated d times, cut to the range: then d <= hi - lo + 1, so the
+    repeat is under three times the range.  A range within two quotients is
+    filled directly, since d may be far longer than the range.
+    """
+    q0, q1 = lo // d, hi // d
+    if q1 - q0 >= 2:
+        return np.repeat(bits[q0 : q1 + 1], d)[lo - q0 * d : hi - q0 * d + 1]
+    out = np.empty(hi - lo + 1, dtype=bits.dtype)
+    split = (q0 + 1) * d - lo
+    out[:split], out[split:] = bits[q0], bits[q1]
+    return out
 
 
 def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:
@@ -395,8 +406,8 @@ def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
     """Compare R_{1,k} on the set and its complement for every n in [n0, up_to].
 
     The identity is decided by the difference D = R_A - R_C alone.  The
-    counting kernel runs only if the report's R_A column is read, and the
-    complement's counts are then R_A - D.
+    counting kernel runs only if the report's per-n columns are read, and
+    the complement's counts are then R_A - D.
     """
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
@@ -405,6 +416,11 @@ def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
     w = WeightPair(1, chi.k)
     lo = chi.n0
     diff = rep_difference(chi, w, up_to)[lo:]
+
+    def counts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        r_set = rep_values(chi, SET, w, up_to)[lo:]
+        return np.arange(lo, up_to + 1), r_set, r_set - diff
+
     return ScanReport(
         kind="equality",
         k=chi.k,
@@ -412,8 +428,7 @@ def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
         lo=lo,
         hi=up_to,
         ok=diff == 0,
-        diff=diff,
-        count=lambda: rep_values(chi, SET, w, up_to)[lo:],
+        counts=counts,
     )
 
 
@@ -469,6 +484,8 @@ def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
         """Tally the blocks of the bases n in [start, stop), the last one
         possibly cut at the limit; return the cells judged."""
         nonlocal violation_count, below_checked, below_mismatch
+        if start >= stop:
+            return 0
         base = k**i
         lo, hi = base * start, min(base * stop, limit + 1) - 1
         cells, parents = bits[lo : hi + 1], _quotient_bits(bits, base, lo, hi)

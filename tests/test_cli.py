@@ -171,6 +171,24 @@ def test_verify_json_runs_no_counting_kernel(capsys, monkeypatch):
         main([*argvs[0], "--format", "csv"])
 
 
+def test_verify_with_k_beyond_the_limit(capsys):
+    """verify with k**4 far above the limit (60**4 = 12960000 against 200)
+    reports on [0, 200] and allocates a few pages, not k**i bytes."""
+    argv = ["verify", "--k", "60", "--n0", "0", "--seed", "0" + "1" * 59, "--limit", "200"]
+    run(capsys, *argv)  # imports and first-call caches stay out of the peak
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(out)
+    assert code == 1 and doc["limit"] == 200
+    # only i = 1 has bases at or over the threshold 2: cells 120..200
+    assert doc["checks"]["block_parity"]["checked"] == 81
+    assert peak < 2**16
+
+
 # -------------------------------------------------------------- scan-bound
 
 def test_scan_bound_json_roundtrip(capsys):

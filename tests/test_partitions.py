@@ -26,6 +26,7 @@ from repfn import (
     verify_structure,
     window_identity_holds,
 )
+from repfn.partitions import _quotient_bits
 from oracles import (
     block_parity_loop,
     chi_recursive,
@@ -399,6 +400,36 @@ def test_block_parity_matches_loop_oracle(k):
     for chi, label in _parity_tables(k):
         for i_max in (1, 2, 4, 6):
             assert verify_block_parity(chi, i_max) == block_parity_loop(chi, i_max), (label, i_max)
+
+
+def test_block_parity_with_powers_beyond_the_limit():
+    """With k**i far above the limit (60**4 = 12960000 against 200) every
+    level is one base n = 0 cut at the limit: the report equals the loop's,
+    and the check allocates a few kilobytes, not k**i bytes."""
+    rng = np.random.default_rng(60)
+    chi = ChiTable((rng.random(201) < 0.5).astype(np.uint8), 60, 0)
+    tracemalloc.start()
+    try:
+        report = verify_block_parity(chi, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == block_parity_loop(chi, 4)
+    assert peak < 2**14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 60, 10**12])
+def test_quotient_bits_matches_gather(d):
+    """_quotient_bits(bits, d, lo, hi) is bits[n // d] on [lo, hi], exactly
+    hi - lo + 1 long, for every range in a window around each of the first
+    quotient boundaries; d = 10**12 would need a terabyte if the bits were
+    repeated d times."""
+    bits = (np.random.default_rng(d % 1000).random(40) < 0.5).astype(np.uint8)
+    starts = {b + e for b in (0, d, 2 * d, 3 * d) for e in range(-4, 5) if b + e >= 0}
+    for lo in sorted(starts):
+        for hi in range(lo, lo + min(3 * d, 200) + 5):
+            got = _quotient_bits(bits, d, lo, hi)
+            assert np.array_equal(got, bits[np.arange(lo, hi + 1) // d]), (lo, hi)
 
 
 @settings(max_examples=30, deadline=None)
