@@ -147,19 +147,32 @@ def _emit_table(
 
 # Peak bytes per table entry of each command, from the chi bits to the last
 # output chunk.  Measured as tracemalloc peaks (NumPy buffers and Python
-# objects) of main() writing to --out, at N = 2 * 10**5 and 10**6 over every
-# format and over valid and corrupted seeds, the larger of the two (the
-# writer's chunk buffers weigh more per n at the smaller N): build 10.4,
-# verify 36.3 (csv; json counts nothing and peaks at 13.1), scan-bound 58.1
-# (lo = 0), classic 65.9 (lo = 0, hi = limit); rounded up to a multiple of 8.
+# objects) of main() writing to --out, after a first command has loaded
+# NumPy, at N = 2 * 10**5 and 10**6 over every format and over valid and
+# corrupted seeds, the larger of the two (the writer's chunk buffers weigh
+# more per n at the smaller N): build 10.4, verify 13.4 (json, which counts
+# nothing) and 28.4 (csv), scan-bound 58.1 (lo = 0), classic 65.9 (lo = 0,
+# hi = limit); rounded up to a multiple of 8, per format where they differ.
 # Every table grows linearly with N, so a constant times N estimates a
 # request's peak before anything is allocated.
 # For search N is the number of free bits, min(n0 // k1, cap), which sets
-# the words per prefix of its packed frontier: 11326 bytes per free bit at
+# the words per prefix of its packed frontier: 4175 bytes per free bit at
 # most, over (k1, k2) in (2, 3), (3, 4), (2, 9), (5, 7) and free = 500,
 # 2000, 8000, with cap = free and 2 * free (measured as peak / (free + 1)
 # around the whole command).
-_BYTES_PER_N = {"build": 16, "verify": 40, "scan-bound": 64, "classic": 72, "search": 11328}
+_BYTES_PER_N = {
+    "build": 16,
+    "verify": {"json": 16, "csv": 32},
+    "scan-bound": 64,
+    "classic": 72,
+    "search": 4176,
+}
+
+
+def _bytes_per_n(command: str, fmt: str) -> int:
+    """The estimate of :data:`_BYTES_PER_N` for a command in an output format."""
+    per_n = _BYTES_PER_N[command]
+    return per_n[fmt] if isinstance(per_n, dict) else per_n
 
 
 def _memory_limit() -> int:
@@ -173,7 +186,7 @@ def _check_memory(cfg: argparse.Namespace, size: int, *flags: str) -> None:
     """Refuse a request over [0, size] (table entries, or free search bits)
     whose estimated peak exceeds :func:`_memory_limit`; ``flags`` name the
     options that set ``size``."""
-    need = _BYTES_PER_N[cfg.command] * (size + 1)
+    need = _bytes_per_n(cfg.command, cfg.format) * (size + 1)
     have = _memory_limit()
     if need > have:
         given = " ".join(f"--{flag} {getattr(cfg, flag)}" for flag in flags)

@@ -24,6 +24,7 @@ time, serves both the seed enumeration and the nonexistence search in
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,42 +88,62 @@ def window_identity_holds(values, w: WeightPair, n: int) -> bool:
     return sum(values[s2]) + sum(values[s1]) == c
 
 
-def _ap_bits(first: int, step: int, count: int) -> int:
-    """The int with bits first, first + step, ..., ``count`` of them, set:
-    the geometric series (2**(step*count) - 1) / (2**step - 1), shifted."""
-    if count <= 0:
-        return 0
-    return ((1 << step * count) - 1) // ((1 << step) - 1) << first
+def _settled_checks(w: WeightPair, n0: int, free: int):
+    """Yield, for d = free, free + 1, ..., the checks of bit d on prefixes
+    packed as in :func:`prefix_search`: one (terms, c) per n >= n0 in
+    [k1*d, k1*(d+1)) with c > 0 solutions.  The identity at n holds when the
+    popcounts of word & value over the (word, value) terms sum to c.  The
+    terms mark the a1 and the a2 of n, and again the bits that are both an
+    a1 and an a2, as they count twice.
+
+    From n to n + k1 every a1 grows by one and at most one a2 joins (k1 <= k2),
+    so the masks of each residue of n mod k1 are carried from one depth to
+    the next, none built from scratch.
+    """
+    k1, k2 = w.k1, w.k2
+    low = (1 << free) - 1  # the packed positions of the free bits
+
+    def at(i: int) -> int:
+        """The packed position of chi index i."""
+        return free - 1 - i if i < free else i
+
+    # per residue j of n mod k1: the next a2 of its class, the solutions so
+    # far and the packed masks of their a1 and of their a2
+    inv = pow(k2, -1, k1)
+    state = [(j * inv % k1, 0, 0, 0) for j in range(k1)]
+    for d in itertools.count():
+        checks = []
+        for j, (a2, c, a1s, a2s) in enumerate(state):
+            n = k1 * d + j
+            # index i + 1 is one position down below free, one up from it
+            part = a1s & low
+            a1s = (a1s ^ part) << 1 | part >> 1 | (part & 1) << free
+            if a2 <= n // k2:
+                a1s |= 1 << at((n - k2 * a2) // k1)
+                a2s |= 1 << at(a2)
+                a2, c = a2 + k1, c + 1
+            state[j] = (a2, c, a1s, a2s)
+            if c and d >= free and n >= n0:
+                # the words of both masks in one array; each nonzero one is a term
+                words = d // 64 + 1
+                masks = b"".join(m.to_bytes(8 * words, "little") for m in (a1s | a2s, a1s & a2s))
+                values = np.frombuffer(masks, "<u8")
+                checks.append(([(i % words, v) for i, v in enumerate(values) if v], c))
+        if d >= free:
+            yield checks
 
 
-def _packed_bits(lo: int, step: int, count: int, free: int) -> int:
-    """The packed positions of the chi indices lo, lo + step, ..., ``count``
-    of them: index i < free sits at bit free - 1 - i, any other at bit i."""
-    below = max(0, min(count, -((lo - free) // step)))  # indices under free
-    top = lo + (below - 1) * step  # the last of them
-    return _ap_bits(free - 1 - top, step, below) | _ap_bits(top + step, step, count - below)
-
-
-def _depth_checks(w: WeightPair, n0: int, free: int, d: int) -> list[tuple[list, int]]:
-    """One (terms, c) per n >= n0 that bit d settles and that has c > 0
-    solutions, on prefixes packed as in :func:`prefix_search`: the identity
-    at n holds when the popcounts of word & value over the (word, value)
-    terms sum to c.  The terms mark the a1 and the a2 of n, and again the
-    one bit that is both, if any, as it counts twice."""
-    checks = []
-    for n in range(max(n0, w.k1 * d), w.k1 * (d + 1)):
-        s2, s1, c = _solution_slices(w, n)
-        if c:
-            a2 = _packed_bits(s2.start, w.k1, c, free)
-            a1 = _packed_bits(s1.start - w.k2 * (c - 1), w.k2, c, free)
-            terms = [
-                (i, np.uint64(word))
-                for mask in (a1 | a2, a1 & a2)
-                for i in range(-(-mask.bit_length() // 64))
-                if (word := mask >> 64 * i & 0xFFFFFFFFFFFFFFFF)
-            ]
-            checks.append((terms, c))
-    return checks
+def _weight(frontier: np.ndarray, terms: list, c: int) -> np.ndarray:
+    """Per column of a packed frontier, the popcounts of word & value summed
+    over the terms of a check with c solutions, in the least unsigned type
+    that holds their largest sum, 2c."""
+    (word, value), *rest = terms
+    weight = np.bitwise_count(frontier[word] & value)
+    if 2 * c > 255:  # the uint8 popcounts could wrap
+        weight = weight.astype(np.min_scalar_type(2 * c))
+    for word, value in rest:
+        weight += np.bitwise_count(frontier[word] & value)
+    return weight
 
 
 def _unpack(packed: np.ndarray, free: int, width: int) -> np.ndarray:
@@ -144,98 +165,158 @@ def prefix_search(
 
     The identity at n reads chi on [0, n // k1] only (k1 <= k2), so bit d
     settles exactly the n in [k1*d, k1*(d+1)) intersected with
-    [n0, infinity), and a prefix dies at its first violation.  The search
-    is a block frontier.  The first ``free`` = min(n0 // k1, width) bits
-    settle no n, so every prefix of that length is live; they are taken in
-    blocks of 2**BLOCK_BITS consecutive prefixes (the last BLOCK_BITS free
-    bits vary within a block), in increasing order.  A block's frontier is
-    a uint64 matrix F[word, r] whose columns are its prefixes in
-    lexicographic order, each packed in the words of its column: free bit
-    i at position free - 1 - i, so that the free bits read as an integer
-    are the prefix's lexicographic rank, and deeper bit d at position d.
-    Each further depth doubles the prefixes (prefix r gives children 2r,
-    bit 0, and 2r + 1, bit 1), decides the n the new bit settles on all of
-    them at once, each by popcounts of the children under a mask of its a1
-    and a2, and keeps the children that pass.
+    [n0, infinity), and a prefix dies at its first violation.  The first
+    ``free`` = min(n0 // k1, width) bits settle no n, so every prefix of
+    that length is live; they are taken in blocks of 2**BLOCK_BITS
+    consecutive prefixes (the last BLOCK_BITS free bits vary within a
+    block), in increasing order.  A frontier is a uint64 matrix F[word, r]
+    whose columns are prefixes in lexicographic order, each packed in the
+    words of its column: free bit i at position free - 1 - i, so that the
+    free bits read as an integer are the prefix's lexicographic rank, and
+    deeper bit d at position d.  Each newly settled n is decided on all
+    columns at once, by popcounts under a mask of its a1 and a2.
+
+    Each block takes bit ``free`` on its own; then the survivors of
+    consecutive blocks are joined, in order, into a window of at most
+    2**(BLOCK_BITS + 1) columns, which takes the deeper bits one at a time
+    as one matrix.  Past the free bits every bit is forced: of the terms
+    of n = k1*d only a1 = d holds bit d, so the bit is c minus the other
+    terms, and a prefix keeps one child or none.  Only bit ``free``, when
+    k1*free < n0 (or free = 0, where a1 = a2 = 0 counts bit 0 twice), is
+    branched on: each prefix gets both children.
 
     Returns (survivors, nodes, deepest) as a depth-first search trying 0
     before 1 would: the surviving prefixes, one per row of a C-contiguous
     uint8 array of shape (count, width), in lexicographic order (only the
     first with ``first_only``; no rows when none survive), the children
-    tried, and the most bits any branch held.  ``nodes`` counts children
-    in preorder, so with ``first_only`` it is the preorder rank of the
-    first survivor.  Once it exceeds ``node_cap`` the search stops and
-    reports ``node_cap + 1``, with the survivors of rank at most
-    ``node_cap`` (``deepest`` then only covers the blocks searched).
+    tried, and the most bits any branch held.  That search tries both
+    children of every live prefix, forced bit or not, so ``nodes`` adds 2
+    per prefix and depth, and counts children in preorder: with
+    ``first_only`` it is the preorder rank of the first survivor.  Once it
+    exceeds ``node_cap`` the search stops and reports ``node_cap + 1``,
+    with the survivors of rank at most ``node_cap`` (``deepest`` then only
+    covers the windows searched).
     """
     k1 = w.k1
     free = min(n0 // k1, width)
     low = min(BLOCK_BITS, free)
     high = free - low
-    # settled[d - free]: _depth_checks of bit d, built when the search first
-    # reaches depth d, so memory follows the depth reached, not width
-    settled: list[list[tuple[list, int]]] = []
     words = max(1, -(-free // 64))  # of a free prefix
     low_values = np.arange(1 << low, dtype=np.uint64)
+    ranked = first_only or node_cap < math.inf  # preorder ranks may be needed
+    # settled[d - free]: the checks of bit d, drawn when the search first
+    # reaches depth d, so memory follows the depth reached, not width
+    settled: list[list[tuple[list, int]]] = []
+    upcoming = _settled_checks(w, n0, free)
+
+    def step(frontier: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bit d on the prefixes of a frontier: the children that pass every
+        check of bit d, in order, and the column each comes from (of the
+        doubled frontier, where bit d is branched on)."""
+        if d - free == len(settled):
+            settled.append(next(upcoming))
+        checks = settled[d - free]
+        if d >> 6 == len(frontier):  # bit d opens a new word
+            frontier = np.concatenate((frontier, np.zeros_like(frontier[:1])))
+        forced = d > 0 and k1 * d >= n0
+        if forced:
+            # the first check, n = k1*d, holds bit d once (as a1 = d): the
+            # bit is c minus the popcount of the other terms
+            (terms, c), *checks = checks
+            bit = c - _weight(frontier, terms, c)  # unsigned: below 0 wraps far above 1
+            ok = bit <= 1
+            # in place, as the other checks may read bit d as an a2
+            row = frontier[d >> 6]
+            np.bitwise_or(row, np.uint64(1 << (d & 63)), out=row, where=bit == 1)
+        else:
+            frontier = frontier.repeat(2, axis=1)
+            frontier[d >> 6, 1::2] |= np.uint64(1 << (d & 63))
+            ok = np.ones(frontier.shape[1], dtype=bool)
+        for terms, c in checks:
+            ok &= _weight(frontier, terms, c) == c
+        keep = np.flatnonzero(ok)
+        return frontier[:, keep], keep
 
     def free_rank(v: int) -> int:
         """Children tried at depths 1..free up to the free prefix v, inclusive:
         the sum over i < free of (v >> i) + 1, which is 2v - popcount(v) + free."""
         return 2 * v - v.bit_count() + free
 
-    # per block: the rows of its surviving prefixes, after a first block of none
+    def windows():
+        """Yield (start, stop, parts) per window: blocks [start, stop) and the
+        survivors of their bit ``free`` (the blocks themselves when width =
+        free), one array per block.  A window ends before it would pass
+        2**(BLOCK_BITS + 1) columns, once its nodes so far pass
+        ``node_cap``, and after every block when width = free, as then it
+        takes no bits to share."""
+        parts, start, cols = [], 0, 0
+        for block in range(1 << high):
+            frontier = np.empty((words, 1 << low), dtype=np.uint64)
+            frontier[:] = np.frombuffer((block << low).to_bytes(8 * words, "little"), "<u8")[:, None]
+            frontier[0] |= low_values
+            if width > free:
+                frontier = step(frontier, free)[0]
+            if cols + frontier.shape[1] > 2 << BLOCK_BITS:
+                yield start, block, parts
+                parts, start, cols = [], block, 0
+            parts.append(frontier)
+            cols += frontier.shape[1]
+            stop = block + 1
+            spent = free_rank((stop << low) - 1) + deep_nodes + ((stop - start) << (low + 1))
+            if width == free or spent > node_cap or stop == 1 << high:
+                yield start, stop, parts
+                parts, start, cols = [], stop, 0
+
+    # per window: the rows of its surviving prefixes, after a first window of none
     survivors = [np.empty((0, width), dtype=np.uint8)]
     deep_nodes = deepest = 0  # deep_nodes: children tried below the free bits
-    for block in range(1 << high):
+    for start, stop, parts in windows():
+        frontier = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        parts.clear()  # joined: free the blocks' arrays while the window runs
         deep_before = deep_nodes
-        # frontier[word, row]: the block's prefixes, one per column
-        frontier = np.empty((words, 1 << low), dtype=np.uint64)
-        frontier[:] = np.frombuffer((block << low).to_bytes(8 * words, "little"), "<u8")[:, None]
-        frontier[0] |= low_values
-        kept = []  # per depth below the free bits: indices of the children that pass
-        for d in range(free, width):
-            if d - free == len(settled):
-                settled.append(_depth_checks(w, n0, free, d))
-            if d >> 6 == len(frontier):  # bit d opens a new word
-                frontier = np.concatenate((frontier, np.zeros_like(frontier[:1])))
-            children = frontier.repeat(2, axis=1)
-            children[d >> 6, 1::2] |= np.uint64(1 << (d & 63))
-            ok = np.ones(children.shape[1], dtype=bool)
-            for ((word, value), *rest), c in settled[d - free]:
-                weight = np.bitwise_count(children[word] & value)
-                if 2 * c > 255:  # the uint8 popcounts could wrap
-                    weight = weight.astype(np.int64)
-                for word, value in rest:
-                    weight += np.bitwise_count(children[word] & value)
-                ok &= weight == c
-            kept.append(np.flatnonzero(ok))
-            deep_nodes += children.shape[1]
-            frontier = children[:, kept[-1]]
-            if not kept[-1].size:
-                break
+        held = free  # bits of the longest live prefix
+        kept = []  # per depth past bit free, when ranked: each passing column's parent
+        if width > free:
+            deep_nodes += (stop - start) << (low + 1)
+            held += frontier.shape[1] > 0
+            while frontier.shape[1] and held < width:
+                deep_nodes += 2 * frontier.shape[1]
+                frontier, parents = step(frontier, held)
+                if ranked:
+                    kept.append(parents)
+                held += frontier.shape[1] > 0
         found = frontier.shape[1]
-        deepest = max(deepest, width if found else d)
-        total = free_rank(((block + 1) << low) - 1) + deep_nodes
+        deepest = max(deepest, held)
+        total = free_rank((stop << low) - 1) + deep_nodes
         if found:
             take = found
             if first_only or total > node_cap:
-                # preorder rank of each survivor: walk its row back through kept
-                at = np.arange(1 if first_only else found)
-                steps = np.zeros(at.size, dtype=np.int64)
-                for keep in reversed(kept):
-                    child = keep[at]
-                    steps += child + 1
-                    at = child >> 1
-                ranks = [
-                    free_rank((block << low) + r) + deep_before + step
-                    for r, step in zip(at.tolist(), steps.tolist())
-                ]
-                take = sum(rank <= node_cap for rank in ranks)  # ranks rise along the rows
+                # preorder rank of each survivor: at each depth d past bit
+                # free, its ancestor is child 2r + bit d of column r, found by
+                # walking back through kept; at bit free, r is its free bits
+                # v less the window's first prefix
+                count = 1 if first_only else found
+                at = np.arange(count)
+                steps = np.zeros(count, dtype=np.int64)
+                for d, parents in zip(range(held - 1, free, -1), reversed(kept)):
+                    at = parents[at]
+                    bit = frontier[d >> 6, :count] >> np.uint64(d & 63) & np.uint64(1)
+                    steps += 2 * at + bit.astype(np.int64) + 1
+                ranks = []
+                columns = np.ascontiguousarray(frontier[:, :count].T, dtype="<u8")
+                for column, step_nodes in zip(columns, steps.tolist()):
+                    packed = int.from_bytes(column.tobytes(), "little")
+                    v = packed & ((1 << free) - 1)
+                    if width > free:
+                        step_nodes += 2 * (v - (start << low)) + (packed >> free & 1) + 1
+                    ranks.append(free_rank(v) + deep_before + step_nodes)
+                take = sum(rank <= node_cap for rank in ranks)  # ranks rise along the columns
             survivors.append(_unpack(frontier[:, :take], free, width))
             if first_only and take:
                 return np.concatenate(survivors), ranks[0], width
         if total > node_cap:
             return np.concatenate(survivors), node_cap + 1, deepest
+        kept.clear()  # before the next window's blocks are searched
     return np.concatenate(survivors), total, deepest
 
 
@@ -407,7 +488,8 @@ def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
 
     The identity is decided by the difference D = R_A - R_C alone.  The
     counting kernel runs only if the report's per-n columns are read, and
-    the complement's counts are then R_A - D.
+    the complement's counts are then R_A - D, written over D, which no
+    column needs after that.
     """
     if not 0 <= up_to <= chi.limit:
         raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
@@ -419,7 +501,7 @@ def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
 
     def counts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r_set = rep_values(chi, SET, w, up_to)[lo:]
-        return np.arange(lo, up_to + 1), r_set, r_set - diff
+        return np.arange(lo, up_to + 1), r_set, np.subtract(r_set, diff, out=diff)
 
     return ScanReport(
         kind="equality",

@@ -150,6 +150,38 @@ def test_verify_csv_rows(capsys):
         assert (r_a == r_comp) == (equal == 1)
 
 
+def test_verify_csv_of_non_seed(capsys, tmp_path):
+    """010 fails the identity, so D != 0: the R_comp column, formed over D's
+    buffer, and the equal flags still match the naive counter on both
+    sides.  At N = 2 * 10**5 the csv command peaks under 32 bytes per n;
+    holding D (8 bytes per n) beside R_comp took it to 36."""
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n0", "1", "--seed", "010",
+                       "--limit", "60", "--format", "csv")
+    rows = [list(map(int, r)) for r in list(csv.reader(io.StringIO(out)))[1:]]
+    assert code == 1
+    chi = ChiTable(partitions.extend_seed(partitions.SeedAssignment.from_string(2, 1, "010"), 60,
+                                          require_valid=False).bits, 2, 1)
+    w = WeightPair(1, 2)
+    expected = [
+        [n, r_a := rep_count_weighted(chi, SET, w, n), r_c := rep_count_weighted(chi, COMPLEMENT, w, n),
+         int(r_a == r_c)]
+        for n in range(1, 61)
+    ]
+    assert rows == expected
+    assert any(not equal for *_, equal in rows)
+    n = 200_000
+    argv = ["verify", "--k", "2", "--n0", "1", "--seed", "010", "--limit", str(n),
+            "--format", "csv", "--out", str(tmp_path / "table")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert peak < 32 * (n + 1), peak / (n + 1)
+
+
 def test_verify_json_runs_no_counting_kernel(capsys, monkeypatch):
     """JSON verify decides equality from D alone: with the counting kernel
     made to raise, its documents and exit codes are those of an unpatched
@@ -471,7 +503,7 @@ def test_table_peak_within_memory_estimate(capsys, tmp_path, command, fmt):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= cli._BYTES_PER_N[command] * (n + 1), peak / (n + 1)
+    assert peak <= cli._bytes_per_n(command, fmt) * (n + 1), peak / (n + 1)
 
 
 @pytest.mark.parametrize("n0,cap", [(1000, 10**6), (10**6, 1000)], ids=["n0", "cap"])
@@ -487,6 +519,21 @@ def test_search_beyond_memory_exits_2_before_searching(capsys, monkeypatch, n0, 
                          "--n0", str(n0), "--cap", str(cap))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: search --n0 {n0} --cap {cap} needs about") and "GiB" in err
+
+
+def test_verify_memory_guard_is_per_format(capsys, monkeypatch):
+    """json verify counts nothing, so its estimate is below csv's: with the
+    memory between the two, json runs and csv is refused."""
+    n = 100_000
+    need = {fmt: cli._bytes_per_n("verify", fmt) * (n + 1) for fmt in ("json", "csv")}
+    assert need["json"] < need["csv"]
+    monkeypatch.setattr(cli, "_memory_limit", lambda: (need["json"] + need["csv"]) // 2)
+    argv = ["verify", "--k", "2", "--n0", "1", "--seed", "011", "--limit", str(n), "--format"]
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0 and json.loads(out)["passed"]
+    code, out, err = run(capsys, *argv, "csv")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: verify --limit {n} needs about"), err
 
 
 def test_memory_limit_honours_rlimit_as(monkeypatch):

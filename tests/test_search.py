@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -207,15 +208,18 @@ def test_identity_sums_past_255(k1, k2, n0):
 
 
 def test_packed_checks_match_solution_slices():
-    """The popcount checks of each depth give, on random prefixes, the sum
-    over the solution slices of the unpacked bits, with free bits packed in
-    reverse: free prefixes of 0 to 130 bits, weights (1, 3), (2, 3) and (3, 7)."""
+    """The popcount checks of each depth, carried from one depth to the
+    next, give on random prefixes the sum over the solution slices of the
+    unpacked bits, with free bits packed in reverse: free prefixes of 0 to
+    130 bits, n0 at and just above k1 * free, 140 depths each, weights
+    (1, 3), (2, 3), (3, 7) and (2, 71), whose a1 skip whole words."""
     rng = np.random.default_rng(11)
-    for k1, k2 in ((1, 3), (2, 3), (3, 7)):
+    for k1, k2 in ((1, 3), (2, 3), (3, 7), (2, 71)):
         w = WeightPair(k1, k2)
-        for free in (0, 5, 63, 64, 65, 70, 130):
-            n0 = k1 * free
-            for d in range(free, free + 140, 7):
+        for free, n0 in itertools.product((0, 5, 63, 64, 65, 70, 130), (0, k1 - 1)):
+            n0 += k1 * free
+            checks = partitions._settled_checks(w, n0, free)
+            for d in range(free, free + 140):
                 bits = rng.integers(0, 2, d + 1).tolist()
                 packed = sum(b << (free - 1 - i if i < free else i) for i, b in enumerate(bits))
                 words = [packed >> 64 * i & (2**64 - 1) for i in range(d // 64 + 1)]
@@ -226,9 +230,9 @@ def test_packed_checks_match_solution_slices():
                         expected.append((sum(bits[s2]) + sum(bits[s1]), c))
                 got = [
                     (sum((words[i] & int(v)).bit_count() for i, v in terms), c)
-                    for terms, c in partitions._depth_checks(w, n0, free, d)
+                    for terms, c in next(checks)
                 ]
-                assert got == expected, (k1, k2, free, d)
+                assert got == expected, (k1, k2, n0, free, d)
 
 
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
@@ -285,8 +289,9 @@ def test_prefix_search_matches_oracle_on_benchmark_case():
 
 def test_search_memory_is_bounded():
     """The frontier of (2, 3, 34), whose 17 free bits give 131072 prefixes,
-    is held one block of 2**14 packed prefixes at a time: traced
-    allocations peak under 2 MiB."""
+    is held one block of 2**14 packed prefixes at a time for its first deep
+    bit, and then in windows of at most 2**15 columns: traced allocations
+    peak under 2 MiB."""
     tracemalloc.start()
     try:
         outcome = nonexistence_search(WeightPair(2, 3), 34, 256)
@@ -312,3 +317,62 @@ def test_search_memory_follows_depth_reached_not_cap():
     assert [getattr(large, f) for f in fields] == [getattr(small, f) for f in fields]
     assert small.status == UNSAT
     assert peak < 2**16, peak
+
+
+@pytest.mark.parametrize("k1,k2,n0,width", [(1, 2, 9, 24), (1, 3, 9, 16), (1, 5, 9, 24), (2, 5, 9, 12)])
+def test_first_survivor_caps_in_windows(k1, k2, n0, width, monkeypatch):
+    """Blocks of 4 prefixes join into windows of up to 8 columns.  With
+    first_only, node caps one below the first survivor's preorder rank, at
+    it and one above it give the recursive search's survivors and nodes."""
+    w = WeightPair(k1, k2)
+    survivors, rank, _ = prefix_search_dfs(w, n0, width, True)
+    assert len(survivors) == 1
+    for cap in (rank - 1, rank, rank + 1):
+        assert_matches_oracle(monkeypatch, w, n0, width, True, cap, (2,))
+
+
+@pytest.mark.parametrize("k1,k2,n0,width", [(1, 3, 5, 16), (2, 5, 9, 12), (2, 3, 13, 20)])
+def test_every_node_cap_in_windows(k1, k2, n0, width, monkeypatch):
+    """Every node cap from 0 to one past the total, so also the running
+    total at the end of each window, complete and with first_only, in
+    blocks of 4 prefixes joined into windows of up to 8 columns."""
+    w = WeightPair(k1, k2)
+    total = prefix_search_dfs(w, n0, width)[1]
+    for first_only in (False, True):
+        for cap in range(total + 2):
+            assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, (2,))
+
+
+@pytest.mark.parametrize("k1,k2,n0", [(2, 3, 35), (3, 4, 31)])
+def test_branched_first_bit_at_256_bits(k1, k2, n0, monkeypatch):
+    """k1 does not divide n0, so bit n0 // k1 settles no n = k1*d and is
+    branched on; every later bit is forced.  At 256 bits, as the search
+    command runs it, the survivors, nodes and depth match the recursive
+    search in blocks of 2**14 and of 4."""
+    assert n0 % k1
+    assert_matches_oracle(monkeypatch, WeightPair(k1, k2), n0, 256, True, math.inf, (2, 14))
+
+
+# traced peaks of these calls before the search took its deep bits in
+# windows, one block at a time, each prefix branching on every bit
+PEAKS_BEFORE_WINDOWS = [
+    ("search (2, 3, 34)", lambda: nonexistence_search(WeightPair(2, 3), 34, 256), 889_321),
+    ("search (2, 5, 32)", lambda: nonexistence_search(WeightPair(2, 5), 32, 256), 920_689),
+    # many windows, up to the node cap: one window's data is freed before the next
+    ("search (2, 3, 44)", lambda: nonexistence_search(WeightPair(2, 3), 44, 256), 899_849),
+    ("seeds (7, 17)", lambda: enumerate_seeds(7, 17), 1_081_577),
+]
+
+
+@pytest.mark.parametrize("name,call,before", PEAKS_BEFORE_WINDOWS, ids=[p[0] for p in PEAKS_BEFORE_WINDOWS])
+def test_windows_add_no_memory(name, call, before):
+    """The search benchmark's windowed calls peak no higher than they did
+    block by block: a window holds at most a block's doubled children."""
+    call()  # NumPy and the search's code loaded outside the trace
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= before, (name, peak)
