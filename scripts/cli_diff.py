@@ -12,7 +12,8 @@ The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
 and ``build``, in json and csv), seed censuses in every format, empty and
 of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
 ``scan-bound``, ``classic`` and ``verify`` over a million rows, ``verify``
-over ten million, ``verify`` on a non-seed with many equality violations,
+over ten million in json and csv, ``verify`` on a non-seed with many
+equality violations,
 ``verify`` with k**4 far above the limit,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
@@ -108,6 +109,8 @@ def commands() -> list[list[str]]:
         for k in (200, 1000):
             cmds.append(["verify", *_seed(str(k), "0", "0" + "1" * (k - 1)), "--limit", str(3 * k), *f])
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000"])
+    # csv: its n column reaches 10**7, eight digits in two whole four-digit lanes
+    cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000", "--format", "csv"])
     cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
     for k1, k2, n0, cap in SEARCHES:
         cmds.append(["search", "--k1", str(k1), "--k2", str(k2), "--n0", str(n0), "--cap", str(cap)])

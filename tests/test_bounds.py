@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -113,6 +114,23 @@ def test_bound_array_matches_pointwise_across_powers(k):
         for lo, hi in ranges:
             expected = [guaranteed_bound(k, n0, n) if n >= t0 else 0 for n in range(lo, hi + 1)]
             assert bound_array(k, n0, lo, hi).tolist() == expected, (n0, lo, hi)
+
+
+def test_bound_array_matches_pointwise_random_ranges():
+    """Random (k, n0, lo, hi): lo below T, and hi one short of, on and one
+    past a cut k**e * T, against guaranteed_bound n by n."""
+    rng = random.Random(20261019)
+    for _ in range(60):
+        k, n0 = rng.randint(2, 7), rng.randint(0, 12)
+        t0 = chain_threshold(k, n0)
+        lo = rng.randint(0, t0 - 1)
+        cuts = [t0 * k**e for e in range(20) if t0 * k**e <= 5000]
+        cut = rng.choice(cuts)
+        for hi in (cut - 1, cut, cut + 1):
+            if hi < lo:
+                continue
+            expected = [guaranteed_bound(k, n0, n) if n >= t0 else 0 for n in range(lo, hi + 1)]
+            assert bound_array(k, n0, lo, hi).tolist() == expected, (k, n0, lo, hi)
 
 
 # -------------------------------------------------------------- decomposition

@@ -441,16 +441,41 @@ def test_emit_table_matches_stdlib_at_chunk_size(capsys, tmp_path, nrows, ncols)
         np.array([0, 7, -7, 10, -99, 12345, 10**18, -(10**18) + 1, 999, 10**9], dtype=np.int64),
         np.zeros(11, dtype=np.int64),
         np.array([-128, 127, 0, -1], dtype=np.int8),  # |-128| wraps in int8
+        # each side of a four-digit lane boundary, one and several lanes up
+        np.array([9999, 10**4, 10**8 - 1, 10**8, 10**16 - 1, 10**16, 0, 10**4 - 1, 10**8], dtype=np.int64),
+        # 19 digits fill four whole lanes and three digits over; int64 min among them
+        np.array([np.iinfo(np.int64).min, -(10**18), 10**18, np.iinfo(np.int64).max,
+                  -(10**18) - 1, 9 * 10**18 + 1234567890, -7, 10**15 + 1], dtype=np.int64),
+        # a chunk of only negative values (hi < 0), each width and mixed widths
+        np.array([-1, -5, -9, -3, -2, -8, -4, -6, -(10**4), -99999, -12345, -10**4 - 1,
+                  -3, -10**8, -77, -(10**12)], dtype=np.int64),
+        # uniform 8-row chunks of 1, 4, 5, 8, 9 and 19 digits, that take no
+        # NUL pass, then a chunk of mixed widths
+        np.concatenate([np.full(8, v) for v in (7, 1000, 10**4, 10**7, 10**8, 10**18)]
+                       + [np.arange(-5, 3) * 10**5 + 9999]).astype(np.int64),
     ],
-    ids=["bool", "uint8", "widths-in-one-chunk", "all-zero", "int8"],
+    ids=["bool", "uint8", "widths-in-one-chunk", "all-zero", "int8", "lane-boundaries",
+         "19-digit-lanes", "all-negative", "uniform-chunks"],
 )
 def test_emit_table_column_kinds(capsys, tmp_path, monkeypatch, col):
-    """Columns of other dtypes and widths, alone and next to an int64 column,
-    in chunks of 8 and of CHUNK rows."""
+    """Columns of other dtypes and widths, alone and next to an int64 column
+    of both signs, in chunks of 8 and of CHUNK rows."""
     for chunk in (8, CHUNK):
         monkeypatch.setattr(cli, "CHUNK", chunk)
         _check_writer_against_stdlib(capsys, tmp_path, [col])
         _check_writer_against_stdlib(capsys, tmp_path, [np.arange(len(col)) - 3, col])
+
+
+def test_digit_lanes_spell_every_group():
+    """Each lane is four bytes, most significant digit first: every digit,
+    leading zeros as NUL, and that with 0 as nothing at all."""
+    lanes = cli._digit_lanes()
+    assert lanes.dtype == np.dtype("<u4") and lanes.shape == (3 * cli.LANE,)
+    text = lanes.tobytes().decode("ascii")
+    spelled = [text[4 * i : 4 * i + 4] for i in range(3 * cli.LANE)]
+    assert spelled[: cli.LANE] == [f"{x:04d}" for x in range(cli.LANE)]
+    assert spelled[cli.LANE : 2 * cli.LANE] == [str(x).rjust(4, "\0") for x in range(cli.LANE)]
+    assert spelled[2 * cli.LANE :] == ["\0" * 4] + spelled[cli.LANE + 1 : 2 * cli.LANE]
 
 
 def test_emit_table_rows_must_be_last_key():
