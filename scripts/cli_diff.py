@@ -14,7 +14,8 @@ of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted 
 ``scan-bound``, ``classic`` and ``verify`` over a million rows, ``verify``
 over ten million in json and csv, ``verify`` on a non-seed with many
 equality violations,
-``verify`` with k**4 far above the limit,
+``verify`` with k**4 far above the limit, ``verify`` at limits around
+k**4 * T (T the chain threshold), where block parity's last power starts,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
 and a few usage errors.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
@@ -108,6 +109,12 @@ def commands() -> list[list[str]]:
         # k**4 far beyond the limit: every level past the first is one cut block
         for k in (200, 1000):
             cmds.append(["verify", *_seed(str(k), "0", "0" + "1" * (k - 1)), "--limit", str(3 * k), *f])
+    # limits k**4 * T - 1, k**4 * T and k**4 * T + 1, T the chain threshold:
+    # block parity's last power judges no cell, one and two
+    for seed, cut in ((SEEDS[0], 32), (SEEDS[1], 162)):
+        for limit in (cut - 1, cut, cut + 1):
+            cmds.append(["verify", *_seed(*seed), "--limit", str(limit)])
+    cmds.append(["verify", *_seed(*NON_SEED), "--limit", "33"])
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000"])
     # csv: its n column reaches 10**7, eight digits in two whole four-digit lanes
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000", "--format", "csv"])

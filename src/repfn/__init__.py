@@ -22,9 +22,6 @@ from .bounds import (
 )
 from .core import (
     COMPLEMENT,
-    R1,
-    R2,
-    R3,
     SET,
     ChiTable,
     ScanReport,

@@ -33,7 +33,7 @@ from math import gcd
 
 from ._numpy import np
 from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
-from .errors import DomainError, NoWitness, PreconditionError, QueryBeyondPrefix
+from .errors import DomainError, NoWitness, PreconditionError
 from .partitions import SeedAssignment, chain_threshold, prefix_search
 
 CASE_INTERVAL = "case1"
@@ -280,20 +280,20 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
     return records, skipped
 
 
-def bound_scan(chi: ChiTable, lo: int, hi: int) -> ScanReport:
+def bound_scan(chi: ChiTable, lo: int) -> ScanReport:
     """Record both representation counts against the guaranteed bound.
 
-    For each n in [lo, hi] the report carries R_{1,k} on the set and on the
-    complement, the bound B(n), and the flag that both counts reach B(n).
+    For each n in [lo, limit] of the table the report carries R_{1,k} on
+    the set and on the complement, the bound B(n), and the flag that both
+    counts reach B(n).
     The complement's counts are R_A - D with D from
     :func:`repfn.core.rep_difference`, so the kernel runs once.
     ``min_ratio`` tracks min r_set / max(1, ln n) over the scan as an
     empirical growth constant; it is reported, never asserted.
     """
-    if lo < 0 or lo > hi:
+    hi = chi.limit
+    if not 0 <= lo <= hi:
         raise PreconditionError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
-    if hi > chi.limit:
-        raise QueryBeyondPrefix(f"hi={hi} outside known prefix [0, {chi.limit}]")
     w = WeightPair(1, chi.k)
     r_set = rep_values(chi, SET, w, hi)[lo:]
     r_comp = r_set - rep_difference(chi, w, hi)[lo:]

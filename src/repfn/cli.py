@@ -22,7 +22,7 @@ from typing import TextIO
 
 from . import bounds, partitions
 from ._numpy import np
-from .core import COMPLEMENT, R1, R2, R3, SET, WeightPair, classic_rep
+from .core import COMPLEMENT, SET, WeightPair, classic_rep
 from .errors import (
     DomainError,
     EnumerationCapExceeded,
@@ -327,8 +327,8 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
     _check_memory(cfg, cfg.limit, "limit")
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
-    structure = partitions.verify_structure(chi, cfg.limit)
-    equality = partitions.verify_equality(chi, cfg.limit)
+    structure = partitions.verify_structure(chi)
+    equality = partitions.verify_equality(chi)
     parity = partitions.verify_block_parity(chi, _VERIFY_BLOCK_IMAX)
     ok = structure.ok and equality.passed and parity.ok
     if cfg.format == "csv":
@@ -380,7 +380,7 @@ def _cmd_scan_bound(cfg: argparse.Namespace, out: TextIO) -> int:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
     _check_memory(cfg, cfg.hi, "hi")
     chi = partitions.extend_seed(seed, cfg.hi)
-    report = bounds.bound_scan(chi, cfg.lo, cfg.hi)
+    report = bounds.bound_scan(chi, cfg.lo)
     if cfg.format == "csv":
         _emit_table(report.columns, report.table(), out)
         print(
@@ -476,9 +476,7 @@ def _cmd_classic(cfg: argparse.Namespace, out: TextIO) -> int:
     _check_memory(cfg, cfg.limit, "limit")
     chi = partitions.extend_seed(seed, cfg.limit)
     counts = [classic_rep(chi, side, cfg.hi) for side in (SET, COMPLEMENT)]
-    table = (
-        np.arange(cfg.lo, cfg.hi + 1), *(c[v][cfg.lo :] for c in counts for v in (R1, R2, R3))
-    )
+    table = (np.arange(cfg.lo, cfg.hi + 1), *(r[cfg.lo :] for rs in counts for r in rs))
     header = ["n", "r1_set", "r2_set", "r3_set", "r1_comp", "r2_comp", "r3_comp"]
     if cfg.format == "csv":
         _emit_table(header, table, out)

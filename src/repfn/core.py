@@ -3,8 +3,8 @@
 A :class:`ChiTable` stores the characteristic function chi of a set A of
 nonnegative integers on a finite prefix [0, N].  Queries whose answer could
 depend on unknown elements (n > N) are hard errors, never silent zeros.  The
-complement is always derived from the same table by flipping bits on the fly;
-it is not materialized, so both sides of any identity share one source of
+complement is never stored: a count on it flips the table's bits into one
+array for that call, so both sides of any identity share one source of
 truth.
 
 The weighted count for a weight pair (k1, k2) at target n is the number of
@@ -70,13 +70,14 @@ class ChiTable:
         return self._bits
 
     def side_bits(self, side: str, up_to: int | None = None) -> np.ndarray:
-        """Indicator array of the chosen side on [0, up_to]."""
+        """Indicator array of the chosen side on [0, up_to]: for the set a
+        read-only view of the table, for the complement one new array."""
         _check_side(side)
         hi = self.limit if up_to is None else up_to
         if not 0 <= hi <= self.limit:
             raise QueryBeyondPrefix(f"up_to={hi} outside known prefix [0, {self.limit}]")
         view = self._bits[: hi + 1]
-        return view if side == SET else (1 - view).astype(np.uint8)
+        return view if side == SET else view ^ 1
 
     def describe(self) -> str:
         return f"chi(k={self.k},n0={self.n0},limit={self.limit})"
@@ -163,13 +164,8 @@ def rep_difference(chi: ChiTable, w: WeightPair, up_to: int) -> np.ndarray:
     return diff[: up_to + 1]
 
 
-R1 = "r1"
-R2 = "r2"
-R3 = "r3"
-
-
-def classic_rep(chi: ChiTable, side: str, up_to: int) -> dict[str, np.ndarray]:
-    """Classic two-term counts at weight (1, 1) for n in [0, up_to].
+def classic_rep(chi: ChiTable, side: str, up_to: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classic two-term counts (r1, r2, r3) at weight (1, 1) for n in [0, up_to].
 
     r1 counts ordered pairs a + a' = n, r2 the pairs with a < a', r3 the
     pairs with a <= a'; both elements must lie on the chosen side.  With
@@ -179,7 +175,7 @@ def classic_rep(chi: ChiTable, side: str, up_to: int) -> dict[str, np.ndarray]:
     r1 = rep_values(chi, side, WeightPair(1, 1), up_to)
     diag = np.zeros(up_to + 1, dtype=np.int64)
     diag[::2] = chi.side_bits(side, up_to // 2)
-    return {R1: r1, R2: (r1 - diag) // 2, R3: (r1 + diag) // 2}
+    return r1, (r1 - diag) // 2, (r1 + diag) // 2
 
 
 @dataclass

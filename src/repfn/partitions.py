@@ -30,13 +30,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 from .core import SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
-from .errors import (
-    DomainError,
-    EnumerationCapExceeded,
-    InvalidSeed,
-    PreconditionError,
-    QueryBeyondPrefix,
-)
+from .errors import DomainError, EnumerationCapExceeded, InvalidSeed, PreconditionError
 
 # exhaustive seed search is 2**(k + n0); beyond this it stops being interactive
 ENUMERATION_CAP = 24
@@ -446,11 +440,18 @@ def extend_seed(seed: SeedAssignment, limit: int, require_valid: bool = True) ->
     return ChiTable(_extend_bits(seed, limit), seed.k, seed.n0)
 
 
+def _flip_mismatches(bits: np.ndarray, d: int, lo: int, odd: bool) -> np.ndarray:
+    """Flags, for n in [lo, limit] of the table ``bits``, of the cells that
+    break bits[n] = bits[n // d] xor odd: a cell must differ from its
+    quotient's bit for odd powers of k and equal it for even ones."""
+    cells, parents = bits[lo:], _quotient_bits(bits, d, lo, len(bits) - 1)
+    return cells == parents if odd else cells != parents
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Outcome of checking the window identity and the flip rule."""
 
-    checked_up_to: int
     window_violations: tuple[int, ...]
     flip_first_violation: int | None
     flip_violation_count: int
@@ -460,55 +461,52 @@ class StructureReport:
         return not self.window_violations and self.flip_first_violation is None
 
 
-def verify_structure(chi: ChiTable, up_to: int) -> StructureReport:
-    """Check condition (a) on the seed window and condition (b) up to ``up_to``."""
-    if not 0 <= up_to <= chi.limit:
-        raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
+def verify_structure(chi: ChiTable) -> StructureReport:
+    """Check condition (a) on the seed window and condition (b) on the whole
+    table: the window identity at every n in [n0, k + n0) the table covers,
+    and the flip rule at every n in [k + n0, limit]."""
     k, n0 = chi.k, chi.n0
-    bits = chi.bits
-    diff = rep_difference(chi, WeightPair(1, k), min(k + n0 - 1, up_to))
+    diff = rep_difference(chi, WeightPair(1, k), min(k + n0 - 1, chi.limit))
     window = (n0 + np.flatnonzero(diff[n0:])).tolist()
     flip_first = None
     flip_count = 0
-    if up_to >= k + n0:
-        bad = bits[k + n0 : up_to + 1] == _quotient_bits(bits, k, k + n0, up_to)
+    if chi.limit >= k + n0:
+        bad = _flip_mismatches(chi.bits, k, k + n0, odd=True)
         flip_count = int(np.count_nonzero(bad))
         if flip_count:
             flip_first = k + n0 + int(bad.argmax())
     return StructureReport(
-        checked_up_to=up_to,
         window_violations=tuple(window),
         flip_first_violation=flip_first,
         flip_violation_count=flip_count,
     )
 
 
-def verify_equality(chi: ChiTable, up_to: int) -> ScanReport:
-    """Compare R_{1,k} on the set and its complement for every n in [n0, up_to].
+def verify_equality(chi: ChiTable) -> ScanReport:
+    """Compare R_{1,k} on the set and its complement for every n in
+    [n0, limit] of the table.
 
     The identity is decided by the difference D = R_A - R_C alone.  The
     counting kernel runs only if the report's per-n columns are read, and
     the complement's counts are then R_A - D, written over D, which no
     column needs after that.
     """
-    if not 0 <= up_to <= chi.limit:
-        raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
-    if up_to < chi.n0:
-        raise PreconditionError(f"up_to={up_to} is below n0={chi.n0}")
+    lo, hi = chi.n0, chi.limit
+    if hi < lo:
+        raise PreconditionError(f"the table ends at {hi}, below n0={lo}")
     w = WeightPair(1, chi.k)
-    lo = chi.n0
-    diff = rep_difference(chi, w, up_to)[lo:]
+    diff = rep_difference(chi, w, hi)[lo:]
 
     def counts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r_set = rep_values(chi, SET, w, up_to)[lo:]
-        return np.arange(lo, up_to + 1), r_set, np.subtract(r_set, diff, out=diff)
+        r_set = rep_values(chi, SET, w, hi)[lo:]
+        return np.arange(lo, hi + 1), r_set, np.subtract(r_set, diff, out=diff)
 
     return ScanReport(
         kind="equality",
         k=chi.k,
         n0=chi.n0,
         lo=lo,
-        hi=up_to,
+        hi=hi,
         ok=diff == 0,
         counts=counts,
     )
@@ -520,20 +518,16 @@ class BlockParityReport:
 
     Along any chain the flip rule forces chi to be constant on each block
     and to alternate with the parity of i, for every base n at or above
-    ``threshold``.  Triples reaching beyond the prefix are skipped, not
-    errors; ``checked`` counts the (i, n, j) triples actually inspected.
-    Behaviour below the threshold is tallied separately and not judged.
+    :func:`chain_threshold`.  ``checked`` counts the cells k**i * n + j
+    judged; the last block of each power may be cut at the table's limit.
+    ``violations`` holds the first :data:`_MAX_STORED_VIOLATIONS` failing
+    (n, i, j), by i and then by cell.
     """
 
     i_max: int
-    threshold: int
-    limit: int
     checked: int
-    checked_per_i: tuple[int, ...]
     violation_count: int
     violations: tuple[tuple[int, int, int], ...]
-    below_threshold_checked: int
-    below_threshold_mismatches: int
 
     @property
     def ok(self) -> bool:
@@ -548,59 +542,33 @@ def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
 
     For each base n >= threshold and each j with k**i * n + j <= limit:
     chi(k**i * n + j) must equal chi(n) when i is even and 1 - chi(n) when
-    i is odd.  The expected violation count on a table built from a valid
-    seed is zero.
+    i is odd.  Each power is one comparison of the table from its first
+    judged cell k**i * threshold on; a power whose first judged cell is
+    past the limit judges nothing.  The expected violation count on a
+    table built from a valid seed is zero.
     """
     if i_max < 1:
         raise PreconditionError(f"i_max must be >= 1, got {i_max}")
     k, limit = chi.k, chi.limit
     threshold = chain_threshold(k, chi.n0)
-    bits = chi.bits
-    checked_per_i = []
+    checked = violation_count = 0
     violations: list[tuple[int, int, int]] = []
-    violation_count = 0
-    below_checked = 0
-    below_mismatch = 0
-
-    def compare(i: int, start: int, stop: int, judge: bool) -> int:
-        """Tally the blocks of the bases n in [start, stop), the last one
-        possibly cut at the limit; return the cells judged."""
-        nonlocal violation_count, below_checked, below_mismatch
-        if start >= stop:
-            return 0
+    for i in range(1, i_max + 1):
         base = k**i
-        lo, hi = base * start, min(base * stop, limit + 1) - 1
-        cells, parents = bits[lo : hi + 1], _quotient_bits(bits, base, lo, hi)
-        # odd i flips the block: a cell equal to its base's bit is wrong
-        bad = cells == parents if i & 1 else cells != parents
+        lo = base * threshold
+        if lo > limit:  # and so are the first cells of every higher power
+            break
+        bad = _flip_mismatches(chi.bits, base, lo, odd=bool(i & 1))
         count = int(np.count_nonzero(bad))
-        if not judge:
-            below_checked += bad.size
-            below_mismatch += count
-            return 0
+        checked += bad.size
         violation_count += count
         room = _MAX_STORED_VIOLATIONS - len(violations)
         if count and room > 0:
-            cell = np.flatnonzero(bad)[:room]
-            ns, js = (start + cell // base).tolist(), (cell % base).tolist()
-            violations.extend(zip(ns, [i] * room, js))
-        return bad.size
-
-    for i in range(1, i_max + 1):
-        # bases n with a cell k**i * n + j <= limit: n in [0, m)
-        m = limit // k**i + 1
-        cut = min(threshold, m)
-        compare(i, 0, cut, judge=False)
-        checked_per_i.append(compare(i, cut, m, judge=True))
-
+            cell = lo + np.flatnonzero(bad)[:room]
+            violations.extend(zip((cell // base).tolist(), itertools.repeat(i), (cell % base).tolist()))
     return BlockParityReport(
         i_max=i_max,
-        threshold=threshold,
-        limit=limit,
-        checked=sum(checked_per_i),
-        checked_per_i=tuple(checked_per_i),
+        checked=checked,
         violation_count=violation_count,
         violations=tuple(violations),
-        below_threshold_checked=below_checked,
-        below_threshold_mismatches=below_mismatch,
     )

@@ -119,11 +119,11 @@ def classic_counts(bits, side: str, n: int) -> tuple[int, int, int]:
     return r1, r2, r3
 
 
-def flip_rule_loop(chi: ChiTable, up_to: int) -> tuple[int | None, int]:
+def flip_rule_loop(chi: ChiTable) -> tuple[int | None, int]:
     """(first violation, violation count) of the flip rule
-    chi(n) = 1 - chi(n // k) over n in [k + n0, up_to], one n at a time."""
+    chi(n) = 1 - chi(n // k) over n in [k + n0, limit], one n at a time."""
     first, count = None, 0
-    for n in range(chi.k + chi.n0, up_to + 1):
+    for n in range(chi.k + chi.n0, chi.limit + 1):
         if chi.bits[n] == chi.bits[n // chi.k]:
             count += 1
             if first is None:
@@ -132,53 +132,28 @@ def flip_rule_loop(chi: ChiTable, up_to: int) -> tuple[int | None, int]:
 
 
 def block_parity_loop(chi: ChiTable, i_max: int) -> BlockParityReport:
-    """verify_block_parity as one comparison per base n and power i."""
+    """verify_block_parity as one comparison per base n and power i, over
+    the bases n >= (n0 + k) // k + 1 whose block starts within the table."""
     k, limit = chi.k, chi.limit
     threshold = (chi.n0 + k) // k + 1
     bits = chi.bits
     checked = 0
-    checked_per_i = []
     violations: list[tuple[int, int, int]] = []
     violation_count = 0
-    below_checked = 0
-    below_mismatch = 0
-
-    def compare(n: int, i: int, base: int, j_hi: int, judge: bool) -> None:
-        nonlocal checked, violation_count, below_checked, below_mismatch
-        start = base * n
-        block = bits[start : start + j_hi + 1]
-        expected = bits[n] ^ (i & 1)
-        bad = np.nonzero(block != expected)[0]
-        if judge:
-            checked += j_hi + 1
+    for i in range(1, i_max + 1):
+        base = k**i
+        for n in range(threshold, limit // base + 1):
+            block = bits[base * n : min(base * (n + 1), limit + 1)]
+            bad = np.nonzero(block != bits[n] ^ (i & 1))[0]
+            checked += block.size
             violation_count += int(bad.size)
             for j in islice(bad, max(0, MAX_STORED_VIOLATIONS - len(violations))):
                 violations.append((n, i, int(j)))
-        else:
-            below_checked += j_hi + 1
-            below_mismatch += int(bad.size)
-
-    for i in range(1, i_max + 1):
-        base = k**i
-        before = checked
-        n_full_hi = (limit + 1) // base - 1
-        for n in range(0, n_full_hi + 1):
-            compare(n, i, base, base - 1, judge=n >= threshold)
-        n_part = n_full_hi + 1
-        if base * n_part <= limit:
-            compare(n_part, i, base, limit - base * n_part, judge=n_part >= threshold)
-        checked_per_i.append(checked - before)
-
     return BlockParityReport(
         i_max=i_max,
-        threshold=threshold,
-        limit=limit,
         checked=checked,
-        checked_per_i=tuple(checked_per_i),
         violation_count=violation_count,
         violations=tuple(violations),
-        below_threshold_checked=below_checked,
-        below_threshold_mismatches=below_mismatch,
     )
 
 

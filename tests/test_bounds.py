@@ -14,7 +14,6 @@ from repfn import (
     SET,
     DomainError,
     PreconditionError,
-    QueryBeyondPrefix,
     SeedAssignment,
     WeightPair,
     admissible_j_values,
@@ -363,11 +362,11 @@ def test_witness_checks_survive_optimized_python():
 
 def test_bound_scan_small(seed011):
     chi = extend_seed(seed011, 2000)
-    report = bound_scan(chi, 2, 2000)
+    report = bound_scan(chi, 2)
     assert report.passed
     # R(2) = 0 for this table, so the reported ratio floor is exactly 0
     assert report.min_ratio == 0.0
-    assert bound_scan(chi, 100, 2000).min_ratio > 0
+    assert bound_scan(chi, 100).min_ratio > 0
     row100 = dict(zip(report.ns.tolist(), zip(report.r_set.tolist(), report.bound.tolist())))
     assert row100[100][1] == 1  # B(100) = 1
     assert row100[100][0] >= 1
@@ -381,20 +380,20 @@ def test_bound_scan_complement_matches_kernel(k, n0, s):
     agree.  On the corrupted seed 01111, D is nonzero, so the sign of D counts."""
     lo, hi = 1000, 10**5
     chi = extend_seed(SeedAssignment.from_string(k, n0, s), hi, require_valid=False)
-    report = bound_scan(chi, lo, hi)
+    report = bound_scan(chi, lo)
     assert np.array_equal(rep_values(chi, COMPLEMENT, WeightPair(1, k), hi)[lo:], report.r_comp)
 
 
 def test_bound_zero_below_fourth_power(seed011):
-    chi = extend_seed(seed011, 2000)
-    report = bound_scan(chi, 2, 31)  # below T * k**4 = 32
+    chi = extend_seed(seed011, 31)
+    report = bound_scan(chi, 2)  # below T * k**4 = 32
     assert (report.bound == 0).all()
     assert report.passed
 
 
 def test_bound_scan_validation(seed011):
     chi = extend_seed(seed011, 100)
-    with pytest.raises(PreconditionError):
-        bound_scan(chi, 50, 20)
-    with pytest.raises(QueryBeyondPrefix):
-        bound_scan(chi, 0, 200)
+    for lo in (-1, 101):
+        with pytest.raises(PreconditionError):
+            bound_scan(chi, lo)
+    assert bound_scan(chi, 100).ns.tolist() == [100]

@@ -17,6 +17,7 @@ from repfn import (
     PreconditionError,
     SeedAssignment,
     WeightPair,
+    chain_threshold,
     enumerate_seeds,
     extend_seed,
     prefix_search,
@@ -87,18 +88,24 @@ def test_seed_census_complement_closed(k, n0):
 
 def test_window_check_matches_loop_oracle():
     """verify_structure's window violations and SeedAssignment.is_valid agree
-    with the literal per-n loop on every bit string of width k + n0 <= 8, for
-    every up_to in [0, k + n0), including up_to < n0."""
+    with the literal per-n loops on every bit string of width k + n0 <= 8, on
+    every table that ends in [0, k + n0], including before n0.  Up to
+    k + n0 - 1 the flip range is empty; at k + n0 it is the one cell k + n0,
+    tried with both bits."""
     for k in range(2, 9):
         for n0 in range(0, 9 - k):
             width = k + n0
             for cand in product((0, 1), repeat=width):
                 bad = [n for n in range(n0, width) if not window_identity_loop(cand, k, n)]
                 assert SeedAssignment(k, n0, cand).is_valid() == (not bad), (k, n0, cand)
-                chi = ChiTable(cand, k, n0)
-                for up_to in range(width):
-                    expected = tuple(n for n in bad if n <= up_to)
-                    assert verify_structure(chi, up_to).window_violations == expected, (k, n0, cand, up_to)
+                tables = [cand[: up_to + 1] for up_to in range(width)] + [cand + (0,), cand + (1,)]
+                for bits in tables:
+                    expected = tuple(n for n in bad if n < len(bits))
+                    chi = ChiTable(bits, k, n0)
+                    report = verify_structure(chi)
+                    assert report.window_violations == expected, (k, n0, bits)
+                    flip = (report.flip_first_violation, report.flip_violation_count)
+                    assert flip == flip_rule_loop(chi), (k, n0, bits)
 
 
 @pytest.mark.parametrize("k1,k2", ORACLE_WEIGHTS)
@@ -228,16 +235,7 @@ def test_seed_value_rejects_negative(seed011):
 # ---------------------------------------------------------------- verifiers
 
 def test_verify_structure_passes_on_built_table(chi_small):
-    assert verify_structure(chi_small, 2000).ok
-
-
-def test_verifiers_respect_prefix(chi_small):
-    from repfn import QueryBeyondPrefix
-
-    with pytest.raises(QueryBeyondPrefix):
-        verify_structure(chi_small, 2001)
-    with pytest.raises(QueryBeyondPrefix):
-        verify_equality(chi_small, 2001)
+    assert verify_structure(chi_small).ok
 
 
 def test_verify_structure_detects_flip(seed011):
@@ -245,10 +243,10 @@ def test_verify_structure_detects_flip(seed011):
     bits = chi.bits.copy()
     bits[50] ^= 1
     broken = ChiTable(bits, 2, 1)
-    report = verify_structure(broken, 200)
+    report = verify_structure(broken)
     assert not report.ok
     # the flip breaks the rule at n=50 and at its children 100 and 101
-    assert (report.flip_first_violation, report.flip_violation_count) == flip_rule_loop(broken, 200)
+    assert (report.flip_first_violation, report.flip_violation_count) == flip_rule_loop(broken)
     assert report.flip_first_violation == 50
 
 
@@ -269,24 +267,25 @@ def _flip_tables(k: int, n0: int):
 @pytest.mark.parametrize("n0", [0, 1, 2, 3])
 def test_flip_check_matches_loop_oracle(k, n0):
     """The flip check's first violation and count equal the per-n loop's
-    at every up_to: every residue mod k, and below k + n0, where no n is
-    checked."""
-    for chi, label in _flip_tables(k, n0):
-        for up_to in range(chi.limit + 1):
-            report = verify_structure(chi, up_to)
+    on tables ending at every limit: every residue mod k, and below k + n0,
+    where no n is checked."""
+    for table, label in _flip_tables(k, n0):
+        for up_to in range(table.limit + 1):
+            chi = ChiTable(table.bits[: up_to + 1], k, n0)
+            report = verify_structure(chi)
             got = (report.flip_first_violation, report.flip_violation_count)
-            assert got == flip_rule_loop(chi, up_to), (label, up_to)
+            assert got == flip_rule_loop(chi), (label, up_to)
 
 
 def test_verify_structure_all_ones():
     chi = ChiTable(np.ones(101, dtype=int), 2, 1)
-    report = verify_structure(chi, 100)
+    report = verify_structure(chi)
     assert not report.ok
     assert report.flip_first_violation == 3
 
 
 def test_verify_equality_hand_value(chi_small):
-    report = verify_equality(chi_small, 20)
+    report = verify_equality(ChiTable(chi_small.bits[:21], 2, 1))
     row = dict(zip(report.ns.tolist(), zip(report.r_set.tolist(), report.r_comp.tolist())))
     # at n=4: set pair (2, 1), complement pair (4, 0)
     assert row[4] == (1, 1)
@@ -295,13 +294,19 @@ def test_verify_equality_hand_value(chi_small):
 
 
 def test_verify_equality_zero_violations(chi_small):
-    assert verify_equality(chi_small, 2000).passed
+    assert verify_equality(chi_small).passed
 
 
 def test_verify_equality_below_n0_excluded(seed011):
-    report = verify_equality(extend_seed(seed011, 100), 100)
+    report = verify_equality(extend_seed(seed011, 100))
     assert report.lo == 1 and report.hi == 100
     assert report.ns[0] == 1
+
+
+def test_verify_equality_rejects_a_table_ending_below_n0():
+    with pytest.raises(PreconditionError):
+        verify_equality(ChiTable([0, 1, 1], 2, 3))
+    assert verify_equality(ChiTable([0, 1, 1, 0], 2, 3)).hi == 3
 
 
 def test_flipped_bit_breaks_equality_nearby(seed011):
@@ -310,7 +315,7 @@ def test_flipped_bit_breaks_equality_nearby(seed011):
     bits = chi.bits.copy()
     bits[flip_at] ^= 1
     broken = ChiTable(bits, 2, 1)
-    report = verify_equality(broken, 250)
+    report = verify_equality(broken)
     violations = report.violations
     assert violations
     # a violation shows up within a window of size k * flip point
@@ -321,7 +326,7 @@ def test_verify_equality_counts_on_random_table(rng):
     """On a random table R_A - R_C takes both signs; the reported counts are
     the kernel's on each side and ok marks exactly the n where they agree."""
     chi = ChiTable((rng.random(301) < 0.5).astype(np.uint8), 2, 1)
-    report = verify_equality(chi, 300)
+    report = verify_equality(chi)
     r_set = rep_values(chi, SET, WeightPair(1, 2), 300)[1:]
     r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, 2), 300)[1:]
     assert (r_set > r_comp).any() and (r_set < r_comp).any()
@@ -333,7 +338,7 @@ def test_verify_equality_counts_on_random_table(rng):
 def test_equality_scan_all_seeds(k, n0):
     for row in enumerate_seeds(k, n0).tolist():
         seed = SeedAssignment(k, n0, tuple(row))
-        assert verify_equality(extend_seed(seed, 3000), 3000).passed
+        assert verify_equality(extend_seed(seed, 3000)).passed
 
 
 # ------------------------------------------------------------- block parity
@@ -351,15 +356,16 @@ def test_block_parity_on_hand_table(seed011):
 def test_block_parity_zero_violations(chi_small):
     report = verify_block_parity(chi_small, 4)
     assert report.ok
-    assert report.checked > 0
-    assert len(report.checked_per_i) == 4
-    assert all(c > 0 for c in report.checked_per_i)
+    # power 4 judges cells, and so does every lower one, whose cells start lower
+    assert 0 < verify_block_parity(chi_small, 3).checked < report.checked
 
 
 def test_block_parity_reports_below_threshold_without_judging(chi_small):
     report = verify_block_parity(chi_small, 1)
-    # below the threshold the relation may fail, but that is not a violation
-    assert report.below_threshold_checked > 0
+    # below the threshold the relation fails (at i = 1 a cell equals its
+    # base's bit), but that is not a violation
+    top = 2 * chain_threshold(2, 1)
+    assert (chi_small.bits[:top] == chi_small.bits[np.arange(top) // 2]).any()
     assert report.ok
 
 
@@ -375,13 +381,15 @@ def test_block_parity_detects_corruption(seed011):
     report = verify_block_parity(ChiTable(bits, 2, 1), 3)
     assert not report.ok
     assert report.violation_count > 0
-    assert all(n >= report.threshold for n, _, _ in report.violations)
+    assert all(n >= chain_threshold(2, 1) for n, _, _ in report.violations)
 
 
 def _parity_tables(k: int):
     """(chi, label) pairs: random bits (far over 100 violations), a valid
     extension with a dozen corrupted bits, and a start n0 that puts the
-    threshold above the full-block count of the high powers."""
+    threshold above the full-block count of the high powers; then both
+    first kinds cut at k**i * T - 1, k**i * T and k**i * T + 1 for each
+    i <= 4, where power i judges no cell, one and two."""
     rng = np.random.default_rng(7 * k)
     seed = SeedAssignment(k, 1, tuple(enumerate_seeds(k, 1)[0].tolist()))
     for limit in (k**4 + 5, 1999):
@@ -391,12 +399,17 @@ def _parity_tables(k: int):
         bits[rng.integers(0, limit + 1, size=12)] ^= 1
         yield ChiTable(bits, k, 1), f"corrupted limit={limit}"
         yield ChiTable(bits, k, 20 * k), f"high threshold limit={limit}"
+    for i in range(1, 5):
+        first = k**i * chain_threshold(k, 1)  # the first cell power i judges
+        for limit in (first - 1, first, first + 1):
+            yield ChiTable(noisy[: limit + 1], k, 1), f"random cut at {limit}"
+            yield ChiTable(bits[: limit + 1], k, 1), f"corrupted cut at {limit}"
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_block_parity_matches_loop_oracle(k):
-    """The whole report, violation order and below-threshold tallies included,
-    equals that of the per-base loop."""
+    """The whole report, violation order included, equals that of the
+    per-base loop."""
     for chi, label in _parity_tables(k):
         for i_max in (1, 2, 4, 6):
             assert verify_block_parity(chi, i_max) == block_parity_loop(chi, i_max), (label, i_max)

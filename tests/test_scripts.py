@@ -1,0 +1,38 @@
+"""The research scripts under ``scripts/`` still run against the package.
+
+No other test imports them, so a signature change in ``repfn`` would break
+them silently.  Each one runs here as a subprocess on small arguments, with
+the package's ``src`` on ``PYTHONPATH``, and must exit 0 with its usual
+last line.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (script, arguments, start of its last output line)
+SCRIPTS = [
+    ("growth_profile.py", ["--max-exp", "6"], "scan-wide minimum of R / max(1, ln n): "),
+    (
+        "seed_census.py",
+        ["--max-k", "3", "--max-n0", "1", "--check-limit", "300"],
+        "all listed seeds extend to tables with exact count equality up to N=300",
+    ),
+    ("unsat_depths.py", ["--max-weight", "4", "--max-n0", "2", "--cap", "40"], "(3,4)"),
+]
+
+
+@pytest.mark.parametrize("script,args,last", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
+def test_research_script_runs(script, args, last):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].strip().startswith(last), proc.stdout
