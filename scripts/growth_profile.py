@@ -25,7 +25,7 @@ def main() -> None:
     seed = SeedAssignment.from_string(args.k, args.n0, args.seed)
     hi = 2 ** (args.max_exp + 1) - 1
     chi = extend_seed(seed, hi)
-    report = bound_scan(chi, 2)
+    report = bound_scan(chi, args.k, args.n0, 2)
     assert report.passed, report.violations[:5]
 
     print(f"{'window':>20} {'min R':>8} {'B(lo)':>6} {'min R / ln lo':>14}")

@@ -29,7 +29,7 @@ def main() -> None:
             print(f"{k:>3} {n0:>3} {len(seeds):>6}  {' '.join(strings) or '-'}")
             if len(seeds):
                 first = SeedAssignment(k, n0, tuple(seeds[0].tolist()))
-                scan = verify_equality(extend_seed(first, args.check_limit))
+                scan = verify_equality(extend_seed(first, args.check_limit), k, n0)
                 assert scan.passed, (k, n0, scan.violations[:3])
     print("\nall listed seeds extend to tables with exact count equality "
           f"up to N={args.check_limit}")

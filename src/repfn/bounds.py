@@ -34,7 +34,7 @@ from math import gcd
 from ._numpy import np
 from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
 from .errors import DomainError, NoWitness, PreconditionError
-from .partitions import SeedAssignment, chain_threshold, prefix_search
+from .partitions import SeedAssignment, _check_params, chain_threshold, prefix_search
 
 CASE_INTERVAL = "case1"
 CASE_SMALL_SHIFT = "case2"
@@ -280,7 +280,7 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
     return records, skipped
 
 
-def bound_scan(chi: ChiTable, lo: int) -> ScanReport:
+def bound_scan(chi: ChiTable, k: int, n0: int, lo: int) -> ScanReport:
     """Record both representation counts against the guaranteed bound.
 
     For each n in [lo, limit] of the table the report carries R_{1,k} on
@@ -291,20 +291,21 @@ def bound_scan(chi: ChiTable, lo: int) -> ScanReport:
     ``min_ratio`` tracks min r_set / max(1, ln n) over the scan as an
     empirical growth constant; it is reported, never asserted.
     """
+    _check_params(k, n0)
     hi = chi.limit
     if not 0 <= lo <= hi:
         raise PreconditionError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
-    w = WeightPair(1, chi.k)
+    w = WeightPair(1, k)
     r_set = rep_values(chi, SET, w, hi)[lo:]
     r_comp = r_set - rep_difference(chi, w, hi)[lo:]
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    bound = bound_array(chi.k, chi.n0, lo, hi)
+    bound = bound_array(k, n0, lo, hi)
     ok = (r_set >= bound) & (r_comp >= bound)
     ratios = r_set / np.maximum(1.0, np.log(np.maximum(ns, 1).astype(np.float64)))
     return ScanReport(
         kind="bound",
-        k=chi.k,
-        n0=chi.n0,
+        k=k,
+        n0=n0,
         lo=lo,
         hi=hi,
         ok=ok,
@@ -352,7 +353,7 @@ def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
     size = len(bits)
     if size == 0:
         return True
-    chi = ChiTable(bits, k=2, n0=0)  # k/n0 are construction metadata, unused by counting
+    chi = ChiTable(bits)
     diff = rep_difference(chi, w, w.k1 * size - 1)
     kernel = rep_values(chi, SET, w, size - 1) - rep_values(chi, COMPLEMENT, w, size - 1)
     return not diff[n0:].any() and np.array_equal(kernel, diff[:size])

@@ -327,9 +327,9 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
     _check_memory(cfg, cfg.limit, "limit")
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
-    structure = partitions.verify_structure(chi)
-    equality = partitions.verify_equality(chi)
-    parity = partitions.verify_block_parity(chi, _VERIFY_BLOCK_IMAX)
+    structure = partitions.verify_structure(chi, seed.k, seed.n0)
+    equality = partitions.verify_equality(chi, seed.k, seed.n0)
+    parity = partitions.verify_block_parity(chi, seed.k, seed.n0, _VERIFY_BLOCK_IMAX)
     ok = structure.ok and equality.passed and parity.ok
     if cfg.format == "csv":
         _emit_table(["n", "R_A", "R_comp", "equal"], equality.table(), out)
@@ -380,7 +380,7 @@ def _cmd_scan_bound(cfg: argparse.Namespace, out: TextIO) -> int:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
     _check_memory(cfg, cfg.hi, "hi")
     chi = partitions.extend_seed(seed, cfg.hi)
-    report = bounds.bound_scan(chi, cfg.lo)
+    report = bounds.bound_scan(chi, seed.k, seed.n0, cfg.lo)
     if cfg.format == "csv":
         _emit_table(report.columns, report.table(), out)
         print(

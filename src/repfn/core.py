@@ -34,31 +34,19 @@ def _check_side(side: str) -> None:
 
 
 class ChiTable:
-    """Characteristic function of a set on the prefix [0, limit].
+    """Characteristic function of a set on the prefix [0, limit]: a
+    validated, read-only 0/1 table, and nothing else the counting reads."""
 
-    ``k`` (>= 2) is the weight that pairs with the set in the identity
-    R_{1,k}(A, n) = R_{1,k}(complement, n) and in the flip recursion that
-    builds such tables; ``n0`` is the index from which the identity is
-    expected to hold.  Both ride along as metadata for the verifiers; the
-    counting operations only read the bits.
-    """
+    __slots__ = ("_bits",)
 
-    __slots__ = ("_bits", "k", "n0")
-
-    def __init__(self, bits, k: int, n0: int):
+    def __init__(self, bits):
         arr = np.asarray(bits, dtype=np.uint8).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise PreconditionError("bits must be a nonempty one-dimensional sequence")
         if not np.all(arr <= 1):
             raise PreconditionError("bits must contain only 0 and 1")
-        if int(k) < 2:
-            raise PreconditionError(f"k must be >= 2, got {k}")
-        if int(n0) < 0:
-            raise PreconditionError(f"n0 must be >= 0, got {n0}")
         arr.setflags(write=False)
         self._bits = arr
-        self.k = int(k)
-        self.n0 = int(n0)
 
     @property
     def limit(self) -> int:
@@ -78,12 +66,6 @@ class ChiTable:
             raise QueryBeyondPrefix(f"up_to={hi} outside known prefix [0, {self.limit}]")
         view = self._bits[: hi + 1]
         return view if side == SET else view ^ 1
-
-    def describe(self) -> str:
-        return f"chi(k={self.k},n0={self.n0},limit={self.limit})"
-
-    def __repr__(self) -> str:
-        return f"ChiTable({self.describe()})"
 
 
 @dataclass(frozen=True)
@@ -121,9 +103,6 @@ def rep_values(chi: ChiTable, side: str, w: WeightPair, up_to: int) -> np.ndarra
     index are zero).  The cost is one pair of contiguous adds per run, and a
     table built by the flip rule has only O((k + n0) * log N) runs on [0, N].
     """
-    _check_side(side)
-    if not 0 <= up_to <= chi.limit:
-        raise QueryBeyondPrefix(f"up_to={up_to} outside known prefix [0, {chi.limit}]")
     member = chi.side_bits(side, up_to)
     f = _class_prefix(member[: up_to // w.k1 + 1], w.k2, up_to + 1, w.k1)
     edges = np.flatnonzero(np.diff(member[: up_to // w.k2 + 1], prepend=0, append=0))

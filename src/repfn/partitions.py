@@ -437,7 +437,7 @@ def extend_seed(seed: SeedAssignment, limit: int, require_valid: bool = True) ->
     partition identity everywhere it is defined.
     """
     check_extension(seed, limit, require_valid)
-    return ChiTable(_extend_bits(seed, limit), seed.k, seed.n0)
+    return ChiTable(_extend_bits(seed, limit))
 
 
 def _flip_mismatches(bits: np.ndarray, d: int, lo: int, odd: bool) -> np.ndarray:
@@ -461,11 +461,11 @@ class StructureReport:
         return not self.window_violations and self.flip_first_violation is None
 
 
-def verify_structure(chi: ChiTable) -> StructureReport:
+def verify_structure(chi: ChiTable, k: int, n0: int) -> StructureReport:
     """Check condition (a) on the seed window and condition (b) on the whole
     table: the window identity at every n in [n0, k + n0) the table covers,
     and the flip rule at every n in [k + n0, limit]."""
-    k, n0 = chi.k, chi.n0
+    _check_params(k, n0)
     diff = rep_difference(chi, WeightPair(1, k), min(k + n0 - 1, chi.limit))
     window = (n0 + np.flatnonzero(diff[n0:])).tolist()
     flip_first = None
@@ -482,7 +482,7 @@ def verify_structure(chi: ChiTable) -> StructureReport:
     )
 
 
-def verify_equality(chi: ChiTable) -> ScanReport:
+def verify_equality(chi: ChiTable, k: int, n0: int) -> ScanReport:
     """Compare R_{1,k} on the set and its complement for every n in
     [n0, limit] of the table.
 
@@ -491,10 +491,11 @@ def verify_equality(chi: ChiTable) -> ScanReport:
     the complement's counts are then R_A - D, written over D, which no
     column needs after that.
     """
-    lo, hi = chi.n0, chi.limit
+    _check_params(k, n0)
+    lo, hi = n0, chi.limit
     if hi < lo:
         raise PreconditionError(f"the table ends at {hi}, below n0={lo}")
-    w = WeightPair(1, chi.k)
+    w = WeightPair(1, k)
     diff = rep_difference(chi, w, hi)[lo:]
 
     def counts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -503,8 +504,8 @@ def verify_equality(chi: ChiTable) -> ScanReport:
 
     return ScanReport(
         kind="equality",
-        k=chi.k,
-        n0=chi.n0,
+        k=k,
+        n0=n0,
         lo=lo,
         hi=hi,
         ok=diff == 0,
@@ -537,7 +538,7 @@ class BlockParityReport:
 _MAX_STORED_VIOLATIONS = 100
 
 
-def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
+def verify_block_parity(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockParityReport:
     """Check the block parity relation for every i in [1, i_max].
 
     For each base n >= threshold and each j with k**i * n + j <= limit:
@@ -549,8 +550,8 @@ def verify_block_parity(chi: ChiTable, i_max: int) -> BlockParityReport:
     """
     if i_max < 1:
         raise PreconditionError(f"i_max must be >= 1, got {i_max}")
-    k, limit = chi.k, chi.limit
-    threshold = chain_threshold(k, chi.n0)
+    limit = chi.limit
+    threshold = chain_threshold(k, n0)
     checked = violation_count = 0
     violations: list[tuple[int, int, int]] = []
     for i in range(1, i_max + 1):

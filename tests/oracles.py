@@ -119,23 +119,23 @@ def classic_counts(bits, side: str, n: int) -> tuple[int, int, int]:
     return r1, r2, r3
 
 
-def flip_rule_loop(chi: ChiTable) -> tuple[int | None, int]:
+def flip_rule_loop(chi: ChiTable, k: int, n0: int) -> tuple[int | None, int]:
     """(first violation, violation count) of the flip rule
     chi(n) = 1 - chi(n // k) over n in [k + n0, limit], one n at a time."""
     first, count = None, 0
-    for n in range(chi.k + chi.n0, chi.limit + 1):
-        if chi.bits[n] == chi.bits[n // chi.k]:
+    for n in range(k + n0, chi.limit + 1):
+        if chi.bits[n] == chi.bits[n // k]:
             count += 1
             if first is None:
                 first = n
     return first, count
 
 
-def block_parity_loop(chi: ChiTable, i_max: int) -> BlockParityReport:
+def block_parity_loop(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockParityReport:
     """verify_block_parity as one comparison per base n and power i, over
     the bases n >= (n0 + k) // k + 1 whose block starts within the table."""
-    k, limit = chi.k, chi.limit
-    threshold = (chi.n0 + k) // k + 1
+    limit = chi.limit
+    threshold = (n0 + k) // k + 1
     bits = chi.bits
     checked = 0
     violations: list[tuple[int, int, int]] = []

@@ -52,7 +52,7 @@ def scan_131k():
     window [2**16, 2**17) is complete.
     """
     chi = extend_seed(SEED_011, 2**17 - 1)
-    return bound_scan(chi, 2)
+    return bound_scan(chi, 2, 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ def test_criterion_1_partition_identity():
             seed = SeedAssignment(k, n0, tuple(row))
             seeds_seen += 1
             chi = extend_seed(seed, 10**6)
-            scan = verify_equality(chi)
+            scan = verify_equality(chi, k, n0)
             assert scan.passed, (k, n0, seed.bit_string(), scan.violations[:5])
             assert (scan.r_set == scan.r_comp).all()
             r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, k), 10**6)[n0:]
@@ -117,10 +117,10 @@ def test_criterion_3_block_parity():
         for row in enumerate_seeds(k, n0).tolist():
             seed = SeedAssignment(k, n0, tuple(row))
             chi = extend_seed(seed, 50000)
-            rep = verify_block_parity(chi, 4)
+            rep = verify_block_parity(chi, k, n0, 4)
             assert rep.ok, (k, n0, seed.bit_string(), rep.violations[:5])
             # i = 4 judges cells too: it adds to the count of i <= 3
-            assert verify_block_parity(chi, 3).checked < rep.checked
+            assert verify_block_parity(chi, k, n0, 3).checked < rep.checked
             total_checked += rep.checked
     report(
         "criterion 3: block parity relations, i in 1..4, N=50000",
@@ -179,7 +179,7 @@ def test_criterion_6_oracle_equivalence():
     rng = np.random.default_rng(42)
     for trial in range(50):
         bits = (rng.random(2001) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-        chi = ChiTable(bits, 2, 0)
+        chi = ChiTable(bits)
         w = WeightPair(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         side = SET if trial % 2 == 0 else COMPLEMENT
         values = rep_values(chi, side, w, 2000)
@@ -187,7 +187,7 @@ def test_criterion_6_oracle_equivalence():
         assert (values == sieve_rep_values(bits, side, w, 2000)).all(), (trial, w)
     for trial in range(20):
         bits = (rng.random(10**4 + 1) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-        chi = ChiTable(bits, 2, 0)
+        chi = ChiTable(bits)
         w = WeightPair(1, int(rng.integers(2, 6)))
         diff = rep_values(chi, SET, w, 10**4) - rep_values(chi, COMPLEMENT, w, 10**4)
         assert (diff == rep_difference(chi, w, 10**4)).all(), (trial, w)

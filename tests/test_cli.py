@@ -142,7 +142,7 @@ def test_verify_csv_rows(capsys):
     assert rows[0] == ["n", "R_A", "R_comp", "equal"]
     assert [int(r[0]) for r in rows[1:]] == list(range(1, 51))  # scan starts at n0
     # recount both sides with the naive counter, independently of the kernel
-    chi = ChiTable([int(c) for c in _build_bits(capsys, 50)], 2, 1)
+    chi = ChiTable([int(c) for c in _build_bits(capsys, 50)])
     w = WeightPair(1, 2)
     for n, r_a, r_comp, equal in (map(int, r) for r in rows[1:]):
         assert r_a == rep_count_weighted(chi, SET, w, n)
@@ -159,8 +159,8 @@ def test_verify_csv_of_non_seed(capsys, tmp_path):
                        "--limit", "60", "--format", "csv")
     rows = [list(map(int, r)) for r in list(csv.reader(io.StringIO(out)))[1:]]
     assert code == 1
-    chi = ChiTable(partitions.extend_seed(partitions.SeedAssignment.from_string(2, 1, "010"), 60,
-                                          require_valid=False).bits, 2, 1)
+    chi = partitions.extend_seed(partitions.SeedAssignment.from_string(2, 1, "010"), 60,
+                                 require_valid=False)
     w = WeightPair(1, 2)
     expected = [
         [n, r_a := rep_count_weighted(chi, SET, w, n), r_c := rep_count_weighted(chi, COMPLEMENT, w, n),
@@ -232,7 +232,7 @@ def test_scan_bound_json_roundtrip(capsys):
     assert doc["passed"] is True and doc["violations"] == []
     assert doc["columns"] == ["n", "R_A", "R_comp", "bound", "ok"]
     # re-validate every claim in the report against the reference counter
-    chi = ChiTable([int(c) for c in _build_bits(capsys, 200)], 2, 1)
+    chi = ChiTable([int(c) for c in _build_bits(capsys, 200)])
     w = WeightPair(1, 2)
     for n, r_a, r_comp, bound, ok in doc["rows"]:
         assert rep_count_weighted(chi, SET, w, n) == r_a

@@ -34,31 +34,27 @@ def brute_count(bits, k1, k2, n, side=SET):
 
 def random_table(rng, limit):
     bits = (rng.random(limit + 1) < rng.uniform(0.15, 0.85)).astype(int)
-    return ChiTable(bits, k=2, n0=0)
+    return ChiTable(bits)
 
 
 # ---------------------------------------------------------------- ChiTable
 
 def test_chi_table_validation():
     with pytest.raises(PreconditionError):
-        ChiTable([0, 1, 2], 2, 0)
+        ChiTable([0, 1, 2])
     with pytest.raises(PreconditionError):
-        ChiTable([], 2, 0)
-    with pytest.raises(PreconditionError):
-        ChiTable([0, 1], 1, 0)
-    with pytest.raises(PreconditionError):
-        ChiTable([0, 1], 2, -1)
+        ChiTable([])
 
 
 def test_chi_table_prefix_is_hard_boundary():
-    chi = ChiTable([0, 1, 1], 2, 1)
+    chi = ChiTable([0, 1, 1])
     assert chi.limit == 2
     with pytest.raises(QueryBeyondPrefix):
         rep_values(chi, SET, WeightPair(1, 2), 3)
 
 
 def test_complement_is_a_flipped_view():
-    chi = ChiTable([0, 1, 1, 0], 2, 1)
+    chi = ChiTable([0, 1, 1, 0])
     assert chi.side_bits(COMPLEMENT).tolist() == [1, 0, 0, 1]
     assert chi.side_bits(COMPLEMENT).dtype == np.uint8
     assert chi.side_bits(COMPLEMENT)[0] == 1
@@ -76,14 +72,14 @@ def test_weight_pair_validation():
 # ------------------------------------------------------- weighted counting
 
 def test_rep_count_all_ones():
-    chi = ChiTable(np.ones(101, dtype=int), 2, 0)
+    chi = ChiTable(np.ones(101, dtype=int))
     # a2 ranges over {0, 1, 2}, a1 is forced
     assert rep_count_weighted(chi, SET, WeightPair(1, 2), 5) == 3
     assert rep_count_weighted(chi, COMPLEMENT, WeightPair(1, 2), 5) == 0
 
 
 def test_rep_count_all_zeros():
-    chi = ChiTable(np.zeros(51, dtype=int), 2, 0)
+    chi = ChiTable(np.zeros(51, dtype=int))
     assert rep_count_weighted(chi, SET, WeightPair(1, 2), 10) == 0
     # the complement is everything, so the count is the full solution count
     assert rep_count_weighted(chi, COMPLEMENT, WeightPair(1, 2), 10) == 6
@@ -91,24 +87,34 @@ def test_rep_count_all_zeros():
 
 def test_rep_count_hand_enumeration():
     # A = {0, 1, 2, 3} on [0, 4]: pairs for n=4 are (0,2) and (2,1); (4,0) misses
-    chi = ChiTable([1, 1, 1, 1, 0], 2, 0)
+    chi = ChiTable([1, 1, 1, 1, 0])
     assert rep_count_weighted(chi, SET, WeightPair(1, 2), 4) == 2
 
 
 def test_rep_table_all_ones():
-    chi = ChiTable(np.ones(7, dtype=int), 2, 0)
+    chi = ChiTable(np.ones(7, dtype=int))
     assert rep_values(chi, SET, WeightPair(1, 2), 6).tolist() == [1, 1, 2, 2, 3, 3, 4]
 
 
 def test_rep_table_all_zeros_side_set():
-    chi = ChiTable(np.zeros(11, dtype=int), 2, 0)
+    chi = ChiTable(np.zeros(11, dtype=int))
     assert rep_values(chi, SET, WeightPair(2, 3), 10).tolist() == [0] * 11
 
 
 def test_rep_table_beyond_prefix():
-    chi = ChiTable([1, 1, 1], 2, 0)
-    with pytest.raises(QueryBeyondPrefix):
-        rep_values(chi, SET, WeightPair(1, 2), 3)
+    chi = ChiTable([1, 1, 1])
+    for up_to in (3, -1):
+        with pytest.raises(QueryBeyondPrefix, match=rf"^up_to={up_to} outside known prefix \[0, 2\]$"):
+            rep_values(chi, SET, WeightPair(1, 2), up_to)
+
+
+def test_rep_table_bad_side():
+    chi = ChiTable([1, 1, 1])
+    message = r"^side must be one of \('set', 'complement'\), got 'r4'$"
+    # the side is judged before the range, as one call checks both
+    for up_to in (2, 3):
+        with pytest.raises(PreconditionError, match=message):
+            rep_values(chi, "r4", WeightPair(1, 2), up_to)
 
 
 def test_rep_table_matches_naive_counter(rng):
@@ -143,7 +149,7 @@ def test_kernel_matches_oracles_on_edge_cases(k1, k2):
     COMPLEMENT are the empty-side cases."""
     w = WeightPair(k1, k2)
     for label, bits, up_to in _edge_tables(k2):
-        chi = ChiTable(bits, 2, 0)
+        chi = ChiTable(bits)
         for side in (SET, COMPLEMENT):
             values = rep_values(chi, side, w, up_to)
             assert values.dtype == np.int64 and values.size == up_to + 1
@@ -163,7 +169,7 @@ def test_kernel_matches_oracles_on_edge_cases(k1, k2):
 def test_sieve_naive_agreement_property(data, k1, k2):
     limit = data.draw(st.integers(5, 40))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
-    chi = ChiTable(bits, 2, 0)
+    chi = ChiTable(bits)
     w = WeightPair(k1, k2)
     values = rep_values(chi, SET, w, limit)
     n = data.draw(st.integers(0, limit))
@@ -177,7 +183,7 @@ def test_monotone_bound_property(data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
     k2 = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(0, limit))
-    chi = ChiTable(bits, 2, 0)
+    chi = ChiTable(bits)
     assert rep_count_weighted(chi, SET, WeightPair(1, k2), n) <= n // k2 + 1
 
 
@@ -185,7 +191,7 @@ def test_monotone_bound_property(data):
 
 def test_classic_rep_hand_values():
     # A = {1, 2, 3} on [0, 4]
-    chi = ChiTable([0, 1, 1, 1, 0], 2, 0)
+    chi = ChiTable([0, 1, 1, 1, 0])
     r1, r2, r3 = classic_rep(chi, SET, 4)
     assert r1[4] == 3  # (1,3), (3,1), (2,2)
     assert r2[4] == 1  # (1,3)
@@ -193,7 +199,7 @@ def test_classic_rep_hand_values():
 
 
 def test_classic_rep_bad_side():
-    chi = ChiTable([1, 1], 2, 0)
+    chi = ChiTable([1, 1])
     with pytest.raises(PreconditionError):
         classic_rep(chi, "r4", 1)
     with pytest.raises(QueryBeyondPrefix):
@@ -207,7 +213,7 @@ def test_ordered_pair_symmetry(data):
     limit = data.draw(st.integers(1, 40))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
     n = data.draw(st.integers(0, limit))
-    chi = ChiTable(bits, 2, 0)
+    chi = ChiTable(bits)
     for side in (SET, COMPLEMENT):
         assert rep_count_weighted(chi, side, WeightPair(1, 1), n) == classic_rep(chi, side, n)[0][n]
 
@@ -219,7 +225,7 @@ def test_classic_variant_relations(data):
     and r1 = 2*r2 + [n even and n/2 on side], r3 = r2 + that same indicator."""
     limit = data.draw(st.integers(0, 40))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
-    chi = ChiTable(bits, 2, 0)
+    chi = ChiTable(bits)
     for side in (SET, COMPLEMENT):
         counts = classic_rep(chi, side, limit)
         for n in range(limit + 1):
@@ -233,19 +239,19 @@ def test_classic_variant_relations(data):
 
 def test_total_identity_examples():
     """R_A - R_C from the linear identity, on tables with a known answer."""
-    chi = ChiTable(np.ones(101, dtype=int), 2, 0)
+    chi = ChiTable(np.ones(101, dtype=int))
     for k2 in (2, 3):
         # the complement is empty, so the difference is the solution count
         assert rep_difference(chi, WeightPair(1, k2), 100).tolist() == [n // k2 + 1 for n in range(101)]
     # A = {1, 2}, solutions (a1, a2) of a1 + 2*a2 = n: n=0 has (0,0) in C x C;
     # n=3 has (3,0) in C x C and (1,1) in A x A; n=4 has (4,0) in C x C,
     # (2,1) in A x A and the mixed (0,2); n=1 and n=2 have mixed pairs only
-    chi = ChiTable([0, 1, 1, 0, 0], 2, 0)
+    chi = ChiTable([0, 1, 1, 0, 0])
     assert rep_difference(chi, WeightPair(1, 2), 4).tolist() == [-1, 0, 0, 0, 0]
 
 
 def test_total_identity_requires_coprime_k1_at_most_k2():
-    chi = ChiTable([1, 1, 1], 2, 0)
+    chi = ChiTable([1, 1, 1])
     with pytest.raises(PreconditionError):
         rep_difference(chi, WeightPair(3, 2), 2)  # k1 > k2
     with pytest.raises(PreconditionError):

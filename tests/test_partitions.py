@@ -101,11 +101,11 @@ def test_window_check_matches_loop_oracle():
                 tables = [cand[: up_to + 1] for up_to in range(width)] + [cand + (0,), cand + (1,)]
                 for bits in tables:
                     expected = tuple(n for n in bad if n < len(bits))
-                    chi = ChiTable(bits, k, n0)
-                    report = verify_structure(chi)
+                    chi = ChiTable(bits)
+                    report = verify_structure(chi, k, n0)
                     assert report.window_violations == expected, (k, n0, bits)
                     flip = (report.flip_first_violation, report.flip_violation_count)
-                    assert flip == flip_rule_loop(chi), (k, n0, bits)
+                    assert flip == flip_rule_loop(chi, k, n0), (k, n0, bits)
 
 
 @pytest.mark.parametrize("k1,k2", ORACLE_WEIGHTS)
@@ -117,7 +117,7 @@ def test_window_identity_matches_naive_counter(k1, k2):
     for width in range(1, 11):
         for cand in product((0, 1), repeat=width):
             # the counter rejects n beyond its table; the padding is never read
-            chi = ChiTable(cand + (0,) * (k1 - 1) * width, 2, 0)
+            chi = ChiTable(cand + (0,) * (k1 - 1) * width)
             for n in range(k1 * width):
                 r_set = rep_count_weighted(chi, SET, w, n)
                 r_comp = rep_count_weighted(chi, COMPLEMENT, w, n)
@@ -235,18 +235,18 @@ def test_seed_value_rejects_negative(seed011):
 # ---------------------------------------------------------------- verifiers
 
 def test_verify_structure_passes_on_built_table(chi_small):
-    assert verify_structure(chi_small).ok
+    assert verify_structure(chi_small, 2, 1).ok
 
 
 def test_verify_structure_detects_flip(seed011):
     chi = extend_seed(seed011, 200)
     bits = chi.bits.copy()
     bits[50] ^= 1
-    broken = ChiTable(bits, 2, 1)
-    report = verify_structure(broken)
+    broken = ChiTable(bits)
+    report = verify_structure(broken, 2, 1)
     assert not report.ok
     # the flip breaks the rule at n=50 and at its children 100 and 101
-    assert (report.flip_first_violation, report.flip_violation_count) == flip_rule_loop(broken)
+    assert (report.flip_first_violation, report.flip_violation_count) == flip_rule_loop(broken, 2, 1)
     assert report.flip_first_violation == 50
 
 
@@ -255,12 +255,12 @@ def _flip_tables(k: int, n0: int):
     extension of a random seed with a few corrupted bits."""
     rng = np.random.default_rng(100 * k + n0)
     limit = 8 * k + n0 + 5
-    yield ChiTable((rng.random(limit + 1) < 0.5).astype(np.uint8), k, n0), "random"
+    yield ChiTable((rng.random(limit + 1) < 0.5).astype(np.uint8)), "random"
     seed = SeedAssignment(k, n0, tuple(rng.integers(0, 2, size=k + n0).tolist()))
     for flips in (1, 3):
         bits = extend_seed(seed, limit, require_valid=False).bits.copy()
         bits[rng.integers(0, limit + 1, size=flips)] ^= 1
-        yield ChiTable(bits, k, n0), f"{flips} corrupted"
+        yield ChiTable(bits), f"{flips} corrupted"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -271,21 +271,21 @@ def test_flip_check_matches_loop_oracle(k, n0):
     where no n is checked."""
     for table, label in _flip_tables(k, n0):
         for up_to in range(table.limit + 1):
-            chi = ChiTable(table.bits[: up_to + 1], k, n0)
-            report = verify_structure(chi)
+            chi = ChiTable(table.bits[: up_to + 1])
+            report = verify_structure(chi, k, n0)
             got = (report.flip_first_violation, report.flip_violation_count)
-            assert got == flip_rule_loop(chi), (label, up_to)
+            assert got == flip_rule_loop(chi, k, n0), (label, up_to)
 
 
 def test_verify_structure_all_ones():
-    chi = ChiTable(np.ones(101, dtype=int), 2, 1)
-    report = verify_structure(chi)
+    chi = ChiTable(np.ones(101, dtype=int))
+    report = verify_structure(chi, 2, 1)
     assert not report.ok
     assert report.flip_first_violation == 3
 
 
 def test_verify_equality_hand_value(chi_small):
-    report = verify_equality(ChiTable(chi_small.bits[:21], 2, 1))
+    report = verify_equality(ChiTable(chi_small.bits[:21]), 2, 1)
     row = dict(zip(report.ns.tolist(), zip(report.r_set.tolist(), report.r_comp.tolist())))
     # at n=4: set pair (2, 1), complement pair (4, 0)
     assert row[4] == (1, 1)
@@ -294,19 +294,28 @@ def test_verify_equality_hand_value(chi_small):
 
 
 def test_verify_equality_zero_violations(chi_small):
-    assert verify_equality(chi_small).passed
+    assert verify_equality(chi_small, 2, 1).passed
 
 
 def test_verify_equality_below_n0_excluded(seed011):
-    report = verify_equality(extend_seed(seed011, 100))
+    report = verify_equality(extend_seed(seed011, 100), 2, 1)
     assert report.lo == 1 and report.hi == 100
     assert report.ns[0] == 1
 
 
 def test_verify_equality_rejects_a_table_ending_below_n0():
     with pytest.raises(PreconditionError):
-        verify_equality(ChiTable([0, 1, 1], 2, 3))
-    assert verify_equality(ChiTable([0, 1, 1, 0], 2, 3)).hi == 3
+        verify_equality(ChiTable([0, 1, 1]), 2, 3)
+    assert verify_equality(ChiTable([0, 1, 1, 0]), 2, 3).hi == 3
+
+
+@pytest.mark.parametrize("k,n0,message", [(1, 1, "k must be >= 2"), (2, -1, "n0 must be >= 0")])
+def test_verifiers_reject_bad_params(chi_small, k, n0, message):
+    for verify in (verify_structure, verify_equality):
+        with pytest.raises(PreconditionError, match=message):
+            verify(chi_small, k, n0)
+    with pytest.raises(PreconditionError, match=message):
+        verify_block_parity(chi_small, k, n0, 4)
 
 
 def test_flipped_bit_breaks_equality_nearby(seed011):
@@ -314,8 +323,8 @@ def test_flipped_bit_breaks_equality_nearby(seed011):
     chi = extend_seed(seed011, 250)
     bits = chi.bits.copy()
     bits[flip_at] ^= 1
-    broken = ChiTable(bits, 2, 1)
-    report = verify_equality(broken)
+    broken = ChiTable(bits)
+    report = verify_equality(broken, 2, 1)
     violations = report.violations
     assert violations
     # a violation shows up within a window of size k * flip point
@@ -325,8 +334,8 @@ def test_flipped_bit_breaks_equality_nearby(seed011):
 def test_verify_equality_counts_on_random_table(rng):
     """On a random table R_A - R_C takes both signs; the reported counts are
     the kernel's on each side and ok marks exactly the n where they agree."""
-    chi = ChiTable((rng.random(301) < 0.5).astype(np.uint8), 2, 1)
-    report = verify_equality(chi)
+    chi = ChiTable((rng.random(301) < 0.5).astype(np.uint8))
+    report = verify_equality(chi, 2, 1)
     r_set = rep_values(chi, SET, WeightPair(1, 2), 300)[1:]
     r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, 2), 300)[1:]
     assert (r_set > r_comp).any() and (r_set < r_comp).any()
@@ -338,14 +347,14 @@ def test_verify_equality_counts_on_random_table(rng):
 def test_equality_scan_all_seeds(k, n0):
     for row in enumerate_seeds(k, n0).tolist():
         seed = SeedAssignment(k, n0, tuple(row))
-        assert verify_equality(extend_seed(seed, 3000)).passed
+        assert verify_equality(extend_seed(seed, 3000), k, n0).passed
 
 
 # ------------------------------------------------------------- block parity
 
 def test_block_parity_on_hand_table(seed011):
     chi = extend_seed(seed011, 50)
-    report = verify_block_parity(chi, 2)
+    report = verify_block_parity(chi, 2, 1, 2)
     assert report.ok
     # read off the table: chi(2)=1; even exponent block 2**2 * 2 + [0, 4) all 1
     assert [chi.bits[n] for n in (8, 9, 10, 11)] == [1, 1, 1, 1]
@@ -354,14 +363,14 @@ def test_block_parity_on_hand_table(seed011):
 
 
 def test_block_parity_zero_violations(chi_small):
-    report = verify_block_parity(chi_small, 4)
+    report = verify_block_parity(chi_small, 2, 1, 4)
     assert report.ok
     # power 4 judges cells, and so does every lower one, whose cells start lower
-    assert 0 < verify_block_parity(chi_small, 3).checked < report.checked
+    assert 0 < verify_block_parity(chi_small, 2, 1, 3).checked < report.checked
 
 
 def test_block_parity_reports_below_threshold_without_judging(chi_small):
-    report = verify_block_parity(chi_small, 1)
+    report = verify_block_parity(chi_small, 2, 1, 1)
     # below the threshold the relation fails (at i = 1 a cell equals its
     # base's bit), but that is not a violation
     top = 2 * chain_threshold(2, 1)
@@ -371,21 +380,21 @@ def test_block_parity_reports_below_threshold_without_judging(chi_small):
 
 def test_block_parity_requires_positive_imax(chi_small):
     with pytest.raises(PreconditionError):
-        verify_block_parity(chi_small, 0)
+        verify_block_parity(chi_small, 2, 1, 0)
 
 
 def test_block_parity_detects_corruption(seed011):
     chi = extend_seed(seed011, 400)
     bits = chi.bits.copy()
     bits[300] ^= 1
-    report = verify_block_parity(ChiTable(bits, 2, 1), 3)
+    report = verify_block_parity(ChiTable(bits), 2, 1, 3)
     assert not report.ok
     assert report.violation_count > 0
     assert all(n >= chain_threshold(2, 1) for n, _, _ in report.violations)
 
 
 def _parity_tables(k: int):
-    """(chi, label) pairs: random bits (far over 100 violations), a valid
+    """(chi, n0, label) triples: random bits (far over 100 violations), a valid
     extension with a dozen corrupted bits, and a start n0 that puts the
     threshold above the full-block count of the high powers; then both
     first kinds cut at k**i * T - 1, k**i * T and k**i * T + 1 for each
@@ -394,25 +403,26 @@ def _parity_tables(k: int):
     seed = SeedAssignment(k, 1, tuple(enumerate_seeds(k, 1)[0].tolist()))
     for limit in (k**4 + 5, 1999):
         noisy = (rng.random(limit + 1) < 0.5).astype(np.uint8)
-        yield ChiTable(noisy, k, 1), f"random limit={limit}"
+        yield ChiTable(noisy), 1, f"random limit={limit}"
         bits = extend_seed(seed, limit).bits.copy()
         bits[rng.integers(0, limit + 1, size=12)] ^= 1
-        yield ChiTable(bits, k, 1), f"corrupted limit={limit}"
-        yield ChiTable(bits, k, 20 * k), f"high threshold limit={limit}"
+        yield ChiTable(bits), 1, f"corrupted limit={limit}"
+        yield ChiTable(bits), 20 * k, f"high threshold limit={limit}"
     for i in range(1, 5):
         first = k**i * chain_threshold(k, 1)  # the first cell power i judges
         for limit in (first - 1, first, first + 1):
-            yield ChiTable(noisy[: limit + 1], k, 1), f"random cut at {limit}"
-            yield ChiTable(bits[: limit + 1], k, 1), f"corrupted cut at {limit}"
+            yield ChiTable(noisy[: limit + 1]), 1, f"random cut at {limit}"
+            yield ChiTable(bits[: limit + 1]), 1, f"corrupted cut at {limit}"
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_block_parity_matches_loop_oracle(k):
     """The whole report, violation order included, equals that of the
     per-base loop."""
-    for chi, label in _parity_tables(k):
+    for chi, n0, label in _parity_tables(k):
         for i_max in (1, 2, 4, 6):
-            assert verify_block_parity(chi, i_max) == block_parity_loop(chi, i_max), (label, i_max)
+            got = verify_block_parity(chi, k, n0, i_max)
+            assert got == block_parity_loop(chi, k, n0, i_max), (label, i_max)
 
 
 def test_block_parity_with_powers_beyond_the_limit():
@@ -420,14 +430,14 @@ def test_block_parity_with_powers_beyond_the_limit():
     level is one base n = 0 cut at the limit: the report equals the loop's,
     and the check allocates a few kilobytes, not k**i bytes."""
     rng = np.random.default_rng(60)
-    chi = ChiTable((rng.random(201) < 0.5).astype(np.uint8), 60, 0)
+    chi = ChiTable((rng.random(201) < 0.5).astype(np.uint8))
     tracemalloc.start()
     try:
-        report = verify_block_parity(chi, 4)
+        report = verify_block_parity(chi, 60, 0, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report == block_parity_loop(chi, 4)
+    assert report == block_parity_loop(chi, 60, 0, 4)
     assert peak < 2**14
 
 
