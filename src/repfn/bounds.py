@@ -163,10 +163,6 @@ class WitnessRecord:
     side: str
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def extract_witness(
     seed: SeedAssignment, n: int, j: int, exclude: frozenset = frozenset()
 ) -> WitnessRecord | None:
@@ -196,13 +192,12 @@ def extract_witness(
         q = k**d.i
         a2_lo, a2_hi = p * d.t, p * d.t + p - 1
         a1_lo, a1_hi = q * d.t, q * d.t + q - 1
-        start = max(a2_lo, _ceil_div(n - a1_hi, k))
+        # from the least a2 with a1 = n - k*a2 <= a1_hi, so a1 stays in its block
+        start = max(a2_lo, -(-(n - a1_hi) // k))
         for a2 in range(start, a2_hi + 1):
             a1 = n - k * a2
             if a1 < a1_lo:
                 break
-            if a1 > a1_hi:
-                raise NoWitness(f"a1={a1} above its block end {a1_hi} at n={n}, j={j}")
             if a2 in exclude:
                 continue
             b1, b2 = seed.value(a1), seed.value(a2)
@@ -270,8 +265,6 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
             else:
                 skipped.append((j, "below-witness-threshold"))
             continue
-        if rec.a1 + seed.k * rec.a2 != n:
-            raise NoWitness(f"arithmetic breakdown at n={n}, j={j}")
         records.append(rec)
         if rec.decomposition.case == CASE_SMALL_SHIFT:
             used_small.add(rec.a2)

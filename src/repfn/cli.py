@@ -455,13 +455,13 @@ def _cmd_search(cfg: argparse.Namespace, out: TextIO) -> int:
             "status": outcome.status,
             "unsat_depth": outcome.unsat_depth,
             "nodes": outcome.nodes,
-            "wall_time_s": round(outcome.elapsed, 6),
             "certificate": "".join(map(str, outcome.certificate))
             if outcome.certificate is not None
             else None,
         },
         out,
     )
+    print(f"search: {outcome.status} in {outcome.elapsed:.6f} s", file=sys.stderr)
     return 0
 
 

@@ -563,10 +563,13 @@ def verify_block_parity(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockPari
         count = int(np.count_nonzero(bad))
         checked += bad.size
         violation_count += count
-        room = _MAX_STORED_VIOLATIONS - len(violations)
-        if count and room > 0:
-            cell = lo + np.flatnonzero(bad)[:room]
-            violations.extend(zip((cell // base).tolist(), itertools.repeat(i), (cell % base).tolist()))
+        # the first mismatches, each found from the last: no index of them all
+        at = 0
+        for _ in range(min(count, _MAX_STORED_VIOLATIONS - len(violations))):
+            at += int(bad[at:].argmax())
+            n, j = divmod(lo + at, base)
+            violations.append((n, i, j))
+            at += 1
     return BlockParityReport(
         i_max=i_max,
         checked=checked,

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -335,6 +336,17 @@ def test_search_unsat_json(capsys):
     assert doc["status"] == "unsat"
     assert doc["unsat_depth"] is not None and doc["unsat_depth"] <= 64
     assert doc["nodes"] > 0 and doc["certificate"] is None
+
+
+def test_search_stdout_is_deterministic(capsys):
+    """The search's own wall time goes to stderr, so stdout repeats byte for
+    byte across runs."""
+    argv = ["search", "--k1", "2", "--k2", "5", "--n0", "8", "--cap", "64"]
+    runs = [run(capsys, *argv) for _ in range(2)]
+    assert runs[0][1] == runs[1][1] and "wall_time_s" not in runs[0][1]
+    for code, _, err in runs:
+        assert code == 0
+        assert re.fullmatch(r"search: unsat in \d+\.\d{6} s\n", err), err
 
 
 def test_search_cap_below_refutation_depth_inconclusive(capsys):

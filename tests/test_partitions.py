@@ -441,6 +441,22 @@ def test_block_parity_with_powers_beyond_the_limit():
     assert peak < 2**14
 
 
+def test_block_parity_keeps_first_violations_without_an_index_of_all():
+    """On random bits about half of each power's cells are violations.  The
+    report keeps the first 100 without an int64 index of every one, so the
+    check peaks under 4 bytes per cell; such an index took it to 5."""
+    rng = np.random.default_rng(1)
+    chi = ChiTable((rng.random(2 * 10**5 + 1) < 0.5).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        report = verify_block_parity(chi, 2, 1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violation_count > 10**5 and len(report.violations) == 100
+    assert peak < 4 * chi.limit
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 60, 10**12])
 def test_quotient_bits_matches_gather(d):
     """_quotient_bits(bits, d, lo, hi) is bits[n // d] on [lo, hi], exactly
