@@ -28,14 +28,10 @@ COMPLEMENT = "complement"
 _SIDES = (SET, COMPLEMENT)
 
 
-def _check_side(side: str) -> None:
-    if side not in _SIDES:
-        raise PreconditionError(f"side must be one of {_SIDES}, got {side!r}")
-
-
 class ChiTable:
-    """Characteristic function of a set on the prefix [0, limit]: a
-    validated, read-only 0/1 table, and nothing else the counting reads."""
+    """Characteristic function of a set on the prefix [0, limit], as a
+    validated read-only 0/1 table.  The weight k and start n0 it is checked
+    against are arguments of the verifiers, not part of the table."""
 
     __slots__ = ("_bits",)
 
@@ -60,7 +56,8 @@ class ChiTable:
     def side_bits(self, side: str, up_to: int | None = None) -> np.ndarray:
         """Indicator array of the chosen side on [0, up_to]: for the set a
         read-only view of the table, for the complement one new array."""
-        _check_side(side)
+        if side not in _SIDES:
+            raise PreconditionError(f"side must be one of {_SIDES}, got {side!r}")
         hi = self.limit if up_to is None else up_to
         if not 0 <= hi <= self.limit:
             raise QueryBeyondPrefix(f"up_to={hi} outside known prefix [0, {self.limit}]")
