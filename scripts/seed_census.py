@@ -2,8 +2,9 @@
 """Census of valid initial segments over a (k, n0) grid.
 
 For each pair the script lists every seed satisfying the window identity,
-confirms closure under bitwise complement, and extends one representative
-to verify the count equality on a short prefix.
+rechecks each one through ``SeedAssignment.is_valid``, which shares no code
+with the popcount search that found it, and extends one representative to
+verify the count equality on a short prefix.
 """
 
 import argparse
@@ -23,9 +24,13 @@ def main() -> None:
     for k in range(2, args.max_k + 1):
         for n0 in range(0, args.max_n0 + 1):
             seeds = enumerate_seeds(k, n0)
-            strings = ["".join(map(str, row)) for row in seeds.tolist()]
-            flipped = {s.translate(str.maketrans("01", "10")) for s in strings}
-            assert flipped == set(strings), "census not complement-closed"
+            rows = seeds.tolist()
+            strings = ["".join(map(str, row)) for row in rows]
+            invalid = [
+                s for s, row in zip(strings, rows) if not SeedAssignment(k, n0, tuple(row)).is_valid()
+            ]
+            if invalid:
+                raise SystemExit(f"seeds failing the window identity at k={k}, n0={n0}: {invalid}")
             print(f"{k:>3} {n0:>3} {len(seeds):>6}  {' '.join(strings) or '-'}")
             if len(seeds):
                 first = SeedAssignment(k, n0, tuple(seeds[0].tolist()))

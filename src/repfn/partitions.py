@@ -118,11 +118,14 @@ def _settled_checks(w: WeightPair, n0: int, free: int):
                 a2, c = a2 + k1, c + 1
             state[j] = (a2, c, a1s, a2s)
             if c and d >= free and n >= n0:
-                # the words of both masks in one array; each nonzero one is a term
-                words = d // 64 + 1
-                masks = b"".join(m.to_bytes(8 * words, "little") for m in (a1s | a2s, a1s & a2s))
-                values = np.frombuffer(masks, "<u8")
-                checks.append(([(i % words, v) for i, v in enumerate(values) if v], c))
+                # each nonzero 64-bit word of either mask is a term
+                terms = [
+                    (i, np.uint64(v))
+                    for m in (a1s | a2s, a1s & a2s)
+                    for i in range(d // 64 + 1)
+                    if (v := m >> 64 * i & (2**64 - 1))
+                ]
+                checks.append((terms, c))
         if d >= free:
             yield checks
 
@@ -161,14 +164,19 @@ def prefix_search(
     settles exactly the n in [k1*d, k1*(d+1)) intersected with
     [n0, infinity), and a prefix dies at its first violation.  The first
     ``free`` = min(n0 // k1, width) bits settle no n, so every prefix of
-    that length is live; they are taken in blocks of 2**BLOCK_BITS
-    consecutive prefixes (the last BLOCK_BITS free bits vary within a
-    block), in increasing order.  A frontier is a uint64 matrix F[word, r]
-    whose columns are prefixes in lexicographic order, each packed in the
-    words of its column: free bit i at position free - 1 - i, so that the
-    free bits read as an integer are the prefix's lexicographic rank, and
-    deeper bit d at position d.  Each newly settled n is decided on all
-    columns at once, by popcounts under a mask of its a1 and a2.
+    that length is live.  Each solution of a settled n adds
+    chi(a1) + chi(a2) - 1, which flipping every bit negates, so a prefix
+    survives exactly when its complement does: when free >= 1 only the
+    free prefixes with bit 0 = 0, the first half in lexicographic order,
+    are searched, and the other half is their mirror image.  They are
+    taken in blocks of 2**BLOCK_BITS consecutive prefixes (the last
+    BLOCK_BITS free bits vary within a block), in increasing order.  A
+    frontier is a uint64 matrix F[word, r] whose columns are prefixes in
+    lexicographic order, each packed in the words of its column: free bit
+    i at position free - 1 - i, so that the free bits read as an integer
+    are the prefix's lexicographic rank, and deeper bit d at position d.
+    Each newly settled n is decided on all columns at once, by popcounts
+    under a mask of its a1 and a2.
 
     Each block takes bit ``free`` on its own; then the survivors of
     consecutive blocks are joined, in order, into a window of at most
@@ -185,19 +193,26 @@ def prefix_search(
     first with ``first_only``; no rows when none survive), the children
     tried, and the most bits any branch held.  That search tries both
     children of every live prefix, forced bit or not, so ``nodes`` adds 2
-    per prefix and depth, and counts children in preorder: with
-    ``first_only`` it is the preorder rank of the first survivor.  Once it
-    exceeds ``node_cap`` the search stops and reports ``node_cap + 1``,
-    with the survivors of rank at most ``node_cap`` (``deepest`` then only
-    covers the windows searched).
+    per prefix and depth, and counts children in preorder.  When free >= 1
+    it finishes the subtree of bit 0 = 0 before it tries bit 0 = 1, whose
+    subtree is the mirror image: the survivors are the half's followed by
+    their complements in reverse order, as complement reverses
+    lexicographic order, and ``nodes`` is twice the half's count.  With
+    ``first_only``, ``nodes`` is the preorder rank of the first survivor,
+    which lies in the half.  A finite ``node_cap`` requires ``first_only``:
+    once ``nodes`` would exceed it, the search stops and reports
+    ``node_cap + 1`` and no survivors (``deepest`` then only covers the
+    windows searched).
     """
+    if node_cap < math.inf and not first_only:
+        raise PreconditionError("a finite node_cap requires first_only")
     k1 = w.k1
     free = min(n0 // k1, width)
-    low = min(BLOCK_BITS, free)
-    high = free - low
+    mirror = free >= 1  # search the prefixes with bit 0 = 0, mirror the rest
+    low = min(BLOCK_BITS, free - mirror)
+    high = free - mirror - low
     words = max(1, -(-free // 64))  # of a free prefix
     low_values = np.arange(1 << low, dtype=np.uint64)
-    ranked = first_only or node_cap < math.inf  # preorder ranks may be needed
     # settled[d - free]: the checks of bit d, drawn when the search first
     # reaches depth d, so memory follows the depth reached, not width
     settled: list[list[tuple[list, int]]] = []
@@ -261,57 +276,57 @@ def prefix_search(
                 yield start, stop, parts
                 parts, start, cols = [], stop, 0
 
-    # per window: the rows of its surviving prefixes, after a first window of none
-    survivors = [np.empty((0, width), dtype=np.uint8)]
+    none = np.empty((0, width), dtype=np.uint8)
+    survivors = [none]  # per window: the rows of its surviving prefixes
     deep_nodes = deepest = 0  # deep_nodes: children tried below the free bits
     for start, stop, parts in windows():
         frontier = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         parts.clear()  # joined: free the blocks' arrays while the window runs
         deep_before = deep_nodes
         held = free  # bits of the longest live prefix
-        kept = []  # per depth past bit free, when ranked: each passing column's parent
+        kept = []  # per depth past bit free, with first_only: each passing column's parent
         if width > free:
             deep_nodes += (stop - start) << (low + 1)
             held += frontier.shape[1] > 0
             while frontier.shape[1] and held < width:
                 deep_nodes += 2 * frontier.shape[1]
                 frontier, parents = step(frontier, held)
-                if ranked:
+                if first_only:
                     kept.append(parents)
                 held += frontier.shape[1] > 0
         found = frontier.shape[1]
         deepest = max(deepest, held)
         total = free_rank((stop << low) - 1) + deep_nodes
-        if found:
-            take = found
-            if first_only or total > node_cap:
-                # preorder rank of each survivor: at each depth d past bit
-                # free, its ancestor is child 2r + bit d of column r, found by
-                # walking back through kept; at bit free, r is its free bits
-                # v less the window's first prefix
-                count = 1 if first_only else found
-                at = np.arange(count)
-                steps = np.zeros(count, dtype=np.int64)
-                for d, parents in zip(range(held - 1, free, -1), reversed(kept)):
-                    at = parents[at]
-                    bit = frontier[d >> 6, :count] >> np.uint64(d & 63) & np.uint64(1)
-                    steps += 2 * at + bit.astype(np.int64) + 1
-                ranks = []
-                columns = np.ascontiguousarray(frontier[:, :count].T, dtype="<u8")
-                for column, step_nodes in zip(columns, steps.tolist()):
-                    packed = int.from_bytes(column.tobytes(), "little")
-                    v = packed & ((1 << free) - 1)
-                    if width > free:
-                        step_nodes += 2 * (v - (start << low)) + (packed >> free & 1) + 1
-                    ranks.append(free_rank(v) + deep_before + step_nodes)
-                take = sum(rank <= node_cap for rank in ranks)  # ranks rise along the columns
-            survivors.append(_unpack(frontier[:, :take], free, width))
-            if first_only and take:
-                return np.concatenate(survivors), ranks[0], width
+        if found and first_only:
+            # preorder rank of the first survivor: at each depth d past bit
+            # free, its ancestor is child 2r + bit d of column r, found by
+            # walking back through kept; at bit free, r is its free bits v
+            # less the window's first prefix
+            at = rank = 0
+            for d, parents in zip(range(held - 1, free, -1), reversed(kept)):
+                at = int(parents[at])
+                rank += 2 * at + (int(frontier[d >> 6, 0]) >> (d & 63) & 1) + 1
+            packed = int.from_bytes(frontier[:, 0].astype("<u8").tobytes(), "little")
+            v = packed & ((1 << free) - 1)
+            if width > free:
+                rank += 2 * (v - (start << low)) + (packed >> free & 1) + 1
+            rank += free_rank(v) + deep_before
+            if rank <= node_cap:
+                return _unpack(frontier[:, :1], free, width), rank, width
+        elif found:
+            survivors.append(_unpack(frontier, free, width))
         if total > node_cap:
-            return np.concatenate(survivors), node_cap + 1, deepest
+            return none, node_cap + 1, deepest
         kept.clear()  # before the next window's blocks are searched
-    return np.concatenate(survivors), total, deepest
+    if mirror and 2 * total > node_cap:  # no survivor in the half, so none in its mirror
+        return none, node_cap + 1, deepest
+    # the half's survivors, then, mirrored, their complements in reverse order
+    count = sum(map(len, survivors))
+    out = np.empty(((1 + mirror) * count, width), dtype=np.uint8)
+    np.concatenate(survivors, out=out[:count])
+    if mirror:
+        np.bitwise_xor(out[:count][::-1], 1, out=out[count:])
+    return out, (1 + mirror) * total, deepest
 
 
 @dataclass(frozen=True, slots=True)

@@ -146,7 +146,7 @@ def assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_size
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
 def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
     """The block frontier returns the survivors and the preorder node count
-    of the recursive search, with and without first_only, and under node
+    of the recursive search, complete, and with first_only also under node
     caps that stop it early, one short of the count and at the count.
     Blocks hold 2**14 prefixes (one block here) and 4 (many blocks; at
     most 2**7 of them, as more only slow the test).
@@ -156,9 +156,45 @@ def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
         block_sizes = (2, 14) if n0 // k1 <= 9 else (14,)
         for width in FRONTIER_WIDTHS:
             total = prefix_search_dfs(w, n0, width)[1]
-            for first_only in (False, True):
-                for cap in (math.inf, 1, 50, max(total - 1, 1), total):
-                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_sizes)
+            assert_matches_oracle(monkeypatch, w, n0, width, False, math.inf, block_sizes)
+            for cap in (math.inf, 1, 50, max(total - 1, 1), total):
+                assert_matches_oracle(monkeypatch, w, n0, width, True, cap, block_sizes)
+
+
+@pytest.mark.parametrize("block_bits", [2, 14])
+@pytest.mark.parametrize("k1,k2", [(1, 3), (2, 3), (2, 5)])
+def test_half_at_block_boundaries(k1, k2, block_bits, monkeypatch):
+    """Only the free prefixes with bit 0 = 0 are searched, so the half has
+    free - 1 bits: none at free = 1 (the single prefix 0), and exactly one
+    block or two at free - 1 = BLOCK_BITS and BLOCK_BITS + 1.  Each matches
+    the recursive search complete and with first_only, at n0 = k1 * free
+    and, where k1 > 1, at n0 = k1 * free + 1, where bit free is branched on."""
+    w = WeightPair(k1, k2)
+    for free in (1, block_bits + 1, block_bits + 2):
+        for n0 in sorted({k1 * free, k1 * free + k1 - 1}):
+            for width in (free, free + 1, free + 6):
+                for first_only in (False, True):
+                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, math.inf, (block_bits,))
+
+
+@pytest.mark.parametrize("k1,k2,n0,width", [(2, 3, 13, 20), (2, 5, 12, 30), (2, 5, 9, 12), (1, 3, 5, 16)])
+def test_first_only_caps_across_the_mirror(k1, k2, n0, width, monkeypatch):
+    """The recursive search tries the bit 0 = 1 half, the mirror of the
+    bit 0 = 0 half, only after it; with first_only, every node cap from the
+    half's count to twice it matches it, in blocks of 4 prefixes and of
+    2**14.  Where nothing survives, only the mirror's count passes these
+    caps, so every cap below twice the half is inconclusive."""
+    w = WeightPair(k1, k2)
+    total = prefix_search_dfs(w, n0, width)[1]
+    assert total % 2 == 0
+    for cap in range(total // 2, total + 1):
+        assert_matches_oracle(monkeypatch, w, n0, width, True, cap, (2, 14))
+
+
+def test_node_cap_requires_first_only():
+    """A complete search stopped by a node cap is refused."""
+    with pytest.raises(PreconditionError, match="first_only"):
+        prefix_search(WeightPair(2, 3), 13, 20, first_only=False, node_cap=100)
 
 
 # one to three words of the packed frontier, each side of a word boundary
@@ -168,30 +204,30 @@ WORD_WIDTHS = [63, 64, 65, 70, 130]
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
 def test_prefix_search_matches_oracle_across_words(k1, k2, monkeypatch):
     """Prefixes of 63 to 130 bits, packed in one to three uint64 words,
-    complete, with first_only and under node caps of 1 and 50, in blocks
-    of 2**14 prefixes and of 4 (where that makes at most 2**7 blocks)."""
+    complete, and with first_only also under node caps of 1 and 50, in
+    blocks of 2**14 prefixes and of 4 (where that makes at most 2**7
+    blocks)."""
     w = WeightPair(k1, k2)
     for n0 in range(0, 14, 3):
         block_sizes = (2, 14) if n0 // k1 <= 9 else (14,)
         for width in WORD_WIDTHS:
-            for first_only in (False, True):
-                for cap in (math.inf, 1, 50):
-                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_sizes)
+            assert_matches_oracle(monkeypatch, w, n0, width, False, math.inf, block_sizes)
+            for cap in (math.inf, 1, 50):
+                assert_matches_oracle(monkeypatch, w, n0, width, True, cap, block_sizes)
 
 
 def test_free_prefix_wider_than_a_word(monkeypatch):
     """(2, 3) at n0 = 140 has 70 free bits, so a free prefix's rank spans
     two words.  At widths up to the free bits every prefix survives; past
-    them the first prefixes all die at bit 70.  first_only and node caps
-    from 1 to 20000 match the recursive search in blocks of 2**14 and 4."""
+    them the first prefixes all die at bit 70.  first_only with node caps
+    from 1 to 20000 matches the recursive search in blocks of 2**14 and 4."""
     w = WeightPair(2, 3)
     found = set()
     for width in (64, 65, 70, 71, 80, 140):
-        for first_only in (False, True):
-            caps = (1, 50, 200, 20_000) + ((math.inf,) if first_only and width <= 70 else ())
-            for cap in caps:
-                expected = assert_matches_oracle(monkeypatch, w, 140, width, first_only, cap, (2, 14))
-                found.add(len(expected[0]) > 0)
+        caps = (1, 50, 200, 20_000) + ((math.inf,) if width <= 70 else ())
+        for cap in caps:
+            expected = assert_matches_oracle(monkeypatch, w, 140, width, True, cap, (2, 14))
+            found.add(len(expected[0]) > 0)
     assert found == {False, True}
 
 
@@ -237,7 +273,7 @@ def test_packed_checks_match_solution_slices():
 
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
 def test_survivors_are_one_uint8_matrix(k1, k2):
-    """Complete, first_only, node-capped and empty results alike are one
+    """Complete, first_only, capped first_only and empty results alike are one
     C-contiguous uint8 array of shape (count, width), count being the
     depth-first oracle's number of survivors."""
     w = WeightPair(k1, k2)
@@ -246,7 +282,7 @@ def test_survivors_are_one_uint8_matrix(k1, k2):
         for width in (1, 8, 16):
             for mode, first_only, cap in (
                 ("complete", False, math.inf), ("first_only", True, math.inf),
-                ("capped", False, 1), ("capped", False, 50),
+                ("capped", True, 1), ("capped", True, 50),
             ):
                 survivors, _, _ = prefix_search(w, n0, width, first_only, cap)
                 count = len(prefix_search_dfs(w, n0, width, first_only, cap)[0])
@@ -333,14 +369,15 @@ def test_first_survivor_caps_in_windows(k1, k2, n0, width, monkeypatch):
 
 @pytest.mark.parametrize("k1,k2,n0,width", [(1, 3, 5, 16), (2, 5, 9, 12), (2, 3, 13, 20)])
 def test_every_node_cap_in_windows(k1, k2, n0, width, monkeypatch):
-    """Every node cap from 0 to one past the total, so also the running
-    total at the end of each window, complete and with first_only, in
-    blocks of 4 prefixes joined into windows of up to 8 columns."""
+    """With first_only, every node cap from 0 to one past the total, so
+    also the running total at the end of each window, and the complete
+    search, in blocks of 4 prefixes joined into windows of up to 8
+    columns."""
     w = WeightPair(k1, k2)
     total = prefix_search_dfs(w, n0, width)[1]
-    for first_only in (False, True):
-        for cap in range(total + 2):
-            assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, (2,))
+    assert_matches_oracle(monkeypatch, w, n0, width, False, math.inf, (2,))
+    for cap in range(total + 2):
+        assert_matches_oracle(monkeypatch, w, n0, width, True, cap, (2,))
 
 
 @pytest.mark.parametrize("k1,k2,n0", [(2, 3, 35), (3, 4, 31)])
