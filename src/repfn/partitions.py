@@ -164,14 +164,12 @@ def prefix_search(
     settles exactly the n in [k1*d, k1*(d+1)) intersected with
     [n0, infinity), and a prefix dies at its first violation.  The first
     ``free`` = min(n0 // k1, width) bits settle no n, so every prefix of
-    that length is live.  Each solution of a settled n adds
-    chi(a1) + chi(a2) - 1, which flipping every bit negates, so a prefix
-    survives exactly when its complement does: when free >= 1 only the
-    free prefixes with bit 0 = 0, the first half in lexicographic order,
-    are searched, and the other half is their mirror image.  They are
-    taken in blocks of 2**BLOCK_BITS consecutive prefixes (the last
-    BLOCK_BITS free bits vary within a block), in increasing order.  A
-    frontier is a uint64 matrix F[word, r] whose columns are prefixes in
+    that length is live.  Flipping every bit negates each solution's
+    chi(a1) + chi(a2) - 1, so a prefix survives exactly when its
+    complement does: when free >= 1 only the free prefixes with bit 0 = 0
+    are searched, in blocks of 2**BLOCK_BITS consecutive prefixes (the
+    last BLOCK_BITS free bits vary within a block), in increasing order.
+    A frontier is a uint64 matrix F[word, r] whose columns are prefixes in
     lexicographic order, each packed in the words of its column: free bit
     i at position free - 1 - i, so that the free bits read as an integer
     are the prefix's lexicographic rank, and deeper bit d at position d.
@@ -193,16 +191,14 @@ def prefix_search(
     first with ``first_only``; no rows when none survive), the children
     tried, and the most bits any branch held.  That search tries both
     children of every live prefix, forced bit or not, so ``nodes`` adds 2
-    per prefix and depth, and counts children in preorder.  When free >= 1
-    it finishes the subtree of bit 0 = 0 before it tries bit 0 = 1, whose
-    subtree is the mirror image: the survivors are the half's followed by
-    their complements in reverse order, as complement reverses
-    lexicographic order, and ``nodes`` is twice the half's count.  With
-    ``first_only``, ``nodes`` is the preorder rank of the first survivor,
-    which lies in the half.  A finite ``node_cap`` requires ``first_only``:
-    once ``nodes`` would exceed it, the search stops and reports
-    ``node_cap + 1`` and no survivors (``deepest`` then only covers the
-    windows searched).
+    per prefix and depth, and counts children in preorder: with
+    ``first_only`` it is the preorder rank of the first survivor.  It
+    tries bit 0 = 1 only after the whole bit 0 = 0 half, whose mirror it
+    is: the survivors are the half's, then their complements in reverse
+    order, and ``nodes`` is twice the half's.  A finite ``node_cap``
+    requires ``first_only``; once ``nodes`` would pass it the search
+    stops, with no survivor, and reports ``node_cap + 1`` (``deepest``
+    then only covers the windows searched).
     """
     if node_cap < math.inf and not first_only:
         raise PreconditionError("a finite node_cap requires first_only")
@@ -318,15 +314,12 @@ def prefix_search(
         if total > node_cap:
             return none, node_cap + 1, deepest
         kept.clear()  # before the next window's blocks are searched
-    if mirror and 2 * total > node_cap:  # no survivor in the half, so none in its mirror
-        return none, node_cap + 1, deepest
-    # the half's survivors, then, mirrored, their complements in reverse order
-    count = sum(map(len, survivors))
-    out = np.empty(((1 + mirror) * count, width), dtype=np.uint8)
-    np.concatenate(survivors, out=out[:count])
     if mirror:
-        np.bitwise_xor(out[:count][::-1], 1, out=out[count:])
-    return out, (1 + mirror) * total, deepest
+        if 2 * total > node_cap:  # no survivor in the half, so none in its mirror
+            return none, node_cap + 1, deepest
+        survivors += [rows[::-1] ^ 1 for rows in reversed(survivors)]
+        total *= 2
+    return np.concatenate(survivors), total, deepest
 
 
 @dataclass(frozen=True, slots=True)
