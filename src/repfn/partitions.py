@@ -192,10 +192,10 @@ def prefix_search(
     tried, and the most bits any branch held.  That search tries both
     children of every live prefix, forced bit or not, so ``nodes`` adds 2
     per prefix and depth, and counts children in preorder: with
-    ``first_only`` it is the preorder rank of the first survivor.  It
-    tries bit 0 = 1 only after the whole bit 0 = 0 half, whose mirror it
-    is: the survivors are the half's, then their complements in reverse
-    order, and ``nodes`` is twice the half's.  A finite ``node_cap``
+    ``first_only`` it is the preorder rank of the first survivor.  When
+    free >= 1 it tries bit 0 = 1 only after the whole bit 0 = 0 half, its
+    mirror: the survivors are the half's, then their complements in
+    reverse order, and ``nodes`` is twice the half's.  A finite ``node_cap``
     requires ``first_only``; once ``nodes`` would pass it the search
     stops, with no survivor, and reports ``node_cap + 1`` (``deepest``
     then only covers the windows searched).
