@@ -33,7 +33,7 @@ def main() -> None:
                 raise SystemExit(f"seeds failing the window identity at k={k}, n0={n0}: {invalid}")
             print(f"{k:>3} {n0:>3} {len(seeds):>6}  {' '.join(strings) or '-'}")
             if len(seeds):
-                first = SeedAssignment(k, n0, tuple(seeds[0].tolist()))
+                first = SeedAssignment(k, n0, tuple(rows[0]))
                 scan = verify_equality(extend_seed(first, args.check_limit), k, n0)
                 assert scan.passed, (k, n0, scan.violations[:3])
     print("\nall listed seeds extend to tables with exact count equality "

@@ -168,7 +168,8 @@ def test_half_at_block_boundaries(k1, k2, block_bits, monkeypatch):
     free - 1 bits: none at free = 1 (the single prefix 0), and exactly one
     block or two at free - 1 = BLOCK_BITS and BLOCK_BITS + 1.  Each matches
     the recursive search complete and with first_only, at n0 = k1 * free
-    and, where k1 > 1, at n0 = k1 * free + 1, where bit free is branched on."""
+    and, where k1 > 1, at n0 = k1 * (free + 1) - 1, where bit free is
+    branched on."""
     w = WeightPair(k1, k2)
     for free in (1, block_bits + 1, block_bits + 2):
         for n0 in sorted({k1 * free, k1 * free + k1 - 1}):
