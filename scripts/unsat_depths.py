@@ -18,7 +18,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-weight", type=int, default=7)
     parser.add_argument("--max-n0", type=int, default=4)
-    parser.add_argument("--cap", type=int, default=256)
+    parser.add_argument("--cap", type=int, default=600)
     args = parser.parse_args()
 
     pairs = [

@@ -311,8 +311,12 @@ def bound_scan(chi: ChiTable, k: int, n0: int, lo: int) -> ScanReport:
 UNSAT = "unsat"
 INCONCLUSIVE = "inconclusive"
 
-# children tried before a search gives up as inconclusive
-NODE_CAP = 5_000_000
+# the search's budget, in the children a depth-first search tries over the
+# searched half of the free prefixes (prefix_search's running count): the
+# largest case of the (2, 3), (2, 5), (3, 4) and (3, 5) unsat depths up to
+# n0 = 56 counts 5.6e8 and takes 1.6-2.1 s, and a search that the budget
+# stops takes 5-7 s (2-core Xeon VM)
+NODE_CAP = 2**31
 
 
 @dataclass(frozen=True)
@@ -320,9 +324,14 @@ class SearchOutcome:
     """Result of the exhaustive prefix search for the count equality.
 
     ``unsat_depth`` is the smallest number of assigned bits at which every
-    branch has died.  A branch that reaches ``depth_cap`` bits only shows
-    that the cap is below that depth: the result is inconclusive and
-    ``certificate`` is that prefix, already re-validated.
+    branch has died, and ``nodes`` the children a depth-first search tries
+    on the way.  A branch that reaches ``depth_cap`` bits only shows that
+    the cap is below that depth: the result is inconclusive,
+    ``certificate`` is that prefix, already re-validated, and ``nodes``
+    counts the searched half of the free prefixes up to the end of the
+    window that held it.  A search that passes ``NODE_CAP`` is
+    inconclusive with no certificate, and ``nodes`` is the count it
+    reached.
     """
 
     weights: WeightPair
@@ -360,8 +369,9 @@ def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome
     survivor.  If no branch reaches ``depth_cap`` bits the result is UNSAT
     at the measured depth.  A surviving prefix is re-validated by
     :func:`validate_certificate` and reported as the certificate of an
-    inconclusive result; trying more than ``NODE_CAP`` children is
-    inconclusive too, without a certificate.
+    inconclusive result.  A search whose count passes ``NODE_CAP`` at the
+    end of a window with no survivor stops there, inconclusive too and
+    without a certificate.
 
     The weights must satisfy k2 > k1 >= 2 with gcd(k1, k2) = 1, where no
     infinite set satisfies the equality and finite UNSAT is the expected
@@ -385,7 +395,7 @@ def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome
         cert = tuple(survivors[0].tolist())
         if not validate_certificate(cert, w, n0):
             raise AssertionError("search produced a certificate the recheck rejects")
-    elif nodes <= NODE_CAP:
+    elif deepest is not None:
         status, unsat_depth = UNSAT, deepest + 1
     return SearchOutcome(
         weights=w, n0=n0, depth_cap=depth_cap, status=status,

@@ -156,7 +156,7 @@ def _unpack(packed: np.ndarray, free: int, width: int) -> np.ndarray:
 
 def prefix_search(
     w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, int, int | None]:
     """Search for 0/1 prefixes of length ``width`` on which the identity
     holds at every n >= n0 that they decide.
 
@@ -185,23 +185,25 @@ def prefix_search(
     k1*free < n0 (or free = 0, where a1 = a2 = 0 counts bit 0 twice), is
     branched on: each prefix gets both children.
 
-    Returns (survivors, nodes, deepest) as a depth-first search trying 0
-    before 1 would: the surviving prefixes, one per row of a C-contiguous
-    uint8 array of shape (count, width), in lexicographic order (only the
-    first with ``first_only``; no rows when none survive), the children
-    tried, and the most bits any branch held.  That search tries both
-    children of every live prefix, forced bit or not, so ``nodes`` adds 2
-    per prefix and depth, and counts children in preorder: with
-    ``first_only`` it is the preorder rank of the first survivor.  When
+    Returns (survivors, nodes, deepest): the surviving prefixes, one per
+    row of a C-contiguous uint8 array of shape (count, width), in
+    lexicographic order (no rows when none survive); the children that a
+    depth-first search trying 0 before 1 tries; and the most bits any
+    branch held.  That search tries both children of every live prefix,
+    forced bit or not, so ``nodes`` adds 2 per prefix and depth.  When
     free >= 1 it tries bit 0 = 1 only after the whole bit 0 = 0 half, its
     mirror: the survivors are the half's, then their complements in
-    reverse order, and ``nodes`` is twice the half's.  A finite ``node_cap``
-    requires ``first_only``; once ``nodes`` would pass it the search
-    stops, with no survivor, and reports ``node_cap + 1`` (``deepest``
-    then only covers the windows searched).
+    reverse order, and ``nodes`` is twice the half's.
+
+    The half's count, kept window by window, is also the budget: it is
+    checked against ``node_cap`` once per window, after the window's
+    survivors are taken.  With ``first_only`` the first window that has
+    survivors ends the search: its first column is the lexicographically
+    first survivor, and ``nodes`` counts through that window, past
+    ``node_cap`` or not.  A window that leaves the count above
+    ``node_cap`` otherwise stops the search: no rows, ``nodes`` is the
+    count reached and ``deepest`` is None.
     """
-    if node_cap < math.inf and not first_only:
-        raise PreconditionError("a finite node_cap requires first_only")
     k1 = w.k1
     free = min(n0 // k1, width)
     mirror = free >= 1  # search the prefixes with bit 0 = 0, mirror the rest
@@ -214,10 +216,9 @@ def prefix_search(
     settled: list[list[tuple[list, int]]] = []
     upcoming = _settled_checks(w, n0, free)
 
-    def step(frontier: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    def step(frontier: np.ndarray, d: int) -> np.ndarray:
         """Bit d on the prefixes of a frontier: the children that pass every
-        check of bit d, in order, and the column each comes from (of the
-        doubled frontier, where bit d is branched on)."""
+        check of bit d, in order."""
         if d - free == len(settled):
             settled.append(next(upcoming))
         checks = settled[d - free]
@@ -239,84 +240,61 @@ def prefix_search(
             ok = np.ones(frontier.shape[1], dtype=bool)
         for terms, c in checks:
             ok &= _weight(frontier, terms, c) == c
-        keep = np.flatnonzero(ok)
-        return frontier[:, keep], keep
+        return frontier if ok.all() else frontier[:, ok]
 
-    def free_rank(v: int) -> int:
-        """Children tried at depths 1..free up to the free prefix v, inclusive:
-        the sum over i < free of (v >> i) + 1, which is 2v - popcount(v) + free."""
-        return 2 * v - v.bit_count() + free
+    def count(stop: int) -> int:
+        """The half's count through the blocks before ``stop``: children
+        tried on their free prefixes, up to the last one v, at depths
+        1..free (the sum over i < free of (v >> i) + 1, which is
+        2v - popcount(v) + free) and at bit free (both children of each),
+        and deep_nodes below bit free."""
+        v = (stop << low) - 1
+        return 2 * v - v.bit_count() + free + (width > free) * 2 * (v + 1) + deep_nodes
 
     def windows():
-        """Yield (start, stop, parts) per window: blocks [start, stop) and the
-        survivors of their bit ``free`` (the blocks themselves when width =
-        free), one array per block.  A window ends before it would pass
-        2**(BLOCK_BITS + 1) columns, once its nodes so far pass
-        ``node_cap``, and after every block when width = free, as then it
-        takes no bits to share."""
-        parts, start, cols = [], 0, 0
+        """Yield (stop, parts) per window: its blocks end before block
+        ``stop``, and parts holds the survivors of their bit ``free`` (the
+        blocks themselves when width = free), one array per block.  A
+        window ends before it would pass 2**(BLOCK_BITS + 1) columns, once
+        the count passes ``node_cap`` (so that blocks whose prefixes all
+        die at bit free cannot hold a window open), and after every block
+        when width = free, as then it takes no bits to share."""
+        parts, cols = [], 0
         for block in range(1 << high):
             frontier = np.empty((words, 1 << low), dtype=np.uint64)
             frontier[:] = np.frombuffer((block << low).to_bytes(8 * words, "little"), "<u8")[:, None]
             frontier[0] |= low_values
             if width > free:
-                frontier = step(frontier, free)[0]
+                frontier = step(frontier, free)
             if cols + frontier.shape[1] > 2 << BLOCK_BITS:
-                yield start, block, parts
-                parts, start, cols = [], block, 0
+                yield block, parts
+                parts, cols = [], 0
             parts.append(frontier)
             cols += frontier.shape[1]
-            stop = block + 1
-            spent = free_rank((stop << low) - 1) + deep_nodes + ((stop - start) << (low + 1))
-            if width == free or spent > node_cap or stop == 1 << high:
-                yield start, stop, parts
-                parts, start, cols = [], stop, 0
+            if width == free or block + 1 == 1 << high or count(block + 1) > node_cap:
+                yield block + 1, parts
+                parts, cols = [], 0
 
     none = np.empty((0, width), dtype=np.uint8)
     survivors = [none]  # per window: the rows of its surviving prefixes
-    deep_nodes = deepest = 0  # deep_nodes: children tried below the free bits
-    for start, stop, parts in windows():
+    deep_nodes = deepest = 0  # deep_nodes: children tried below bit free
+    for stop, parts in windows():
         frontier = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
         parts.clear()  # joined: free the blocks' arrays while the window runs
-        deep_before = deep_nodes
-        held = free  # bits of the longest live prefix
-        kept = []  # per depth past bit free, with first_only: each passing column's parent
-        if width > free:
-            deep_nodes += (stop - start) << (low + 1)
+        held = free + (width > free and frontier.shape[1] > 0)  # bits of the longest live prefix
+        while frontier.shape[1] and held < width:
+            deep_nodes += 2 * frontier.shape[1]
+            frontier = step(frontier, held)
             held += frontier.shape[1] > 0
-            while frontier.shape[1] and held < width:
-                deep_nodes += 2 * frontier.shape[1]
-                frontier, parents = step(frontier, held)
-                if first_only:
-                    kept.append(parents)
-                held += frontier.shape[1] > 0
-        found = frontier.shape[1]
         deepest = max(deepest, held)
-        total = free_rank((stop << low) - 1) + deep_nodes
-        if found and first_only:
-            # preorder rank of the first survivor: at each depth d past bit
-            # free, its ancestor is child 2r + bit d of column r, found by
-            # walking back through kept; at bit free, r is its free bits v
-            # less the window's first prefix
-            at = rank = 0
-            for d, parents in zip(range(held - 1, free, -1), reversed(kept)):
-                at = int(parents[at])
-                rank += 2 * at + (int(frontier[d >> 6, 0]) >> (d & 63) & 1) + 1
-            packed = int.from_bytes(frontier[:, 0].astype("<u8").tobytes(), "little")
-            v = packed & ((1 << free) - 1)
-            if width > free:
-                rank += 2 * (v - (start << low)) + (packed >> free & 1) + 1
-            rank += free_rank(v) + deep_before
-            if rank <= node_cap:
-                return _unpack(frontier[:, :1], free, width), rank, width
-        elif found:
+        total = count(stop)
+        if frontier.shape[1]:
+            if first_only:
+                return _unpack(frontier[:, :1], free, width), total, width
             survivors.append(_unpack(frontier, free, width))
         if total > node_cap:
-            return none, node_cap + 1, deepest
-        kept.clear()  # before the next window's blocks are searched
+            return none, total, None
     if mirror:
-        if 2 * total > node_cap:  # no survivor in the half, so none in its mirror
-            return none, node_cap + 1, deepest
         survivors += [rows[::-1] ^ 1 for rows in reversed(survivors)]
         total *= 2
     return np.concatenate(survivors), total, deepest

@@ -12,7 +12,6 @@ frontier of ``prefix_search``, and a pair-grid double loop for
 the tests.
 """
 
-import math
 import sys
 from itertools import islice
 
@@ -158,14 +157,14 @@ def block_parity_loop(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockParity
 
 
 def prefix_search_dfs(
-    w: WeightPair, n0: int, width: int, first_only: bool = False, node_cap: float = math.inf
+    w: WeightPair, n0: int, width: int, first_only: bool = False
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """prefix_search as a recursive depth-first search, one frame per child.
 
     Bits are assigned in increasing index order, 0 before 1; bit d settles
     the n in [k1*d, k1*(d+1)) at or above n0, and a branch dies at its first
-    violation.  ``nodes`` counts the children tried, in preorder, and the
-    search stops once it exceeds ``node_cap``.
+    violation.  ``nodes`` counts the children tried, in preorder; with
+    ``first_only`` the search stops at the first survivor.
     """
     k1 = w.k1
     settled = [
@@ -186,8 +185,6 @@ def prefix_search_dfs(
             return first_only
         for v in (0, 1):
             nodes += 1
-            if nodes > node_cap:
-                return True
             bits[d] = v
             for s2, s1, c in settled[d]:
                 if sum(bits[s2]) + sum(bits[s1]) != c:

@@ -338,6 +338,19 @@ def test_search_unsat_json(capsys):
     assert doc["nodes"] > 0 and doc["certificate"] is None
 
 
+@pytest.mark.parametrize("n0", ["41", "44"])
+def test_search_decides_past_five_million_nodes(capsys, n0):
+    """(2, 3) at n0 = 41 and 44 counts 5.1 and 17.7 million depth-first
+    nodes, which a cap of 5,000,000 on that count called inconclusive; the
+    search decides both, refuted at 68 bits."""
+    code, out, _ = run(capsys, "search", "--k1", "2", "--k2", "3", "--n0", n0,
+                       "--cap", "256")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["status"] == "unsat" and doc["unsat_depth"] == 68
+    assert doc["nodes"] > 5_000_000 and doc["certificate"] is None
+
+
 def test_search_stdout_is_deterministic(capsys):
     """The search's own wall time goes to stderr, so stdout repeats byte for
     byte across runs."""

@@ -27,12 +27,25 @@ SCRIPTS = [
 ]
 
 
-@pytest.mark.parametrize("script,args,last", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
-def test_research_script_runs(script, args, last):
+def run_script(script: str, args: list[str]) -> str:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].strip().startswith(last), proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script,args,last", SCRIPTS, ids=[s for s, _, _ in SCRIPTS])
+def test_research_script_runs(script, args, last):
+    out = run_script(script, args)
+    assert out.splitlines()[-1].strip().startswith(last), out
+
+
+def test_unsat_depths_decide_every_cell():
+    """(2, 3) at every n0 up to 44, where n0 = 41 to 44 pass 5,000,000
+    depth-first nodes: every cell is decided."""
+    out = run_script("unsat_depths.py", ["--max-weight", "3", "--max-n0", "44", "--cap", "256"])
+    assert out.splitlines()[-1].startswith("   (2,3)"), out
+    assert "inconclusive" not in out, out

@@ -103,7 +103,18 @@ def test_node_budget_gives_inconclusive(monkeypatch):
     outcome = nonexistence_search(WeightPair(2, 3), 34, 64)
     assert outcome.status == INCONCLUSIVE
     assert outcome.certificate is None and outcome.unsat_depth is None
-    assert outcome.nodes == 11
+    assert outcome.nodes > 10
+
+
+def test_node_budget_counts_the_searched_half(monkeypatch):
+    """The budget counts the bit 0 = 0 half of the free prefixes, and the
+    mirrored half costs no work: with the budget at that half's count,
+    (2, 3, 34) is still refuted, with the recursive search's full count."""
+    w = WeightPair(2, 3)
+    nodes = prefix_search_dfs(w, 34, 64)[1]
+    monkeypatch.setattr(bounds, "NODE_CAP", nodes // 2)
+    outcome = nonexistence_search(w, 34, 64)
+    assert outcome.status == UNSAT and outcome.nodes == nodes
 
 
 def test_cap_below_refutation_depth_is_inconclusive():
@@ -114,6 +125,19 @@ def test_cap_below_refutation_depth_is_inconclusive():
     assert outcome.status == INCONCLUSIVE and outcome.unsat_depth is None
     assert outcome.certificate is not None and len(outcome.certificate) == 64
     assert validate_certificate(outcome.certificate, WeightPair(2, 5), 32)
+
+
+@pytest.mark.parametrize("n0", [41, 44])
+def test_certificate_one_bit_below_unsat_depth(n0):
+    """(2, 3) at n0 = 41 and 44 is refuted at 68 bits; at 67 bits a branch
+    survives, which the independent recheck accepts: the lower side of
+    N* = 68 by a second route."""
+    w = WeightPair(2, 3)
+    assert nonexistence_search(w, n0, 256).unsat_depth == 68
+    outcome = nonexistence_search(w, n0, 67)
+    assert outcome.status == INCONCLUSIVE and outcome.unsat_depth is None
+    assert outcome.certificate is not None and len(outcome.certificate) == 67
+    assert validate_certificate(outcome.certificate, w, n0)
 
 
 def test_search_determinism():
@@ -127,38 +151,36 @@ FRONTIER_WEIGHTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (2, 
 FRONTIER_WIDTHS = [*range(1, 13), 16, 20, 24]
 
 
-def assert_matches_oracle(monkeypatch, w, n0, width, first_only, cap, block_sizes):
-    """prefix_search returns the survivors and the node count of the
-    recursive search in blocks of 2**block_bits prefixes for each size, and
-    its ``deepest`` wherever the cap is not hit; returns the oracle's result."""
-    expected = prefix_search_dfs(w, n0, width, first_only, cap)
+def assert_matches_oracle(monkeypatch, w, n0, width, first_only, block_sizes):
+    """prefix_search returns the survivors of the recursive search in blocks
+    of 2**block_bits prefixes for each size, and its ``nodes`` and
+    ``deepest`` for complete and unsat results.  A first_only survivor is
+    returned at the end of its window, so there only the survivor is
+    compared.  Returns the oracle's result."""
+    expected = prefix_search_dfs(w, n0, width, first_only)
     for block_bits in block_sizes:
         monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
-        got = prefix_search(w, n0, width, first_only, cap)
-        case = (n0, width, first_only, cap, block_bits)
+        got = prefix_search(w, n0, width, first_only)
+        case = (n0, width, first_only, block_bits)
         assert [tuple(r) for r in got[0].tolist()] == expected[0], case
-        assert got[1] == expected[1], case
-        if expected[1] <= cap:
-            assert got[2] == expected[2], case
+        if not (first_only and expected[0]):
+            assert got[1:] == expected[1:], case
     return expected
 
 
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
 def test_prefix_search_matches_depth_first_oracle(k1, k2, monkeypatch):
-    """The block frontier returns the survivors and the preorder node count
-    of the recursive search, complete, and with first_only also under node
-    caps that stop it early, one short of the count and at the count.
-    Blocks hold 2**14 prefixes (one block here) and 4 (many blocks; at
-    most 2**7 of them, as more only slow the test).
-    ``deepest`` is compared wherever the cap is not hit."""
+    """The block frontier returns the survivors of the recursive search,
+    complete and with first_only, and its node count and depth where the
+    search runs to the end.  Blocks hold 2**14 prefixes (one block here)
+    and 4 (many blocks; at most 2**7 of them, as more only slow the
+    test)."""
     w = WeightPair(k1, k2)
     for n0 in range(14):
         block_sizes = (2, 14) if n0 // k1 <= 9 else (14,)
         for width in FRONTIER_WIDTHS:
-            total = prefix_search_dfs(w, n0, width)[1]
-            assert_matches_oracle(monkeypatch, w, n0, width, False, math.inf, block_sizes)
-            for cap in (math.inf, 1, 50, max(total - 1, 1), total):
-                assert_matches_oracle(monkeypatch, w, n0, width, True, cap, block_sizes)
+            for first_only in (False, True):
+                assert_matches_oracle(monkeypatch, w, n0, width, first_only, block_sizes)
 
 
 @pytest.mark.parametrize("block_bits", [2, 14])
@@ -175,27 +197,38 @@ def test_half_at_block_boundaries(k1, k2, block_bits, monkeypatch):
         for n0 in sorted({k1 * free, k1 * free + k1 - 1}):
             for width in (free, free + 1, free + 6):
                 for first_only in (False, True):
-                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, math.inf, (block_bits,))
+                    assert_matches_oracle(monkeypatch, w, n0, width, first_only, (block_bits,))
 
 
-@pytest.mark.parametrize("k1,k2,n0,width", [(2, 3, 13, 20), (2, 5, 12, 30), (2, 5, 9, 12), (1, 3, 5, 16)])
-def test_first_only_caps_across_the_mirror(k1, k2, n0, width, monkeypatch):
-    """The recursive search tries the bit 0 = 1 half, the mirror of the
-    bit 0 = 0 half, only after it; with first_only, every node cap from the
-    half's count to twice it matches it, in blocks of 4 prefixes and of
-    2**14.  Where nothing survives, only the mirror's count passes these
-    caps, so every cap below twice the half is inconclusive."""
+@pytest.mark.parametrize(
+    "k1,k2,n0,width",
+    [(1, 3, 5, 16), (1, 3, 9, 16), (2, 5, 9, 12), (2, 5, 12, 30), (2, 3, 13, 20)],
+)
+def test_every_node_cap_in_windows(k1, k2, n0, width, monkeypatch):
+    """Every node cap from 0 to one past the count of the searched half,
+    complete and with first_only, in blocks of 4 prefixes joined into
+    windows of up to 8 columns and in one block of 2**14: the result is
+    the uncapped one (for first_only, its survivor, counted through a
+    window that the cap may end early), or no rows, a count past the cap
+    and no depth.  A cap at or above the half's count gives the uncapped
+    result, and a search with no first_only survivor stops exactly below
+    it."""
     w = WeightPair(k1, k2)
-    total = prefix_search_dfs(w, n0, width)[1]
-    assert total % 2 == 0
-    for cap in range(total // 2, total + 1):
-        assert_matches_oracle(monkeypatch, w, n0, width, True, cap, (2, 14))
-
-
-def test_node_cap_requires_first_only():
-    """A complete search stopped by a node cap is refused."""
-    with pytest.raises(PreconditionError, match="first_only"):
-        prefix_search(WeightPair(2, 3), 13, 20, first_only=False, node_cap=100)
+    half, rest = divmod(prefix_search(w, n0, width)[1], 2)
+    assert rest == 0 and n0 >= k1  # the bit 0 = 1 half is mirrored
+    for block_bits, first_only in itertools.product((2, 14), (False, True)):
+        uncapped = assert_matches_oracle(monkeypatch, w, n0, width, first_only, (block_bits,))
+        whole = prefix_search(w, n0, width, first_only)
+        for cap in range(half + 2):
+            survivors, nodes, deepest = prefix_search(w, n0, width, first_only, cap)
+            case = (block_bits, first_only, cap)
+            stopped = survivors.shape == (0, width) and nodes > cap and deepest is None
+            if cap >= half or not stopped:
+                assert [tuple(r) for r in survivors.tolist()] == uncapped[0], case
+            if cap >= half or not (stopped or first_only):
+                assert (nodes, deepest) == whole[1:], case
+            if not (first_only and uncapped[0]):
+                assert stopped == (cap < half), case
 
 
 # one to three words of the packed frontier, each side of a word boundary
@@ -205,31 +238,35 @@ WORD_WIDTHS = [63, 64, 65, 70, 130]
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
 def test_prefix_search_matches_oracle_across_words(k1, k2, monkeypatch):
     """Prefixes of 63 to 130 bits, packed in one to three uint64 words,
-    complete, and with first_only also under node caps of 1 and 50, in
-    blocks of 2**14 prefixes and of 4 (where that makes at most 2**7
-    blocks)."""
+    complete and with first_only, in blocks of 2**14 prefixes and of 4
+    (where that makes at most 2**7 blocks)."""
     w = WeightPair(k1, k2)
     for n0 in range(0, 14, 3):
         block_sizes = (2, 14) if n0 // k1 <= 9 else (14,)
         for width in WORD_WIDTHS:
-            assert_matches_oracle(monkeypatch, w, n0, width, False, math.inf, block_sizes)
-            for cap in (math.inf, 1, 50):
-                assert_matches_oracle(monkeypatch, w, n0, width, True, cap, block_sizes)
+            for first_only in (False, True):
+                assert_matches_oracle(monkeypatch, w, n0, width, first_only, block_sizes)
 
 
 def test_free_prefix_wider_than_a_word(monkeypatch):
     """(2, 3) at n0 = 140 has 70 free bits, so a free prefix's rank spans
-    two words.  At widths up to the free bits every prefix survives; past
-    them the first prefixes all die at bit 70.  first_only with node caps
-    from 1 to 20000 matches the recursive search in blocks of 2**14 and 4."""
+    two words.  At widths up to the free bits every prefix survives, and
+    the first matches the recursive search in blocks of 2**14 and 4.  Past
+    them the first prefixes all die at bit 70, block after block, so no
+    window fills; node caps from 1 to 20000 still end a window once the
+    count passes them, and the search stops with no rows, past the cap by
+    at most the last block's count, 4 * 2**BLOCK_BITS + 70."""
     w = WeightPair(2, 3)
-    found = set()
-    for width in (64, 65, 70, 71, 80, 140):
-        caps = (1, 50, 200, 20_000) + ((math.inf,) if width <= 70 else ())
-        for cap in caps:
-            expected = assert_matches_oracle(monkeypatch, w, 140, width, True, cap, (2, 14))
-            found.add(len(expected[0]) > 0)
-    assert found == {False, True}
+    for width in (64, 65, 70):
+        assert_matches_oracle(monkeypatch, w, 140, width, True, (2, 14))
+    for block_bits in (2, 14):
+        monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
+        for width in (71, 80, 140):
+            for cap in (1, 50, 200, 20_000):
+                survivors, nodes, deepest = prefix_search(w, 140, width, True, cap)
+                case = (block_bits, width, cap)
+                assert survivors.shape == (0, width) and deepest is None, case
+                assert cap < nodes <= cap + 4 * 2**block_bits + 70, case
 
 
 @pytest.mark.parametrize("k1,k2,n0", [(1, 2, 1), (1, 3, 2), (1, 5, 3)])
@@ -276,7 +313,8 @@ def test_packed_checks_match_solution_slices():
 def test_survivors_are_one_uint8_matrix(k1, k2):
     """Complete, first_only, capped first_only and empty results alike are one
     C-contiguous uint8 array of shape (count, width), count being the
-    depth-first oracle's number of survivors."""
+    depth-first oracle's number of survivors, or 0 where the cap stopped
+    the search."""
     w = WeightPair(k1, k2)
     seen = set()
     for n0 in range(14):
@@ -285,8 +323,8 @@ def test_survivors_are_one_uint8_matrix(k1, k2):
                 ("complete", False, math.inf), ("first_only", True, math.inf),
                 ("capped", True, 1), ("capped", True, 50),
             ):
-                survivors, _, _ = prefix_search(w, n0, width, first_only, cap)
-                count = len(prefix_search_dfs(w, n0, width, first_only, cap)[0])
+                survivors, _, deepest = prefix_search(w, n0, width, first_only, cap)
+                count = len(prefix_search_dfs(w, n0, width, first_only)[0]) if deepest is not None else 0
                 case = (n0, width, mode, cap)
                 assert survivors.dtype == np.uint8 and survivors.flags.c_contiguous, case
                 assert survivors.shape == (count, width), case
@@ -316,12 +354,13 @@ def test_certificate_verdicts_match_pair_grid(k1, k2):
 def test_prefix_search_matches_oracle_on_benchmark_case():
     """(2, 3, 34) at 256 bits: 8 blocks of 2**14 free prefixes, half a
     million nodes, refuted at 29 bits; and the same search stopped by a
-    node cap of 200,000, partway through its blocks."""
+    node cap of 200,000, below its half's count of 276,511."""
     w = WeightPair(2, 3)
-    for cap in (math.inf, 200_000):
-        expected = prefix_search_dfs(w, 34, 256, True, cap)
-        survivors, nodes, deepest = prefix_search(w, 34, 256, True, cap)
-        assert ([tuple(r) for r in survivors.tolist()], nodes, deepest) == expected, cap
+    expected = prefix_search_dfs(w, 34, 256, True)
+    survivors, nodes, deepest = prefix_search(w, 34, 256, True)
+    assert ([tuple(r) for r in survivors.tolist()], nodes, deepest) == expected
+    survivors, nodes, deepest = prefix_search(w, 34, 256, True, 200_000)
+    assert survivors.shape == (0, 256) and 200_000 < nodes <= expected[1] // 2 and deepest is None
 
 
 def test_search_memory_is_bounded():
@@ -356,31 +395,6 @@ def test_search_memory_follows_depth_reached_not_cap():
     assert peak < 2**16, peak
 
 
-@pytest.mark.parametrize("k1,k2,n0,width", [(1, 2, 9, 24), (1, 3, 9, 16), (1, 5, 9, 24), (2, 5, 9, 12)])
-def test_first_survivor_caps_in_windows(k1, k2, n0, width, monkeypatch):
-    """Blocks of 4 prefixes join into windows of up to 8 columns.  With
-    first_only, node caps one below the first survivor's preorder rank, at
-    it and one above it give the recursive search's survivors and nodes."""
-    w = WeightPair(k1, k2)
-    survivors, rank, _ = prefix_search_dfs(w, n0, width, True)
-    assert len(survivors) == 1
-    for cap in (rank - 1, rank, rank + 1):
-        assert_matches_oracle(monkeypatch, w, n0, width, True, cap, (2,))
-
-
-@pytest.mark.parametrize("k1,k2,n0,width", [(1, 3, 5, 16), (2, 5, 9, 12), (2, 3, 13, 20)])
-def test_every_node_cap_in_windows(k1, k2, n0, width, monkeypatch):
-    """With first_only, every node cap from 0 to one past the total, so
-    also the running total at the end of each window, and the complete
-    search, in blocks of 4 prefixes joined into windows of up to 8
-    columns."""
-    w = WeightPair(k1, k2)
-    total = prefix_search_dfs(w, n0, width)[1]
-    assert_matches_oracle(monkeypatch, w, n0, width, False, math.inf, (2,))
-    for cap in range(total + 2):
-        assert_matches_oracle(monkeypatch, w, n0, width, True, cap, (2,))
-
-
 @pytest.mark.parametrize("k1,k2,n0", [(2, 3, 35), (3, 4, 31)])
 def test_branched_first_bit_at_256_bits(k1, k2, n0, monkeypatch):
     """k1 does not divide n0, so bit n0 // k1 settles no n = k1*d and is
@@ -388,7 +402,7 @@ def test_branched_first_bit_at_256_bits(k1, k2, n0, monkeypatch):
     command runs it, the survivors, nodes and depth match the recursive
     search in blocks of 2**14 and of 4."""
     assert n0 % k1
-    assert_matches_oracle(monkeypatch, WeightPair(k1, k2), n0, 256, True, math.inf, (2, 14))
+    assert_matches_oracle(monkeypatch, WeightPair(k1, k2), n0, 256, True, (2, 14))
 
 
 # traced peaks of these calls before the search took its deep bits in
@@ -396,7 +410,7 @@ def test_branched_first_bit_at_256_bits(k1, k2, n0, monkeypatch):
 PEAKS_BEFORE_WINDOWS = [
     ("search (2, 3, 34)", lambda: nonexistence_search(WeightPair(2, 3), 34, 256), 889_321),
     ("search (2, 5, 32)", lambda: nonexistence_search(WeightPair(2, 5), 32, 256), 920_689),
-    # many windows, up to the node cap: one window's data is freed before the next
+    # many windows, refuted at 68 bits: one window's data is freed before the next
     ("search (2, 3, 44)", lambda: nonexistence_search(WeightPair(2, 3), 44, 256), 899_849),
     ("seeds (7, 17)", lambda: enumerate_seeds(7, 17), 1_081_577),
 ]
