@@ -200,6 +200,32 @@ def test_half_at_block_boundaries(k1, k2, block_bits, monkeypatch):
                     assert_matches_oracle(monkeypatch, w, n0, width, first_only, (block_bits,))
 
 
+def rows(result):
+    """A prefix_search result with its survivors as a list of tuples."""
+    survivors, nodes, deepest = result
+    return [tuple(r) for r in survivors.tolist()], nodes, deepest
+
+
+@pytest.mark.parametrize("k1,k2,n0,width", [(2, 3, 13, 20), (2, 5, 12, 30), (2, 5, 9, 12), (1, 3, 5, 16)])
+def test_first_only_caps_across_the_mirror(k1, k2, n0, width, monkeypatch):
+    """The bit 0 = 1 half, the mirror of the bit 0 = 0 half, is not
+    searched, so none of its children count against the cap: with
+    first_only, every node cap from the half's count to twice it gives the
+    uncapped result, survivors, nodes and depth alike, in blocks of 4
+    prefixes and of 2**14.  Where nothing survives, that is the recursive
+    search's refutation, with both halves' count."""
+    w = WeightPair(k1, k2)
+    total = prefix_search_dfs(w, n0, width)[1]
+    assert total % 2 == 0
+    for block_bits in (2, 14):
+        expected = assert_matches_oracle(monkeypatch, w, n0, width, True, (block_bits,))
+        whole = rows(prefix_search(w, n0, width, True))
+        if not expected[0]:
+            assert whole == expected and whole[1] == total, block_bits
+        for cap in range(total // 2, total + 1):
+            assert rows(prefix_search(w, n0, width, True, cap)) == whole, (block_bits, cap)
+
+
 @pytest.mark.parametrize(
     "k1,k2,n0,width",
     [(1, 3, 5, 16), (1, 3, 9, 16), (2, 5, 9, 12), (2, 5, 12, 30), (2, 3, 13, 20)],
@@ -393,6 +419,29 @@ def test_search_memory_follows_depth_reached_not_cap():
     assert [getattr(large, f) for f in fields] == [getattr(small, f) for f in fields]
     assert small.status == UNSAT
     assert peak < 2**16, peak
+
+
+@pytest.mark.parametrize("k1,k2,n0,width", [(1, 2, 9, 24), (1, 3, 9, 16), (1, 5, 9, 24), (2, 5, 9, 12)])
+def test_first_survivor_caps_in_windows(k1, k2, n0, width, monkeypatch):
+    """Blocks of 4 prefixes join into windows of up to 8 columns.  With
+    first_only, node caps one below the first survivor's preorder rank in
+    the recursive search, at it and one above it either return that
+    survivor at full depth, counted through its window (so at least the
+    rank), or stop with no rows, a count past the cap and no depth; a cap
+    at the uncapped count gives the uncapped result."""
+    w = WeightPair(k1, k2)
+    expected = assert_matches_oracle(monkeypatch, w, n0, width, True, (2,))
+    survivors, rank, _ = expected
+    assert len(survivors) == 1
+    whole = rows(prefix_search(w, n0, width, True))
+    assert whole[1] >= rank
+    for cap in (rank - 1, rank, rank + 1):
+        got = rows(prefix_search(w, n0, width, True, cap))
+        if got[0]:
+            assert got[0] == survivors and got[1] >= rank and got[2] == width, cap
+        else:
+            assert got[1] > cap and got[2] is None, cap
+    assert rows(prefix_search(w, n0, width, True, whole[1])) == whole
 
 
 @pytest.mark.parametrize("k1,k2,n0", [(2, 3, 35), (3, 4, 31)])
