@@ -34,8 +34,10 @@ def main() -> None:
             print(f"{k:>3} {n0:>3} {len(seeds):>6}  {' '.join(strings) or '-'}")
             if len(seeds):
                 first = SeedAssignment(k, n0, tuple(rows[0]))
-                scan = verify_equality(extend_seed(first, args.check_limit), k, n0)
-                assert scan.passed, (k, n0, scan.violations[:3])
+                diff = verify_equality(extend_seed(first, args.check_limit), k, n0)
+                if diff.any():
+                    bad = (n0 + diff.nonzero()[0][:3]).tolist()
+                    raise SystemExit(f"count equality fails at k={k}, n0={n0}, n={bad}")
     print("\nall listed seeds extend to tables with exact count equality "
           f"up to N={args.check_limit}")
 

@@ -6,6 +6,7 @@ from .bounds import (
     CASE_SMALL_SHIFT,
     INCONCLUSIVE,
     UNSAT,
+    BoundScan,
     Decomposition,
     SearchOutcome,
     WitnessRecord,
@@ -24,7 +25,6 @@ from .core import (
     COMPLEMENT,
     SET,
     ChiTable,
-    ScanReport,
     WeightPair,
     classic_rep,
     rep_difference,
@@ -47,10 +47,10 @@ from .partitions import (
     enumerate_seeds,
     extend_seed,
     prefix_search,
+    side_counts,
     verify_block_parity,
     verify_equality,
     verify_structure,
-    window_identity_holds,
 )
 
 __version__ = "0.1.0"

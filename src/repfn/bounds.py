@@ -15,8 +15,10 @@ representations with pairwise distinct a2, which certifies the guaranteed
 lower bound B(n) = floor(floor(log_k(n / T)) / 4) on the representation
 count.  All logarithms here are exact integer quantities; floating point is
 forbidden in this module's arithmetic because boundary values of n would
-misclassify.  The one float, ``min_ratio`` of :func:`bound_scan`, is
-reported for reading and decides nothing.
+misclassify.  :func:`bound_scan` checks the bound on a dense table and
+returns its per-n arrays as a :class:`BoundScan`, with no layout: the CLI
+writes them.  Its ``min_ratio`` is the one float, reported for reading; it
+decides nothing.
 
 The module also runs the prefix search of :mod:`repfn.partitions` at
 weights k2 > k1 >= 2 (coprime), showing that no 0/1 assignment of a prefix
@@ -30,14 +32,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from ._numpy import np
-from .core import COMPLEMENT, SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
+from .core import COMPLEMENT, SET, ChiTable, WeightPair, rep_difference, rep_values
 from .errors import DomainError, NoWitness, PreconditionError
-from .partitions import SeedAssignment, _check_params, chain_threshold, prefix_search
+from .partitions import SeedAssignment, _check_params, chain_threshold, prefix_search, side_counts
 
 CASE_INTERVAL = "case1"
 CASE_SMALL_SHIFT = "case2"
+
+# why extract_witness gives no record: the construction is not yet in force
+# at n, or every candidate it met is excluded
+BELOW_THRESHOLD = "below-witness-threshold"
+POOL_EXHAUSTED = "small-element-pool-exhausted"
 
 
 def flog(k: int, n: int, scale: int) -> int:
@@ -165,8 +173,9 @@ class WitnessRecord:
 
 def extract_witness(
     seed: SeedAssignment, n: int, j: int, exclude: frozenset = frozenset()
-) -> WitnessRecord | None:
-    """Produce a representation of n from the decomposition at exponent j.
+) -> WitnessRecord | str:
+    """Produce a representation of n from the decomposition at exponent j,
+    or the reason there is none.
 
     case1: a2 is scanned ascending in the block [k**(i+j-1) * t, + k**(i+j-1))
     and the first value with a1 = n - k*a2 inside [k**i * t, + k**i) is
@@ -174,15 +183,15 @@ def extract_witness(
     monochromatic.  case2: the small element a is scanned ascending in
     [0, k*T] on the side of the block containing n - k*a; the construction
     needs k*a <= k**i - k - 1, and when no eligible a satisfies that the
-    call returns None ("below witness threshold") rather than failing,
-    since the guarantee only kicks in for large n.
+    call returns :data:`BELOW_THRESHOLD` rather than failing, since the
+    guarantee only kicks in for large n.
 
     ``exclude`` removes specific a2 values from consideration so that a
     caller collecting witnesses across several j can keep them pairwise
-    distinct; when exclusions eat every eligible candidate the call returns
-    None as well (the representation exists, it is just already taken).  A
-    genuine absence of any admissible pair raises NoWitness: that would
-    contradict the construction and must fail loudly.
+    distinct; when exclusions eat every candidate the scan met the call
+    returns :data:`POOL_EXHAUSTED` (the representation exists, it is just
+    already taken).  A genuine absence of any admissible pair raises
+    NoWitness: that would contradict the construction and must fail loudly.
     """
     k = seed.k
     d = decompose(k, seed.n0, n, j)
@@ -194,11 +203,13 @@ def extract_witness(
         a1_lo, a1_hi = q * d.t, q * d.t + q - 1
         # from the least a2 with a1 = n - k*a2 <= a1_hi, so a1 stays in its block
         start = max(a2_lo, -(-(n - a1_hi) // k))
+        excluded = False
         for a2 in range(start, a2_hi + 1):
             a1 = n - k * a2
             if a1 < a1_lo:
                 break
             if a2 in exclude:
+                excluded = True
                 continue
             b1, b2 = seed.value(a1), seed.value(a2)
             if b1 != b2:
@@ -208,8 +219,8 @@ def extract_witness(
             return WitnessRecord(
                 n=n, decomposition=d, a1=a1, a2=a2, side=SET if b1 else COMPLEMENT
             )
-        if exclude:
-            return None
+        if excluded:
+            return POOL_EXHAUSTED
         raise NoWitness(f"paired-block scan exhausted at n={n}, j={j}")
 
     # case2: n - (k**i - k - 1 + s) = k**i * m for the shifted base m
@@ -217,11 +228,11 @@ def extract_witness(
     if headroom < 0:
         # no small element can fit (at i = 0 the shifted base m even sits
         # above n itself)
-        return None
+        return BELOW_THRESHOLD
     m = (k**d.j + 1) * d.t + k**d.j
     side_bit = seed.value(m) ^ (d.i & 1)
     blk_lo = k**d.i * m
-    saw_side_match = False
+    saw_side_match = excluded = False
     for a in range(0, k * d.t_lo + 1):
         if seed.value(a) != side_bit:
             continue
@@ -229,6 +240,7 @@ def extract_witness(
         if k * a > headroom:
             break
         if a in exclude:
+            excluded = True
             continue
         a1 = n - k * a
         if not blk_lo <= a1 <= blk_lo + k**d.i - 1:
@@ -243,7 +255,7 @@ def extract_witness(
     if not saw_side_match:
         # one of T, k*T lies on each side, so a match always exists in [0, k*T]
         raise NoWitness(f"no element of the required side in [0, {k * d.t_lo}] at n={n}")
-    return None  # below threshold, or pool exhausted by exclusions: skip either way
+    return POOL_EXHAUSTED if excluded else BELOW_THRESHOLD
 
 
 def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], list[tuple[int, str]]]:
@@ -252,18 +264,16 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
     case1 witnesses are automatically distinct across j (their a1 blocks
     live at disjoint scales); case2 witnesses share the small-element pool
     [0, k*T], so each used small element is excluded from later j.  Skipped
-    j values are reported with a reason instead of a record.
+    j values are reported with the reason :func:`extract_witness` gives
+    instead of a record.
     """
     records: list[WitnessRecord] = []
     skipped: list[tuple[int, str]] = []
     used_small: set[int] = set()
     for j in admissible_j_values(seed.k, seed.n0, n):
         rec = extract_witness(seed, n, j, exclude=frozenset(used_small))
-        if rec is None:
-            if used_small and extract_witness(seed, n, j) is not None:
-                skipped.append((j, "small-element-pool-exhausted"))
-            else:
-                skipped.append((j, "below-witness-threshold"))
+        if isinstance(rec, str):
+            skipped.append((j, rec))
             continue
         records.append(rec)
         if rec.decomposition.case == CASE_SMALL_SHIFT:
@@ -273,39 +283,39 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
     return records, skipped
 
 
-def bound_scan(chi: ChiTable, k: int, n0: int, lo: int) -> ScanReport:
-    """Record both representation counts against the guaranteed bound.
+class BoundScan(NamedTuple):
+    """Per-n arrays of :func:`bound_scan` on [lo, limit]: n, R_{1,k} on the
+    set and on the complement, the bound B(n), and the flag that both
+    counts reach B(n); and ``min_ratio``, the minimum of
+    r_set / max(1, ln n) over the scan."""
 
-    For each n in [lo, limit] of the table the report carries R_{1,k} on
-    the set and on the complement, the bound B(n), and the flag that both
-    counts reach B(n).
-    The complement's counts are R_A - D with D from
+    ns: np.ndarray
+    r_set: np.ndarray
+    r_comp: np.ndarray
+    bound: np.ndarray
+    ok: np.ndarray
+    min_ratio: float
+
+
+def bound_scan(chi: ChiTable, k: int, n0: int, lo: int) -> BoundScan:
+    """Both representation counts against the guaranteed bound, for each n
+    in [lo, limit] of the table.
+
+    The counts are :func:`repfn.partitions.side_counts` of D from
     :func:`repfn.core.rep_difference`, so the kernel runs once.
-    ``min_ratio`` tracks min r_set / max(1, ln n) over the scan as an
-    empirical growth constant; it is reported, never asserted.
+    ``min_ratio`` is an empirical growth constant; it is reported, never
+    asserted.
     """
     _check_params(k, n0)
     hi = chi.limit
     if not 0 <= lo <= hi:
         raise PreconditionError(f"need 0 <= lo <= hi, got [{lo}, {hi}]")
-    w = WeightPair(1, k)
-    r_set = rep_values(chi, SET, w, hi)[lo:]
-    r_comp = r_set - rep_difference(chi, w, hi)[lo:]
+    r_set, r_comp = side_counts(chi, k, rep_difference(chi, WeightPair(1, k), hi)[lo:])
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     bound = bound_array(k, n0, lo, hi)
     ok = (r_set >= bound) & (r_comp >= bound)
     ratios = r_set / np.maximum(1.0, np.log(np.maximum(ns, 1).astype(np.float64)))
-    return ScanReport(
-        kind="bound",
-        k=k,
-        n0=n0,
-        lo=lo,
-        hi=hi,
-        ok=ok,
-        counts=lambda: (ns, r_set, r_comp),
-        bound=bound,
-        min_ratio=float(ratios.min()) if ns.size else None,
-    )
+    return BoundScan(ns, r_set, r_comp, bound, ok, float(ratios.min()))
 
 
 UNSAT = "unsat"

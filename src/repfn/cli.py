@@ -328,15 +328,17 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
     # build mechanically even from a bad seed so the report can show the failure
     chi = partitions.extend_seed(seed, cfg.limit, require_valid=False)
     structure = partitions.verify_structure(chi, seed.k, seed.n0)
-    equality = partitions.verify_equality(chi, seed.k, seed.n0)
+    diff = partitions.verify_equality(chi, seed.k, seed.n0)
     parity = partitions.verify_block_parity(chi, seed.k, seed.n0, _VERIFY_BLOCK_IMAX)
-    ok = structure.ok and equality.passed and parity.ok
+    eq_count = int(np.count_nonzero(diff))
+    ok = structure.ok and not eq_count and parity.ok
     if cfg.format == "csv":
-        _emit_table(["n", "R_A", "R_comp", "equal"], equality.table(), out)
+        equal = diff == 0  # before side_counts writes R_comp over D
+        r_set, r_comp = partitions.side_counts(chi, seed.k, diff)
+        table = (np.arange(seed.n0, chi.limit + 1), r_set, r_comp, equal)
+        _emit_table(["n", "R_A", "R_comp", "equal"], table, out)
         print(f"verify: {'pass' if ok else 'FAIL'}", file=sys.stderr)
     else:
-        # from the flags D == 0 alone, with no array of the violations
-        eq_count = equality.ok.size - int(np.count_nonzero(equality.ok))
         _emit_json(
             {
                 "schema": SCHEMA_VERSION,
@@ -354,8 +356,8 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
                         "flip_violation_count": structure.flip_violation_count,
                     },
                     "equality": {
-                        "passed": equality.passed,
-                        "first_violation": equality.lo + int(equality.ok.argmin())
+                        "passed": not eq_count,
+                        "first_violation": seed.n0 + int((diff != 0).argmax())
                         if eq_count
                         else None,
                         "violation_count": eq_count,
@@ -380,19 +382,33 @@ def _cmd_scan_bound(cfg: argparse.Namespace, out: TextIO) -> int:
         raise PreconditionError(f"empty range: lo={cfg.lo} > hi={cfg.hi}")
     _check_memory(cfg, cfg.hi, "hi")
     chi = partitions.extend_seed(seed, cfg.hi)
-    report = bounds.bound_scan(chi, seed.k, seed.n0, cfg.lo)
+    scan = bounds.bound_scan(chi, seed.k, seed.n0, cfg.lo)
+    columns = ["n", "R_A", "R_comp", "bound", "ok"]
+    table = (scan.ns, scan.r_set, scan.r_comp, scan.bound, scan.ok)
+    violations = (cfg.lo + np.flatnonzero(~scan.ok)).tolist()
     if cfg.format == "csv":
-        _emit_table(report.columns, report.table(), out)
+        _emit_table(columns, table, out)
         print(
-            f"scan-bound: {len(report.violations)} violation(s), "
-            f"min_ratio={report.min_ratio:.6f}",
+            f"scan-bound: {len(violations)} violation(s), min_ratio={scan.min_ratio:.6f}",
             file=sys.stderr,
         )
     else:
-        doc = {"schema": SCHEMA_VERSION, "command": "scan-bound", "seed": cfg.seed}
-        doc.update(report.to_dict())
-        _emit_table(report.columns, report.table(), out, doc)
-    return 0 if report.passed else 1
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "command": "scan-bound",
+            "seed": cfg.seed,
+            "kind": "bound",
+            "k": cfg.k,
+            "n0": cfg.n0,
+            "lo": cfg.lo,
+            "hi": cfg.hi,
+            "step": 1,
+            "passed": not violations,
+            "violations": violations,
+            "min_ratio": scan.min_ratio,
+        }
+        _emit_table(columns, table, out, doc)
+    return 1 if violations else 0
 
 
 def _cmd_witness(cfg: argparse.Namespace, out: TextIO) -> int:

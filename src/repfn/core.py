@@ -10,14 +10,14 @@ truth.
 The weighted count for a weight pair (k1, k2) at target n is the number of
 ordered pairs (a1, a2) with k1*a1 + k2*a2 = n and both coordinates on the
 requested side.  Counts are exact integers throughout: tables use int64
-accumulation (counts never exceed n, so 64 bits is ample).
+accumulation (counts never exceed n, so 64 bits is ample).  Every count
+comes back as a plain array indexed by n; laying arrays out as per-n tables
+is left to :mod:`repfn.cli`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from math import gcd
 
 from ._numpy import np
@@ -152,77 +152,3 @@ def classic_rep(chi: ChiTable, side: str, up_to: int) -> tuple[np.ndarray, np.nd
     diag = np.zeros(up_to + 1, dtype=np.int64)
     diag[::2] = chi.side_bits(side, up_to // 2)
     return r1, (r1 - diag) // 2, (r1 + diag) // 2
-
-
-@dataclass
-class ScanReport:
-    """Per-n record of set/complement counts on [lo, hi], optionally against
-    a lower bound.
-
-    ``kind`` is "equality" (flag: counts agree; ``bound`` is None) or
-    "bound" (flag: both counts reach the guaranteed bound).  ``counts``
-    builds the per-n columns ``(ns, r_set, r_comp)``, n and R_{1,k} on the
-    set and on the complement; it runs on the first read of any of them,
-    so a report that is only judged from its flags need count nothing.
-    ``min_ratio`` is the running minimum of r_set / max(1, ln n) over the
-    scan, reported for bound scans and never asserted.
-    """
-
-    kind: str
-    k: int
-    n0: int
-    lo: int
-    hi: int
-    ok: np.ndarray = field(repr=False)
-    counts: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
-    bound: np.ndarray | None = field(default=None, repr=False)
-    min_ratio: float | None = None
-
-    @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.counts()
-
-    @property
-    def ns(self) -> np.ndarray:
-        return self._columns[0]
-
-    @property
-    def r_set(self) -> np.ndarray:
-        return self._columns[1]
-
-    @property
-    def r_comp(self) -> np.ndarray:
-        return self._columns[2]
-
-    @property
-    def violations(self) -> list[int]:
-        return (self.lo + np.flatnonzero(~self.ok)).tolist()
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.ok.all())
-
-    @property
-    def columns(self) -> list[str]:
-        bound = [] if self.bound is None else ["bound"]
-        return ["n", "R_A", "R_comp", *bound, "ok"]
-
-    def table(self) -> tuple[np.ndarray, ...]:
-        """The per-n arrays, one entry per n, in the order of :attr:`columns`."""
-        bound = () if self.bound is None else (self.bound,)
-        return (self.ns, self.r_set, self.r_comp, *bound, self.ok)
-
-    def to_dict(self) -> dict:
-        """The report's fields without its per-n arrays; see :meth:`table`."""
-        return {
-            "kind": self.kind,
-            "k": self.k,
-            "n0": self.n0,
-            "lo": self.lo,
-            "hi": self.hi,
-            "step": 1,
-            "passed": self.passed,
-            "violations": self.violations,
-            "min_ratio": self.min_ratio,
-            "columns": self.columns,
-        }

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .core import SET, ChiTable, ScanReport, WeightPair, rep_difference, rep_values
+from .core import SET, ChiTable, WeightPair, rep_difference, rep_values
 from .errors import DomainError, EnumerationCapExceeded, InvalidSeed, PreconditionError
 
 # exhaustive seed search is 2**(k + n0); beyond this it stops being interactive
@@ -53,33 +53,6 @@ def chain_threshold(k: int, n0: int) -> int:
     """floor((n0 + k) / k) + 1: first base where block parity is guaranteed."""
     _check_params(k, n0)
     return (n0 + k) // k + 1
-
-
-def _solution_slices(w: WeightPair, n: int) -> tuple[slice, slice, int]:
-    """Slices (s2, s1) of a chi prefix picking the a2 and the a1 of the
-    c solutions of k1*a1 + k2*a2 = n, for coprime k1 <= k2.
-
-    The a2 form one residue class mod k1 in [0, n // k2] and the a1 one
-    residue class mod k2, counted down from the a1 of the smallest a2.
-    """
-    a2 = n * pow(w.k2, -1, w.k1) % w.k1
-    if a2 > n // w.k2:
-        # no solution: an a1 slice would start at a negative index
-        return slice(0, 0), slice(0, 0), 0
-    c = (n // w.k2 - a2) // w.k1 + 1
-    return slice(a2, n // w.k2 + 1, w.k1), slice((n - w.k2 * a2) // w.k1, None, -w.k2), c
-
-
-def window_identity_holds(values, w: WeightPair, n: int) -> bool:
-    """R_{k1,k2}(A, n) = R_{k1,k2}(complement, n) for a chi prefix given as a
-    tuple or list of ints covering [0, n // k1].
-
-    Each solution of k1*a1 + k2*a2 = n adds chi(a1) + chi(a2) - 1 to the
-    difference of the two counts; this is core.rep_difference at one n, for
-    any coprime k1 <= k2.
-    """
-    s2, s1, c = _solution_slices(w, n)
-    return sum(values[s2]) + sum(values[s1]) == c
 
 
 def _settled_checks(w: WeightPair, n0: int, free: int):
@@ -332,10 +305,14 @@ class SeedAssignment:
         return bytes(self.values).translate(_BIT_CHARS).decode("ascii")
 
     def is_valid(self) -> bool:
-        """Window identity at every n in [n0, k + n0)."""
-        w = WeightPair(1, self.k)
-        window = range(self.n0, self.k + self.n0)
-        return all(window_identity_holds(self.values, w, n) for n in window)
+        """Window identity at every n in [n0, k + n0): the n // k + 1
+        solutions of a1 + k*a2 = n, a2 on [0, n // k] and a1 = n, n - k, ...,
+        hold as many ones among their chi(a1) + chi(a2).  This is
+        core.rep_difference at one n, in pure Python."""
+        v, k = self.values, self.k
+        return all(
+            sum(v[: n // k + 1]) + sum(v[n::-k]) == n // k + 1 for n in range(self.n0, k + self.n0)
+        )
 
     def value(self, n: int) -> int:
         """chi(n) of the flip-rule extension of this seed, for any integer n >= 0.
@@ -468,35 +445,22 @@ def verify_structure(chi: ChiTable, k: int, n0: int) -> StructureReport:
     )
 
 
-def verify_equality(chi: ChiTable, k: int, n0: int) -> ScanReport:
-    """Compare R_{1,k} on the set and its complement for every n in
-    [n0, limit] of the table.
-
-    The identity is decided by the difference D = R_A - R_C alone.  The
-    counting kernel runs only if the report's per-n columns are read, and
-    the complement's counts are then R_A - D, written over D, which no
-    column needs after that.
-    """
+def verify_equality(chi: ChiTable, k: int, n0: int) -> np.ndarray:
+    """D = R_{1,k}(A, n) - R_{1,k}(complement, n) for every n in [n0, limit]
+    of the table, from :func:`repfn.core.rep_difference`, which counts no
+    pairs: the identity holds exactly where D is 0."""
     _check_params(k, n0)
-    lo, hi = n0, chi.limit
-    if hi < lo:
-        raise PreconditionError(f"the table ends at {hi}, below n0={lo}")
-    w = WeightPair(1, k)
-    diff = rep_difference(chi, w, hi)[lo:]
+    if chi.limit < n0:
+        raise PreconditionError(f"the table ends at {chi.limit}, below n0={n0}")
+    return rep_difference(chi, WeightPair(1, k), chi.limit)[n0:]
 
-    def counts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r_set = rep_values(chi, SET, w, hi)[lo:]
-        return np.arange(lo, hi + 1), r_set, np.subtract(r_set, diff, out=diff)
 
-    return ScanReport(
-        kind="equality",
-        k=k,
-        n0=n0,
-        lo=lo,
-        hi=hi,
-        ok=diff == 0,
-        counts=counts,
-    )
+def side_counts(chi: ChiTable, k: int, diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(R_A, R_C): R_{1,k} on the set and on the complement for the last
+    len(diff) n of the table, given D = R_A - R_C there.  The counting
+    kernel runs once, for R_A, and R_C = R_A - D is written over diff."""
+    r_set = rep_values(chi, SET, WeightPair(1, k), chi.limit)[chi.limit + 1 - len(diff) :]
+    return r_set, np.subtract(r_set, diff, out=diff)
 
 
 @dataclass(frozen=True)

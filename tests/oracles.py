@@ -6,10 +6,10 @@ histogram for ``rep_values``, a per-n pair loop for the window identity that
 ``rep_difference`` decides, a per-n loop for the flip check of
 ``verify_structure``, a per-base loop for ``verify_block_parity``, a
 per-n pair loop for ``classic_rep``, the flip rule as a recursion for
-``SeedAssignment.value``, a recursive depth-first search for the block
-frontier of ``prefix_search``, and a pair-grid double loop for
-``validate_certificate``.  They are slow on purpose and live only in
-the tests.
+``SeedAssignment.value``, a recursive depth-first search over the
+solution slices of each n for the block frontier of ``prefix_search``,
+and a pair-grid double loop for ``validate_certificate``.  They are slow
+on purpose and live only in the tests.
 """
 
 import sys
@@ -26,7 +26,6 @@ from repfn import (
     QueryBeyondPrefix,
     WeightPair,
 )
-from repfn.partitions import _solution_slices
 
 MAX_STORED_VIOLATIONS = 100
 
@@ -156,6 +155,21 @@ def block_parity_loop(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockParity
     )
 
 
+def solution_slices(w: WeightPair, n: int) -> tuple[slice, slice, int]:
+    """Slices (s2, s1) of a chi prefix picking the a2 and the a1 of the
+    c solutions of k1*a1 + k2*a2 = n, for coprime k1 <= k2.
+
+    The a2 form one residue class mod k1 in [0, n // k2] and the a1 one
+    residue class mod k2, counted down from the a1 of the smallest a2.
+    """
+    a2 = n * pow(w.k2, -1, w.k1) % w.k1
+    if a2 > n // w.k2:
+        # no solution: an a1 slice would start at a negative index
+        return slice(0, 0), slice(0, 0), 0
+    c = (n // w.k2 - a2) // w.k1 + 1
+    return slice(a2, n // w.k2 + 1, w.k1), slice((n - w.k2 * a2) // w.k1, None, -w.k2), c
+
+
 def prefix_search_dfs(
     w: WeightPair, n0: int, width: int, first_only: bool = False
 ) -> tuple[list[tuple[int, ...]], int, int]:
@@ -168,7 +182,7 @@ def prefix_search_dfs(
     """
     k1 = w.k1
     settled = [
-        [_solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))]
+        [solution_slices(w, n) for n in range(max(n0, k1 * d), k1 * (d + 1))]
         for d in range(width)
     ]
     bits = [0] * width

@@ -27,6 +27,7 @@ from repfn import (
     prefix_search,
     rep_difference,
     rep_values,
+    side_counts,
     validate_certificate,
     verify_block_parity,
     verify_equality,
@@ -71,12 +72,14 @@ def test_criterion_1_partition_identity():
             seed = SeedAssignment(k, n0, tuple(row))
             seeds_seen += 1
             chi = extend_seed(seed, 10**6)
-            scan = verify_equality(chi, k, n0)
-            assert scan.passed, (k, n0, seed.bit_string(), scan.violations[:5])
-            assert (scan.r_set == scan.r_comp).all()
-            r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, k), 10**6)[n0:]
-            assert (r_comp == scan.r_comp).all(), (k, n0, seed.bit_string())
-            checked += scan.ns.size
+            diff = verify_equality(chi, k, n0)
+            bad = (n0 + np.flatnonzero(diff)[:5]).tolist()
+            assert not bad, (k, n0, seed.bit_string(), bad)
+            r_set, r_comp = side_counts(chi, k, diff)
+            assert (r_set == r_comp).all()
+            kernel_comp = rep_values(chi, COMPLEMENT, WeightPair(1, k), 10**6)[n0:]
+            assert (kernel_comp == r_comp).all(), (k, n0, seed.bit_string())
+            checked += r_set.size
     report(
         "criterion 1: partition identity across the (k, n0) grid to N=10**6",
         seeds_seen > 0 and checked > 0,

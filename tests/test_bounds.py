@@ -29,6 +29,7 @@ from repfn import (
     rep_values,
     witness_list,
 )
+from repfn import bounds
 from oracles import chi_recursive
 
 
@@ -215,14 +216,14 @@ def test_witness_small_shift_case(seed011):
 
 def test_witness_below_threshold_returns_none(seed011):
     # at n=34 the shifted-base case applies but no small element fits
-    assert extract_witness(seed011, 34, 1) is None
+    assert extract_witness(seed011, 34, 1) == "below-witness-threshold"
 
 
 def test_witness_minimal_prefix_small_shift(seed011):
     """At i=0 the shifted base sits above n and no small element fits; the
     extractor reports the skip."""
     for n in (8, 10, 11):
-        assert extract_witness(seed011, n, 1) is None
+        assert extract_witness(seed011, n, 1) == "below-witness-threshold"
 
 
 def test_witness_exclusion_dedupes_small_elements(seed011):
@@ -230,9 +231,32 @@ def test_witness_exclusion_dedupes_small_elements(seed011):
     first = extract_witness(seed011, 286, 1)
     assert first.decomposition.case == CASE_SMALL_SHIFT
     repeat = extract_witness(seed011, 286, 3)
-    assert repeat is not None and repeat.a2 == first.a2  # no exclusion: collision
+    assert repeat.a2 == first.a2  # no exclusion: collision
     deduped = extract_witness(seed011, 286, 3, exclude=frozenset({first.a2}))
-    assert deduped is None or deduped.a2 != first.a2
+    assert deduped == "small-element-pool-exhausted"
+    # a paired-block (case1) scan whose every candidate is excluded says so too
+    paired = extract_witness(seed011, 100, 1)
+    taken = frozenset(range(paired.a2, 100 // 2 + 1))
+    assert extract_witness(seed011, 100, 1, exclude=taken) == "small-element-pool-exhausted"
+
+
+def test_witness_list_extracts_once_per_j(seed011, monkeypatch):
+    """Each skip reason comes from the one extraction of its j: at 286 and
+    287, where j = 3 finds its small element taken, and at 142, where it
+    is below threshold."""
+    calls = []
+    real = bounds.extract_witness
+
+    def counted(seed, n, j, exclude=frozenset()):
+        calls.append(j)
+        return real(seed, n, j, exclude)
+
+    monkeypatch.setattr(bounds, "extract_witness", counted)
+    for n in (142, 286, 287):
+        calls.clear()
+        _, skipped = witness_list(seed011, n)
+        assert calls == admissible_j_values(2, 1, n) == [1, 3], n
+        assert [j for j, _ in skipped] == [3], n
 
 
 def test_witness_list_distinct_and_sound(seed011):
@@ -363,7 +387,7 @@ def test_witness_checks_survive_optimized_python():
 def test_bound_scan_small(seed011):
     chi = extend_seed(seed011, 2000)
     report = bound_scan(chi, 2, 1, 2)
-    assert report.passed
+    assert report.ok.all()
     # R(2) = 0 for this table, so the reported ratio floor is exactly 0
     assert report.min_ratio == 0.0
     assert bound_scan(chi, 2, 1, 100).min_ratio > 0
@@ -388,7 +412,7 @@ def test_bound_zero_below_fourth_power(seed011):
     chi = extend_seed(seed011, 31)
     report = bound_scan(chi, 2, 1, 2)  # below T * k**4 = 32
     assert (report.bound == 0).all()
-    assert report.passed
+    assert report.ok.all()
 
 
 def test_bound_scan_validation(seed011):

@@ -230,6 +230,10 @@ def test_scan_bound_json_roundtrip(capsys):
     doc = json.loads(out)
     assert code == 0
     assert out == json.dumps(doc, indent=2) + "\n"
+    assert list(doc) == [
+        "schema", "command", "seed", "kind", "k", "n0", "lo", "hi", "step",
+        "passed", "violations", "min_ratio", "columns", "rows",
+    ]
     assert doc["passed"] is True and doc["violations"] == []
     assert doc["columns"] == ["n", "R_A", "R_comp", "bound", "ok"]
     # re-validate every claim in the report against the reference counter

@@ -21,11 +21,12 @@ from repfn import (
     enumerate_seeds,
     extend_seed,
     prefix_search,
+    rep_difference,
     rep_values,
+    side_counts,
     verify_block_parity,
     verify_equality,
     verify_structure,
-    window_identity_holds,
 )
 from repfn.partitions import _quotient_bits
 from oracles import (
@@ -34,6 +35,7 @@ from oracles import (
     flip_rule_loop,
     pair_grid_rep_values,
     rep_count_weighted,
+    solution_slices,
     window_identity_loop,
 )
 
@@ -121,7 +123,9 @@ def test_window_identity_matches_naive_counter(k1, k2):
             for n in range(k1 * width):
                 r_set = rep_count_weighted(chi, SET, w, n)
                 r_comp = rep_count_weighted(chi, COMPLEMENT, w, n)
-                assert window_identity_holds(cand, w, n) == (r_set == r_comp), (w, cand, n)
+                s2, s1, c = solution_slices(w, n)
+                holds = sum(cand[s2]) + sum(cand[s1]) == c
+                assert holds == (r_set == r_comp), (w, cand, n)
 
 
 @pytest.mark.parametrize("k1,k2", ORACLE_WEIGHTS)
@@ -285,28 +289,30 @@ def test_verify_structure_all_ones():
 
 
 def test_verify_equality_hand_value(chi_small):
-    report = verify_equality(ChiTable(chi_small.bits[:21]), 2, 1)
-    row = dict(zip(report.ns.tolist(), zip(report.r_set.tolist(), report.r_comp.tolist())))
-    # at n=4: set pair (2, 1), complement pair (4, 0)
-    assert row[4] == (1, 1)
-    assert report.passed
-    assert report.to_dict()["columns"] == ["n", "R_A", "R_comp", "ok"]
+    chi = ChiTable(chi_small.bits[:21])
+    diff = verify_equality(chi, 2, 1)
+    assert not diff.any()
+    r_set, r_comp = side_counts(chi, 2, diff)
+    # at n=4 (index 3 from n0 = 1): set pair (2, 1), complement pair (4, 0)
+    assert (r_set[3], r_comp[3]) == (1, 1)
 
 
 def test_verify_equality_zero_violations(chi_small):
-    assert verify_equality(chi_small, 2, 1).passed
+    assert not verify_equality(chi_small, 2, 1).any()
 
 
 def test_verify_equality_below_n0_excluded(seed011):
-    report = verify_equality(extend_seed(seed011, 100), 2, 1)
-    assert report.lo == 1 and report.hi == 100
-    assert report.ns[0] == 1
+    """D on [n0, limit] is the rep_difference table from n0 on."""
+    chi = extend_seed(seed011, 100)
+    diff = verify_equality(chi, 2, 1)
+    assert len(diff) == 100  # n = 1 .. 100
+    assert np.array_equal(diff, rep_difference(chi, WeightPair(1, 2), 100)[1:])
 
 
 def test_verify_equality_rejects_a_table_ending_below_n0():
     with pytest.raises(PreconditionError):
         verify_equality(ChiTable([0, 1, 1]), 2, 3)
-    assert verify_equality(ChiTable([0, 1, 1, 0]), 2, 3).hi == 3
+    assert len(verify_equality(ChiTable([0, 1, 1, 0]), 2, 3)) == 1
 
 
 @pytest.mark.parametrize("k,n0,message", [(1, 1, "k must be >= 2"), (2, -1, "n0 must be >= 0")])
@@ -324,30 +330,35 @@ def test_flipped_bit_breaks_equality_nearby(seed011):
     bits = chi.bits.copy()
     bits[flip_at] ^= 1
     broken = ChiTable(bits)
-    report = verify_equality(broken, 2, 1)
-    violations = report.violations
+    violations = (1 + np.flatnonzero(verify_equality(broken, 2, 1))).tolist()
     assert violations
     # a violation shows up within a window of size k * flip point
     assert min(violations) <= 2 * (flip_at + 1)
 
 
 def test_verify_equality_counts_on_random_table(rng):
-    """On a random table R_A - R_C takes both signs; the reported counts are
-    the kernel's on each side and ok marks exactly the n where they agree."""
+    """On a random table R_A - R_C takes both signs; D is zero exactly where
+    the kernel's counts on the two sides agree, and side_counts gives the
+    kernel's count on each side, R_C written over D's buffer."""
     chi = ChiTable((rng.random(301) < 0.5).astype(np.uint8))
-    report = verify_equality(chi, 2, 1)
+    diff = verify_equality(chi, 2, 1)
     r_set = rep_values(chi, SET, WeightPair(1, 2), 300)[1:]
     r_comp = rep_values(chi, COMPLEMENT, WeightPair(1, 2), 300)[1:]
     assert (r_set > r_comp).any() and (r_set < r_comp).any()
-    assert (report.r_set == r_set).all() and (report.r_comp == r_comp).all()
-    assert (report.ok == (r_set == r_comp)).all()
+    assert np.array_equal(diff == 0, r_set == r_comp)
+    got_set, got_comp = side_counts(chi, 2, diff)
+    assert np.array_equal(got_set, r_set) and np.array_equal(got_comp, r_comp)
+    assert np.shares_memory(got_comp, diff)
+    # the last len(diff) n of the table, for any tail of it
+    tail_set, tail_comp = side_counts(chi, 2, (r_set - r_comp)[-50:])
+    assert np.array_equal(tail_set, r_set[-50:]) and np.array_equal(tail_comp, r_comp[-50:])
 
 
 @pytest.mark.parametrize("k,n0", list(product((2, 3), (1, 2))))
 def test_equality_scan_all_seeds(k, n0):
     for row in enumerate_seeds(k, n0).tolist():
         seed = SeedAssignment(k, n0, tuple(row))
-        assert verify_equality(extend_seed(seed, 3000), k, n0).passed
+        assert not verify_equality(extend_seed(seed, 3000), k, n0).any()
 
 
 # ------------------------------------------------------------- block parity

@@ -22,7 +22,7 @@ from repfn import (
     validate_certificate,
 )
 from repfn import bounds, partitions
-from oracles import prefix_search_dfs, validate_certificate_pairs
+from oracles import prefix_search_dfs, solution_slices, validate_certificate_pairs
 
 GOLDEN = Path(__file__).parent / "golden" / "search_unsat.json"
 # (k1, k2, n0, cap); the last two are refutation depths above 16 bits
@@ -325,7 +325,7 @@ def test_packed_checks_match_solution_slices():
                 words = [packed >> 64 * i & (2**64 - 1) for i in range(d // 64 + 1)]
                 expected = []
                 for n in range(max(n0, k1 * d), k1 * (d + 1)):
-                    s2, s1, c = partitions._solution_slices(w, n)
+                    s2, s1, c = solution_slices(w, n)
                     if c:
                         expected.append((sum(bits[s2]) + sum(bits[s1]), c))
                 got = [
