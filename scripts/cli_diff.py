@@ -17,7 +17,9 @@ equality violations,
 ``verify`` with k**4 far above the limit, ``verify`` at limits around
 k**4 * T (T the chain threshold), where block parity's last power starts,
 ``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
-and a few usage errors.  ``search`` runs the golden cases of
+and a few usage errors.  ``witness`` runs in json and csv at n = 10**5 for
+one seed, at 10**100 for every seed, at 286, where a small element is shared
+across j, and at 10, below the witness threshold.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
 ((2, 5, 32) at cap 64, and caps at or below n0 // k1, whose prefixes of up
 to 8000 bits decide no n), refutations past 5,000,000 depth-first nodes
@@ -136,10 +138,14 @@ def commands() -> list[list[str]]:
     for k, n0 in CENSUSES:
         for fmt in ("json", "csv", "plain"):
             cmds.append(["seeds", "--k", str(k), "--n0", str(n0), "--format", fmt])
-    # commands that load no NumPy: witnesses at 10**100, help and usage errors
+    # commands that load no NumPy: witnesses at 10**100, at 286 (one case2
+    # record, the other j's small element taken) and at 10 (below the
+    # threshold), help and usage errors
     for fmt in ("json", "csv"):
         for seed in SEEDS:
             cmds.append(["witness", *_seed(*seed), "--n", str(10**100), "--format", fmt])
+        for n in ("286", "10"):
+            cmds.append(["witness", *_seed(*SEEDS[0]), "--n", n, "--format", fmt])
     cmds.append(["--help"])
     cmds.append([])
     cmds.append(["witness", *_seed(*SEEDS[0]), "--n", "1000", "--out", MISSING])

@@ -13,9 +13,11 @@ where T = floor((n0 + k) / k) + 1 and j ranges over the odd integers up to
 half the integer logarithm of n / T.  Distinct admissible j yield
 representations with pairwise distinct a2, which certifies the guaranteed
 lower bound B(n) = floor(floor(log_k(n / T)) / 4) on the representation
-count.  All logarithms here are exact integer quantities; floating point is
-forbidden in this module's arithmetic because boundary values of n would
-misclassify.  :func:`bound_scan` checks the bound on a dense table and
+count.  A witness is one flat :class:`WitnessRecord`: the fields (j, i, t,
+r, case, s) of its :class:`Decomposition`, then the pair (a1, a2) and its
+side, which is the row ``repfn witness`` prints.  All logarithms here are
+exact integer quantities; floating point is forbidden in this module's
+arithmetic because boundary values of n would misclassify.  :func:`bound_scan` checks the bound on a dense table and
 returns its per-n arrays as a :class:`BoundScan`, with no layout: the CLI
 writes them.  Its ``min_ratio`` is the one float, reported for reading; it
 decides nothing.
@@ -30,7 +32,6 @@ measurable depth.  A prefix the search returns is rechecked through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -97,9 +98,8 @@ def admissible_j_values(k: int, n0: int, n: int) -> list[int]:
     return list(range(1, top + 1, 2))
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Exact writing n = k**i * (k**j + 1) * t + r with t in [t_lo, k*t_lo - 1].
+class Decomposition(NamedTuple):
+    """Exact writing n = k**i * (k**j + 1) * t + r with t in [T, k*T - 1].
 
     ``case`` records which regime the remainder falls in: "case1" when
     r <= k**(i+j) + k**i - k - 1 (witness from paired scaled blocks) and
@@ -107,18 +107,12 @@ class Decomposition:
     (witness from one scaled block plus a small element).
     """
 
-    k: int
-    n: int
     j: int
     i: int
     t: int
     r: int
-    t_lo: int
     case: str
     s: int | None
-
-    def reassemble(self) -> int:
-        return self.k**self.i * (self.k**self.j + 1) * self.t + self.r
 
 
 def decompose(k: int, n0: int, n: int, j: int) -> Decomposition:
@@ -153,19 +147,23 @@ def decompose(k: int, n0: int, n: int, j: int) -> Decomposition:
         raise NoWitness(f"i + j = {i + j} is neither level {level} nor {level - 1} at n={n}, j={j}")
     threshold = k ** (i + j) + k**i - k - 1
     if r <= threshold:
-        return Decomposition(k=k, n=n, j=j, i=i, t=t, r=r, t_lo=t0, case=CASE_INTERVAL, s=None)
+        return Decomposition(j, i, t, r, CASE_INTERVAL, None)
     s = r - threshold
     if not 1 <= s <= k:
         raise NoWitness(f"shift s={s} outside [1, {k}] at n={n}, j={j}")
-    return Decomposition(k=k, n=n, j=j, i=i, t=t, r=r, t_lo=t0, case=CASE_SMALL_SHIFT, s=s)
+    return Decomposition(j, i, t, r, CASE_SMALL_SHIFT, s)
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
-    """One explicit representation n = a1 + k*a2 with both ends on ``side``."""
+class WitnessRecord(NamedTuple):
+    """One explicit representation n = a1 + k*a2 with both ends on ``side``:
+    the fields of the :class:`Decomposition` it came from, then the pair."""
 
-    n: int
-    decomposition: Decomposition
+    j: int
+    i: int
+    t: int
+    r: int
+    case: str
+    s: int | None
     a1: int
     a2: int
     side: str
@@ -216,9 +214,7 @@ def extract_witness(
                 raise NoWitness(
                     f"blocks disagree at n={n}, j={j}: chi({a1})={b1} vs chi({a2})={b2}"
                 )
-            return WitnessRecord(
-                n=n, decomposition=d, a1=a1, a2=a2, side=SET if b1 else COMPLEMENT
-            )
+            return WitnessRecord(*d, a1, a2, SET if b1 else COMPLEMENT)
         if excluded:
             return POOL_EXHAUSTED
         raise NoWitness(f"paired-block scan exhausted at n={n}, j={j}")
@@ -233,7 +229,8 @@ def extract_witness(
     side_bit = seed.value(m) ^ (d.i & 1)
     blk_lo = k**d.i * m
     saw_side_match = excluded = False
-    for a in range(0, k * d.t_lo + 1):
+    t0 = chain_threshold(k, seed.n0)
+    for a in range(0, k * t0 + 1):
         if seed.value(a) != side_bit:
             continue
         saw_side_match = True
@@ -249,12 +246,10 @@ def extract_witness(
             raise NoWitness(
                 f"block side mismatch at n={n}, j={j}: chi({a1}) != chi({m}) parity"
             )
-        return WitnessRecord(
-            n=n, decomposition=d, a1=a1, a2=a, side=SET if side_bit else COMPLEMENT
-        )
+        return WitnessRecord(*d, a1, a, SET if side_bit else COMPLEMENT)
     if not saw_side_match:
         # one of T, k*T lies on each side, so a match always exists in [0, k*T]
-        raise NoWitness(f"no element of the required side in [0, {k * d.t_lo}] at n={n}")
+        raise NoWitness(f"no element of the required side in [0, {k * t0}] at n={n}")
     return POOL_EXHAUSTED if excluded else BELOW_THRESHOLD
 
 
@@ -276,7 +271,7 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
             skipped.append((j, rec))
             continue
         records.append(rec)
-        if rec.decomposition.case == CASE_SMALL_SHIFT:
+        if rec.case == CASE_SMALL_SHIFT:
             used_small.add(rec.a2)
     if len({r.a2 for r in records}) != len(records):
         raise NoWitness(f"duplicate a2 at n={n}")
@@ -329,24 +324,20 @@ INCONCLUSIVE = "inconclusive"
 NODE_CAP = 2**31
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of the exhaustive prefix search for the count equality.
 
     ``unsat_depth`` is the smallest number of assigned bits at which every
     branch has died, and ``nodes`` the children a depth-first search tries
-    on the way.  A branch that reaches ``depth_cap`` bits only shows that
-    the cap is below that depth: the result is inconclusive,
-    ``certificate`` is that prefix, already re-validated, and ``nodes``
-    counts the searched half of the free prefixes up to the end of the
-    window that held it.  A search that passes ``NODE_CAP`` is
+    on the way.  A branch that reaches the search's ``depth_cap`` bits
+    only shows that the cap is below that depth: the result is
+    inconclusive, ``certificate`` is that prefix, already re-validated,
+    and ``nodes`` counts the searched half of the free prefixes up to the
+    end of the window that held it.  A search that passes ``NODE_CAP`` is
     inconclusive with no certificate, and ``nodes`` is the count it
-    reached.
+    reached.  ``elapsed`` is the search's wall time in seconds.
     """
 
-    weights: WeightPair
-    n0: int
-    depth_cap: int
     status: str
     unsat_depth: int | None
     certificate: tuple[int, ...] | None
@@ -407,7 +398,4 @@ def nonexistence_search(w: WeightPair, n0: int, depth_cap: int) -> SearchOutcome
             raise AssertionError("search produced a certificate the recheck rejects")
     elif deepest is not None:
         status, unsat_depth = UNSAT, deepest + 1
-    return SearchOutcome(
-        weights=w, n0=n0, depth_cap=depth_cap, status=status,
-        unsat_depth=unsat_depth, certificate=cert, nodes=nodes, elapsed=elapsed,
-    )
+    return SearchOutcome(status, unsat_depth, cert, nodes, elapsed)

@@ -65,12 +65,6 @@ def _emit_json(doc: dict, out: TextIO) -> None:
     out.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_csv(header: list[str], rows, out: TextIO) -> None:
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 # rows formatted per write, so the text of a long table is never held whole;
 # a larger chunk formats no faster and leaves a larger heap behind
 CHUNK = 4096
@@ -116,27 +110,25 @@ def _format_rows(cols: list[np.ndarray], seps: list[str]) -> str:
     in :func:`_digit_lanes` and one unaligned ``uint32`` store; a partial
     top group stores only its own bytes, so the separator before it stays.
     Digits above a value's lead stay NUL.  Only a chunk with a ragged
-    column (values of several widths, or of both signs) has NULs, and only
-    then are they dropped from the decoded text.
+    column (values of several widths) has NULs, and only then are they
+    dropped from the decoded text.  No table has a negative value: a column
+    with one raises ValueError.
     """
     cols = [col.astype(np.int64, copy=False) for col in cols]
-    spans = [(int(col.min()), int(col.max())) for col in cols]
     lanes = _digit_lanes()
     template, fields, ragged = seps[0], [], False
-    for (lo, hi), sep in zip(spans, seps[1:]):
-        least, most = (lo, hi) if lo >= 0 else (-hi, -lo) if hi < 0 else (0, max(-lo, hi))
-        digits, least_digits = len(str(most)), len(str(least))
-        ragged |= least_digits < digits or lo < 0 <= hi
-        fields.append((len(template) + (lo < 0), digits, least_digits))
-        # an all-negative column takes its sign from the template
-        template += ("-" if hi < 0 else "\0" * (lo < 0)) + "\0" * digits + sep
+    for col, sep in zip(cols, seps[1:]):
+        lo, hi = int(col.min()), int(col.max())
+        if lo < 0:
+            raise ValueError(f"table columns are nonnegative, got {lo}")
+        digits, least_digits = len(str(hi)), len(str(lo))
+        ragged |= least_digits < digits
+        fields.append((len(template), digits, least_digits))
+        template += "\0" * digits + sep
     rows = np.empty((len(cols[0]), len(template)), dtype=np.uint8)
     rows[:] = np.frombuffer(template.encode(), dtype=np.uint8)
-    for col, (lo, hi), (top, digits, least_digits) in zip(cols, spans, fields):
-        if lo < 0 <= hi:
-            np.copyto(rows[:, top - 1], ord("-"), where=col < 0)
-        # |int64 min| wraps to -2**63, read back as 2**63
-        rest = (col if lo >= 0 else np.abs(col)).view(np.uint64)
+    for col, (top, digits, least_digits) in zip(cols, fields):
+        rest = col.view(np.uint64)  # // on uint64 is faster than on int64
         end = top + digits
         for pos in range(end - 4, top - 4, -4):  # each group's first byte, from the right
             quot = None
@@ -364,7 +356,7 @@ def _cmd_verify(cfg: argparse.Namespace, out: TextIO) -> int:
                     },
                     "block_parity": {
                         "passed": parity.ok,
-                        "i_max": parity.i_max,
+                        "i_max": _VERIFY_BLOCK_IMAX,
                         "checked": parity.checked,
                         "violation_count": parity.violation_count,
                         "first_violations": [list(v) for v in parity.violations[:5]],
@@ -416,26 +408,10 @@ def _cmd_witness(cfg: argparse.Namespace, out: TextIO) -> int:
     # no table is built, but n must still cover the seed window and the seed be valid
     partitions.check_extension(seed, cfg.n)
     records, skipped = bounds.witness_list(seed, cfg.n)
-    rows = [
-        {
-            "j": r.decomposition.j,
-            "i": r.decomposition.i,
-            "t": r.decomposition.t,
-            "r": r.decomposition.r,
-            "case": r.decomposition.case,
-            "s": r.decomposition.s,
-            "a1": r.a1,
-            "a2": r.a2,
-            "side": r.side,
-        }
-        for r in records
-    ]
     if cfg.format == "csv":
-        _emit_csv(
-            ["j", "i", "t", "r", "case", "s", "a1", "a2", "side"],
-            ([v["j"], v["i"], v["t"], v["r"], v["case"], v["s"], v["a1"], v["a2"], v["side"]] for v in rows),
-            out,
-        )
+        writer = csv.writer(out)
+        writer.writerow(bounds.WitnessRecord._fields)
+        writer.writerows(records)
     else:
         _emit_json(
             {
@@ -448,7 +424,7 @@ def _cmd_witness(cfg: argparse.Namespace, out: TextIO) -> int:
                 "guaranteed_bound": bounds.guaranteed_bound(cfg.k, cfg.n0, cfg.n)
                 if cfg.n >= bounds.chain_threshold(cfg.k, cfg.n0)
                 else 0,
-                "records": rows,
+                "records": [r._asdict() for r in records],
                 "skipped": [{"j": j, "reason": reason} for j, reason in skipped],
             },
             out,

@@ -475,7 +475,6 @@ class BlockParityReport:
     (n, i, j), by i and then by cell.
     """
 
-    i_max: int
     checked: int
     violation_count: int
     violations: tuple[tuple[int, int, int], ...]
@@ -521,7 +520,6 @@ def verify_block_parity(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockPari
             violations.append((n, i, j))
             at += 1
     return BlockParityReport(
-        i_max=i_max,
         checked=checked,
         violation_count=violation_count,
         violations=tuple(violations),

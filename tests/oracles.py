@@ -148,7 +148,6 @@ def block_parity_loop(chi: ChiTable, k: int, n0: int, i_max: int) -> BlockParity
             for j in islice(bad, max(0, MAX_STORED_VIOLATIONS - len(violations))):
                 violations.append((n, i, int(j)))
     return BlockParityReport(
-        i_max=i_max,
         checked=checked,
         violation_count=violation_count,
         violations=tuple(violations),

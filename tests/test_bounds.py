@@ -138,7 +138,7 @@ def test_bound_array_matches_pointwise_random_ranges():
 def test_decompose_spec_point():
     d = decompose(2, 1, 100, 1)
     assert (d.i, d.t, d.r, d.case) == (4, 2, 4, CASE_INTERVAL)
-    assert d.reassemble() == 100
+    assert 2**d.i * (2**d.j + 1) * d.t + d.r == 100
 
 
 def test_decompose_boundary():
@@ -161,7 +161,7 @@ def test_decompose_small_shift_case():
     d = decompose(2, 1, 286, 1)
     assert d.case == CASE_SMALL_SHIFT
     assert d.s is not None and 1 <= d.s <= 2
-    assert d.reassemble() == 286
+    assert 2**d.i * (2**d.j + 1) * d.t + d.r == 286
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,7 +182,7 @@ def test_decompose_window_and_reassembly(k, n0, n, data):
     d = decompose(k, n0, n, j)
     level = flog(k, n, t0)
     assert d.i + d.j in (level, level - 1)
-    assert d.reassemble() == n
+    assert k**d.i * (k**d.j + 1) * d.t + d.r == n
     assert t0 <= d.t <= k * t0 - 1
     assert 0 <= d.r < k**d.i * (k**d.j + 1)
     if d.case == CASE_SMALL_SHIFT:
@@ -209,7 +209,7 @@ def test_witness_spec_point(seed011):
 def test_witness_small_shift_case(seed011):
     chi = extend_seed(seed011, 200)
     rec = extract_witness(seed011, 70, 1)
-    assert rec.decomposition.case == CASE_SMALL_SHIFT
+    assert rec.case == CASE_SMALL_SHIFT
     assert rec.a1 + 2 * rec.a2 == 70
     assert chi.bits[rec.a1] == chi.bits[rec.a2]
 
@@ -229,7 +229,7 @@ def test_witness_minimal_prefix_small_shift(seed011):
 def test_witness_exclusion_dedupes_small_elements(seed011):
     # both admissible j at n=286 land in the small-shift case on one side
     first = extract_witness(seed011, 286, 1)
-    assert first.decomposition.case == CASE_SMALL_SHIFT
+    assert first.case == CASE_SMALL_SHIFT
     repeat = extract_witness(seed011, 286, 3)
     assert repeat.a2 == first.a2  # no exclusion: collision
     deduped = extract_witness(seed011, 286, 3, exclude=frozenset({first.a2}))
@@ -340,7 +340,7 @@ def test_witnesses_at_ten_to_the_hundred(k, n0, s):
     assert len({r.a2 for r in records}) == len(records)
     level = oracle_flog(k, n, (n0 + k) // k + 1)
     assert len(records) >= level // 4
-    covered = [r.decomposition.j for r in records] + [j for j, _ in skipped]
+    covered = [r.j for r in records] + [j for j, _ in skipped]
     assert sorted(covered) == list(range(1, level // 2 + 1, 2))
 
 

@@ -330,6 +330,25 @@ def test_witness_distinct_a2(capsys):
     assert len(doc["records"]) >= doc["guaranteed_bound"]
 
 
+@pytest.mark.parametrize("k, n0, seed, n", [
+    ("2", "1", "011", 10**100),
+    ("3", "2", "01110", 10**100),
+    ("5", "3", "01011101", 10**100),
+    ("2", "1", "011", 286),  # one case2 record; the other j finds its small element taken
+], ids=["011-1e100", "01110-1e100", "01011101-1e100", "011-286"])
+def test_witness_csv_rows_are_the_json_records(capsys, k, n0, seed, n):
+    """The csv header is WitnessRecord._fields, the json record's keys, and
+    each row is that record's values in order, with s empty for case1."""
+    argv = ["witness", "--k", k, "--n0", n0, "--seed", seed, "--n", str(n)]
+    records = json.loads(run(capsys, *argv)[1])["records"]
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert records and header == list(bounds.WitnessRecord._fields) == list(records[0])
+    assert all((r["s"] is None) == (r["case"] == "case1") for r in records)
+    assert rows == [["" if v is None else str(v) for v in r.values()] for r in records]
+
+
 # ------------------------------------------------------------------ search
 
 def test_search_unsat_json(capsys):
@@ -420,12 +439,12 @@ def test_classic_negative_lo_exits_2(capsys):
 # ------------------------------------------------------------ table writer
 
 def _writer_table(nrows, ncols):
-    """Values on both sides of 0 and beyond 32 bits, with the int64 extremes."""
+    """Values from 0 to beyond 32 bits, with 0 and int64 max."""
     rng = np.random.default_rng(nrows * 8 + ncols)
-    table = rng.integers(-(2**40), 2**40, size=(nrows, ncols), dtype=np.int64)
+    table = rng.integers(0, 2**41, size=(nrows, ncols), dtype=np.int64)
     table[: (nrows + 1) // 2, ::2] //= 2**20  # short numbers too
     if nrows:
-        table[0, 0] = np.iinfo(np.int64).min
+        table[0, 0] = 0
         table[-1, -1] = np.iinfo(np.int64).max
         table[nrows // 2, ncols // 2] = 2**31
     return table
@@ -466,33 +485,45 @@ def test_emit_table_matches_stdlib_at_chunk_size(capsys, tmp_path, nrows, ncols)
     [
         np.array([True, False, False, True, True]),
         np.array([0, 1, 9, 10, 99, 100, 255], dtype=np.uint8),
-        # one chunk holds 1- to 19-digit numbers of both signs
-        np.array([0, 7, -7, 10, -99, 12345, 10**18, -(10**18) + 1, 999, 10**9], dtype=np.int64),
+        # one chunk holds 1- to 19-digit numbers
+        np.array([0, 7, 70, 10, 99, 12345, 10**18, 10**18 - 1, 999, 10**9], dtype=np.int64),
         np.zeros(11, dtype=np.int64),
-        np.array([-128, 127, 0, -1], dtype=np.int8),  # |-128| wraps in int8
+        np.array([1, 127, 0, 100], dtype=np.int8),
         # each side of a four-digit lane boundary, one and several lanes up
         np.array([9999, 10**4, 10**8 - 1, 10**8, 10**16 - 1, 10**16, 0, 10**4 - 1, 10**8], dtype=np.int64),
-        # 19 digits fill four whole lanes and three digits over; int64 min among them
-        np.array([np.iinfo(np.int64).min, -(10**18), 10**18, np.iinfo(np.int64).max,
-                  -(10**18) - 1, 9 * 10**18 + 1234567890, -7, 10**15 + 1], dtype=np.int64),
-        # a chunk of only negative values (hi < 0), each width and mixed widths
-        np.array([-1, -5, -9, -3, -2, -8, -4, -6, -(10**4), -99999, -12345, -10**4 - 1,
-                  -3, -10**8, -77, -(10**12)], dtype=np.int64),
+        # 19 digits fill four whole lanes and three digits over; int64 max among them
+        np.array([10**18 + 1, 10**18 - 1, 10**18, np.iinfo(np.int64).max,
+                  2 * 10**18 + 1, 9 * 10**18 + 1234567890, 7, 10**15 + 1], dtype=np.int64),
         # uniform 8-row chunks of 1, 4, 5, 8, 9 and 19 digits, that take no
         # NUL pass, then a chunk of mixed widths
         np.concatenate([np.full(8, v) for v in (7, 1000, 10**4, 10**7, 10**8, 10**18)]
-                       + [np.arange(-5, 3) * 10**5 + 9999]).astype(np.int64),
+                       + [np.arange(0, 8) * 10**5 + 9999]).astype(np.int64),
     ],
     ids=["bool", "uint8", "widths-in-one-chunk", "all-zero", "int8", "lane-boundaries",
-         "19-digit-lanes", "all-negative", "uniform-chunks"],
+         "19-digit-lanes", "uniform-chunks"],
 )
 def test_emit_table_column_kinds(capsys, tmp_path, monkeypatch, col):
     """Columns of other dtypes and widths, alone and next to an int64 column
-    of both signs, in chunks of 8 and of CHUNK rows."""
+    of mixed widths, in chunks of 8 and of CHUNK rows."""
     for chunk in (8, CHUNK):
         monkeypatch.setattr(cli, "CHUNK", chunk)
         _check_writer_against_stdlib(capsys, tmp_path, [col])
-        _check_writer_against_stdlib(capsys, tmp_path, [np.arange(len(col)) - 3, col])
+        _check_writer_against_stdlib(capsys, tmp_path, [np.arange(len(col)) * 7, col])
+
+
+@pytest.mark.parametrize(
+    "col",
+    [
+        np.array([3, 0, -1, 10**6], dtype=np.int64),
+        np.array([-1, -5, -(10**4), -(10**12)], dtype=np.int64),
+        np.array([np.iinfo(np.int64).min, 0], dtype=np.int64),
+    ],
+    ids=["one-negative", "all-negative", "int64-min"],
+)
+def test_emit_table_rejects_negative_column(col):
+    """No command writes a negative value, so the writer refuses one."""
+    with pytest.raises(ValueError, match="nonnegative"):
+        cli._emit_table(["n", "v"], (np.arange(len(col)), col), io.StringIO())
 
 
 def test_digit_lanes_spell_every_group():
