@@ -21,9 +21,11 @@ and a few usage errors.  ``witness`` runs in json and csv at n = 10**5 for
 one seed, at 10**100 for every seed, at 286, where a small element is shared
 across j, and at 10, below the witness threshold.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
-((2, 5, 32) at cap 64, and caps at or below n0 // k1, whose prefixes of up
-to 8000 bits decide no n), refutations past 5,000,000 depth-first nodes
-((2, 3, 41), (2, 3, 42), (2, 3, 44), (2, 5, 45), (3, 4, 62) and
+((2, 5, 32) at cap 64; (2, 5, 8), (2, 7, 10) and (2, 9, 12) one bit below
+their refutation depth, where a window of few prefixes returns the
+survivor from its per-prefix chains; and caps at or below n0 // k1, whose
+prefixes of up to 8000 bits decide no n), refutations past 5,000,000
+depth-first nodes ((2, 3, 41), (2, 3, 42), (2, 3, 44), (2, 5, 45), (3, 4, 62) and
 (3, 5, 62)), starts n0 that k1 does not divide ((2, 3, 35), (3, 4, 31),
 (2, 5, 33)) and free prefixes of 1 and 15 bits ((2, 3, 2), (2, 3, 30));
 the censuses include 1, 15 and 16 free bits.  The search's stderr carries
@@ -53,10 +55,12 @@ CORRUPTED = ("3", "2", "01111")
 NON_SEED = ("2", "1", "010")
 
 # (k1, k2, n0, cap): the search benchmark ops, the golden cases, a deeper
-# refutation, caps below the refutation depth, refutations past 5,000,000
-# depth-first nodes, starts n0 that k1 does not divide, where bit n0 // k1
-# is branched on, and 1 and 15 free bits, where the searched half of the
-# free prefixes is the single prefix 0 and exactly one block of 2**14.
+# refutation, caps below the refutation depth (one bit below it for the
+# narrow benchmark cases, whose survivor comes from the chains),
+# refutations past 5,000,000 depth-first nodes, starts n0 that k1 does
+# not divide, where bit n0 // k1 is branched on, and 1 and 15 free bits,
+# where the searched half of the free prefixes is the single prefix 0 and
+# exactly one block of 2**14.
 # (2, 3, 41) and (2, 3, 42) pass 5,000,000 nodes only with the mirrored
 # half counted; (2, 3, 44), (2, 5, 45), (3, 4, 62) and (3, 5, 62) pass it
 # within the searched half.
@@ -64,7 +68,8 @@ SEARCHES = [
     (2, 3, 34, 256), (2, 5, 8, 256), (2, 5, 32, 256), (2, 7, 10, 256), (2, 9, 12, 256),
     (2, 3, 0, 64), (2, 5, 0, 64), (3, 4, 0, 64), (2, 3, 1, 64), (2, 5, 1, 64), (3, 4, 1, 64),
     (2, 5, 8, 64), (2, 7, 10, 64), (2, 9, 12, 64), (2, 3, 34, 64), (2, 5, 32, 128),
-    (2, 3, 40, 256), (2, 5, 32, 64), (2, 3, 44, 256), (2, 3, 41, 256), (2, 3, 42, 256),
+    (2, 3, 40, 256), (2, 5, 32, 64), (2, 5, 8, 17), (2, 7, 10, 31), (2, 9, 12, 49),
+    (2, 3, 44, 256), (2, 3, 41, 256), (2, 3, 42, 256),
     (2, 3, 2000, 1000), (2, 3, 16000, 8000), (3, 4, 900, 300),
     (2, 3, 35, 256), (3, 4, 31, 256), (2, 5, 33, 256), (2, 3, 2, 64), (2, 3, 30, 256),
     (2, 5, 45, 256), (3, 4, 62, 256), (3, 5, 62, 256),

@@ -319,8 +319,8 @@ INCONCLUSIVE = "inconclusive"
 # the search's budget, in the children a depth-first search tries over the
 # searched half of the free prefixes (prefix_search's running count): the
 # largest case of the (2, 3), (2, 5), (3, 4) and (3, 5) unsat depths up to
-# n0 = 56 counts 5.6e8 and takes 1.6-2.1 s, and a search that the budget
-# stops takes 5-7 s (2-core Xeon VM)
+# n0 = 56 counts 5.6e8 and takes 1.7-2.1 s, and a search that the budget
+# stops, (2, 3, 60), takes 5.5-6.3 s (2-core Xeon VM)
 NODE_CAP = 2**31
 
 

@@ -38,8 +38,12 @@ ENUMERATION_CAP = 24
 # byte value -> character of SeedAssignment.bit_string
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
-# prefix_search advances 2**BLOCK_BITS prefixes of the free bits at a time
+# prefix_search advances 2**BLOCK_BITS prefixes of the free bits at a time,
+# and takes a window's deep bits prefix by prefix, as Python ints, once at
+# most NARROW prefixes are live: on so few columns a NumPy call costs more
+# than the popcounts it does
 BLOCK_BITS = 14
+NARROW = 16
 
 
 def _check_params(k: int, n0: int) -> None:
@@ -57,10 +61,10 @@ def chain_threshold(k: int, n0: int) -> int:
 
 def _settled_checks(w: WeightPair, n0: int, free: int):
     """Yield, for d = free, free + 1, ..., the checks of bit d on prefixes
-    packed as in :func:`prefix_search`: one (terms, c) per n >= n0 in
-    [k1*d, k1*(d+1)) with c > 0 solutions.  The identity at n holds when the
-    popcounts of word & value over the (word, value) terms sum to c.  The
-    terms mark the a1 and the a2 of n, and again the bits that are both an
+    packed as in :func:`prefix_search`: one (both, twice, c) per n >= n0 in
+    [k1*d, k1*(d+1)) with c > 0 solutions.  The identity at n holds on a
+    prefix p when popcount(p & both) + popcount(p & twice) is c: ``both``
+    marks the a1 and the a2 of n, and ``twice`` the bits that are both an
     a1 and an a2, as they count twice.
 
     From n to n + k1 every a1 grows by one and at most one a2 joins (k1 <= k2),
@@ -91,16 +95,20 @@ def _settled_checks(w: WeightPair, n0: int, free: int):
                 a2, c = a2 + k1, c + 1
             state[j] = (a2, c, a1s, a2s)
             if c and d >= free and n >= n0:
-                # each nonzero 64-bit word of either mask is a term
-                terms = [
-                    (i, np.uint64(v))
-                    for m in (a1s | a2s, a1s & a2s)
-                    for i in range(d // 64 + 1)
-                    if (v := m >> 64 * i & (2**64 - 1))
-                ]
-                checks.append((terms, c))
+                checks.append((a1s | a2s, a1s & a2s, c))
         if d >= free:
             yield checks
+
+
+def _terms(both: int, twice: int, d: int) -> list[tuple[int, np.uint64]]:
+    """The two masks of a check of bit d cut into (word, value) terms, one
+    per nonzero 64-bit word of either, for a frontier matrix."""
+    return [
+        (i, np.uint64(v))
+        for m in (both, twice)
+        for i in range(d // 64 + 1)
+        if (v := m >> 64 * i & (2**64 - 1))
+    ]
 
 
 def _weight(frontier: np.ndarray, terms: list, c: int) -> np.ndarray:
@@ -152,8 +160,9 @@ def prefix_search(
     Each block takes bit ``free`` on its own; then the survivors of
     consecutive blocks are joined, in order, into a window of at most
     2**(BLOCK_BITS + 1) columns, which takes the deeper bits one at a time
-    as one matrix.  Past the free bits every bit is forced: of the terms
-    of n = k1*d only a1 = d holds bit d, so the bit is c minus the other
+    as one matrix, or prefix by prefix as Python ints once at most NARROW
+    are live.  Past the free bits every bit is forced: of the terms of
+    n = k1*d only a1 = d holds bit d, so the bit is c minus the other
     terms, and a prefix keeps one child or none.  Only bit ``free``, when
     k1*free < n0 (or free = 0, where a1 = a2 = 0 counts bit 0 twice), is
     branched on: each prefix gets both children.
@@ -186,15 +195,23 @@ def prefix_search(
     low_values = np.arange(1 << low, dtype=np.uint64)
     # settled[d - free]: the checks of bit d, drawn when the search first
     # reaches depth d, so memory follows the depth reached, not width
-    settled: list[list[tuple[list, int]]] = []
+    settled: list[list[tuple[int, int, int]]] = []
     upcoming = _settled_checks(w, n0, free)
+    # cut[d]: the checks of bit d as (terms, c), cut when a frontier matrix
+    # first takes bit d, as the chains take most deep bits without them
+    cut: dict[int, list[tuple[list, int]]] = {}
+
+    def checks_at(d: int) -> list[tuple[int, int, int]]:
+        if d - free == len(settled):
+            settled.append(next(upcoming))
+        return settled[d - free]
 
     def step(frontier: np.ndarray, d: int) -> np.ndarray:
         """Bit d on the prefixes of a frontier: the children that pass every
         check of bit d, in order."""
-        if d - free == len(settled):
-            settled.append(next(upcoming))
-        checks = settled[d - free]
+        if d not in cut:
+            cut[d] = [(_terms(both, twice, d), c) for both, twice, c in checks_at(d)]
+        checks = cut[d]
         if d >> 6 == len(frontier):  # bit d opens a new word
             frontier = np.concatenate((frontier, np.zeros_like(frontier[:1])))
         forced = d > 0 and k1 * d >= n0
@@ -214,6 +231,33 @@ def prefix_search(
         for terms, c in checks:
             ok &= _weight(frontier, terms, c) == c
         return frontier if ok.all() else frontier[:, ok]
+
+    def chains(frontier: np.ndarray, d0: int) -> tuple[np.ndarray, int]:
+        """Bits d0, d0 + 1, ... (all forced) on each prefix of a frontier
+        alone, as a Python int, until it dies or holds ``width`` bits: the
+        frontier of those that reach ``width``, in order, and the most bits
+        any prefix held."""
+        nonlocal deep_nodes
+        rows = np.ascontiguousarray(frontier.T, dtype="<u8")
+        live, held = [], d0
+        for p in (int.from_bytes(row, "little") for row in rows):
+            d = d0
+            while d < width:
+                deep_nodes += 2
+                (both, twice, c), *rest = checks_at(d)
+                bit = c - (p & both).bit_count() - (p & twice).bit_count()
+                if not 0 <= bit <= 1:
+                    break
+                p |= bit << d
+                if any((p & b).bit_count() + (p & t).bit_count() != s for b, t, s in rest):
+                    break
+                d += 1
+            held = max(held, d)
+            if d == width:
+                live.append(p)
+        size = 8 * -(-width // 64)  # bytes of a packed prefix of width bits
+        packed = b"".join(p.to_bytes(size, "little") for p in live)
+        return np.frombuffer(packed, "<u8").reshape(-1, size // 8).T, held
 
     def count(stop: int) -> int:
         """The half's count through the blocks before ``stop``: children
@@ -256,6 +300,9 @@ def prefix_search(
         parts.clear()  # joined: free the blocks' arrays while the window runs
         held = free + (width > free and frontier.shape[1] > 0)  # bits of the longest live prefix
         while frontier.shape[1] and held < width:
+            if frontier.shape[1] <= NARROW:
+                frontier, held = chains(frontier, held)
+                break
             deep_nodes += 2 * frontier.shape[1]
             frontier = step(frontier, held)
             held += frontier.shape[1] > 0

@@ -127,16 +127,20 @@ def test_cap_below_refutation_depth_is_inconclusive():
     assert validate_certificate(outcome.certificate, WeightPair(2, 5), 32)
 
 
-@pytest.mark.parametrize("n0", [41, 44])
-def test_certificate_one_bit_below_unsat_depth(n0):
-    """(2, 3) at n0 = 41 and 44 is refuted at 68 bits; at 67 bits a branch
+@pytest.mark.parametrize(
+    "k1,k2,n0,depth", [(2, 3, 41, 68), (2, 3, 44, 68), (2, 5, 8, 18), (2, 7, 10, 32), (2, 9, 12, 50)]
+)
+def test_certificate_one_bit_below_unsat_depth(k1, k2, n0, depth):
+    """Each case is refuted at ``depth`` bits; at depth - 1 bits a branch
     survives, which the independent recheck accepts: the lower side of
-    N* = 68 by a second route."""
-    w = WeightPair(2, 3)
-    assert nonexistence_search(w, n0, 256).unsat_depth == 68
-    outcome = nonexistence_search(w, n0, 67)
+    N* by a second route.  The windows of (2, 5, 8), (2, 7, 10) and
+    (2, 9, 12) hold at most 16 prefixes past bit free, so their survivor
+    comes from the chains."""
+    w = WeightPair(k1, k2)
+    assert nonexistence_search(w, n0, 256).unsat_depth == depth
+    outcome = nonexistence_search(w, n0, depth - 1)
     assert outcome.status == INCONCLUSIVE and outcome.unsat_depth is None
-    assert outcome.certificate is not None and len(outcome.certificate) == 67
+    assert outcome.certificate is not None and len(outcome.certificate) == depth - 1
     assert validate_certificate(outcome.certificate, w, n0)
 
 
@@ -151,20 +155,30 @@ FRONTIER_WEIGHTS = [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5), (2, 
 FRONTIER_WIDTHS = [*range(1, 13), 16, 20, 24]
 
 
+# NARROW settings: every deep bit in lockstep, and every window past bit
+# free in chains (windows hold at most 2**(BLOCK_BITS + 1) columns)
+DEEP_PATHS = (0, 2**20)
+DEFAULT_NARROW = partitions.NARROW
+
+
 def assert_matches_oracle(monkeypatch, w, n0, width, first_only, block_sizes):
     """prefix_search returns the survivors of the recursive search in blocks
-    of 2**block_bits prefixes for each size, and its ``nodes`` and
-    ``deepest`` for complete and unsat results.  A first_only survivor is
-    returned at the end of its window, so there only the survivor is
-    compared.  Returns the oracle's result."""
+    of 2**block_bits prefixes for each size, with the deep bits taken in
+    lockstep and in chains, and its ``nodes`` and ``deepest`` for complete
+    and unsat results.  A first_only survivor is returned at the end of
+    its window, so there only the survivor is compared.  Returns the
+    oracle's result, with BLOCK_BITS left at the last size and NARROW at
+    its default."""
     expected = prefix_search_dfs(w, n0, width, first_only)
-    for block_bits in block_sizes:
+    for block_bits, narrow in itertools.product(block_sizes, DEEP_PATHS):
         monkeypatch.setattr(partitions, "BLOCK_BITS", block_bits)
+        monkeypatch.setattr(partitions, "NARROW", narrow)
         got = prefix_search(w, n0, width, first_only)
-        case = (n0, width, first_only, block_bits)
+        case = (n0, width, first_only, block_bits, narrow)
         assert [tuple(r) for r in got[0].tolist()] == expected[0], case
         if not (first_only and expected[0]):
             assert got[1:] == expected[1:], case
+    monkeypatch.setattr(partitions, "NARROW", DEFAULT_NARROW)
     return expected
 
 
@@ -310,8 +324,9 @@ def test_identity_sums_past_255(k1, k2, n0):
 def test_packed_checks_match_solution_slices():
     """The popcount checks of each depth, carried from one depth to the
     next, give on random prefixes the sum over the solution slices of the
-    unpacked bits, with free bits packed in reverse: free prefixes of 0 to
-    130 bits, n0 at and just above k1 * free, 140 depths each, weights
+    unpacked bits, with free bits packed in reverse, from the two whole
+    masks and word by word on a frontier column alike: free prefixes of 0
+    to 130 bits, n0 at and just above k1 * free, 140 depths each, weights
     (1, 3), (2, 3), (3, 7) and (2, 71), whose a1 skip whole words."""
     rng = np.random.default_rng(11)
     for k1, k2 in ((1, 3), (2, 3), (3, 7), (2, 71)):
@@ -328,11 +343,17 @@ def test_packed_checks_match_solution_slices():
                     s2, s1, c = solution_slices(w, n)
                     if c:
                         expected.append((sum(bits[s2]) + sum(bits[s1]), c))
-                got = [
-                    (sum((words[i] & int(v)).bit_count() for i, v in terms), c)
-                    for terms, c in next(checks)
+                frontier = np.array(words, dtype=np.uint64)[:, None]
+                checks_d = next(checks)
+                by_masks = [
+                    ((packed & both).bit_count() + (packed & twice).bit_count(), c)
+                    for both, twice, c in checks_d
                 ]
-                assert got == expected, (k1, k2, n0, free, d)
+                by_words = [
+                    (int(partitions._weight(frontier, partitions._terms(both, twice, d), c)[0]), c)
+                    for both, twice, c in checks_d
+                ]
+                assert by_masks == by_words == expected, (k1, k2, n0, free, d)
 
 
 @pytest.mark.parametrize("k1,k2", FRONTIER_WEIGHTS)
@@ -387,6 +408,19 @@ def test_prefix_search_matches_oracle_on_benchmark_case():
     assert ([tuple(r) for r in survivors.tolist()], nodes, deepest) == expected
     survivors, nodes, deepest = prefix_search(w, 34, 256, True, 200_000)
     assert survivors.shape == (0, 256) and 200_000 < nodes <= expected[1] // 2 and deepest is None
+
+
+@pytest.mark.parametrize("k1,k2,n0", [(2, 3, 34), (2, 5, 8), (2, 5, 32), (2, 7, 10), (2, 9, 12)])
+def test_deep_paths_agree_on_benchmark_cases(k1, k2, n0, monkeypatch):
+    """The search benchmark's cases at 256 bits, with first_only and the
+    search command's node cap: every deep bit in lockstep and every window
+    past bit free in chains give the same survivors, nodes and depth as
+    the default, which mixes the two."""
+    w = WeightPair(k1, k2)
+    default = rows(prefix_search(w, n0, 256, True, bounds.NODE_CAP))
+    for narrow in DEEP_PATHS:
+        monkeypatch.setattr(partitions, "NARROW", narrow)
+        assert rows(prefix_search(w, n0, 256, True, bounds.NODE_CAP)) == default, narrow
 
 
 def test_search_memory_is_bounded():
