@@ -16,10 +16,13 @@ over ten million in json and csv, ``verify`` on a non-seed with many
 equality violations,
 ``verify`` with k**4 far above the limit, ``verify`` at limits around
 k**4 * T (T the chain threshold), where block parity's last power starts,
-``--out``, an ``--out`` in a missing directory, ``--help``, no subcommand
-and a few usage errors.  ``witness`` runs in json and csv at n = 10**5 for
-one seed, at 10**100 for every seed, at 286, where a small element is shared
-across j, and at 10, below the witness threshold.  ``search`` runs the golden cases of
+``--out``, an ``--out`` in a missing directory, ``--help`` and each
+subcommand's ``--help``, no subcommand, an unknown command, a command
+missing flags, one unsupported ``--format`` for each command that lacks
+one, ``classic``'s two range errors and a few other usage errors.
+``witness`` runs in json and csv at n = 10**5 for one seed, at 10**100 for
+every seed, at 286, where a small element is shared across j, and at 10,
+below the witness threshold.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
 ((2, 5, 32) at cap 64; (2, 5, 8), (2, 7, 10) and (2, 9, 12) one bit below
 their refutation depth, where a window of few prefixes returns the
@@ -152,7 +155,18 @@ def commands() -> list[list[str]]:
         for n in ("286", "10"):
             cmds.append(["witness", *_seed(*SEEDS[0]), "--n", n, "--format", fmt])
     cmds.append(["--help"])
+    for command in ("seeds", "build", "verify", "scan-bound", "witness", "search", "classic"):
+        cmds.append([command, "--help"])
     cmds.append([])
+    cmds.append(["nosuch", "--k", "2"])
+    cmds.append(["verify", "--k", "2"])
+    cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "100", "--format", "plain"])
+    cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "0", "--hi", "100", "--format", "plain"])
+    cmds.append(["witness", *_seed(*SEEDS[0]), "--n", "100", "--format", "plain"])
+    cmds.append(["search", "--k1", "2", "--k2", "3", "--n0", "0", "--cap", "64", "--format", "plain"])
+    cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "100", "--lo", "0", "--hi", "100", "--format", "plain"])
+    cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "20", "--lo", "0", "--hi", "30"])
+    cmds.append(["classic", *_seed(*SEEDS[0]), "--limit", "20", "--lo", "15", "--hi", "10"])
     cmds.append(["witness", *_seed(*SEEDS[0]), "--n", "1000", "--out", MISSING])
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "100000", "--out", MISSING])
     return cmds

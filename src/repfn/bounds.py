@@ -136,8 +136,6 @@ def decompose(k: int, n0: int, n: int, j: int) -> Decomposition:
     if j > level // 2:
         raise DomainError(f"j={j} exceeds the admissible ceiling {level // 2} at n={n}")
     base = (k**j + 1) * t0
-    if n < base:
-        raise DomainError(f"n={n} is below (k**j + 1) * T = {base}")
     i = flog(k, n, base)
     modulus = (k**j + 1) * k**i
     t, r = divmod(n, modulus)

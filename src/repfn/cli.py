@@ -421,9 +421,7 @@ def _cmd_witness(cfg: argparse.Namespace, out: TextIO) -> int:
                 "n0": cfg.n0,
                 "seed": cfg.seed,
                 "n": cfg.n,
-                "guaranteed_bound": bounds.guaranteed_bound(cfg.k, cfg.n0, cfg.n)
-                if cfg.n >= bounds.chain_threshold(cfg.k, cfg.n0)
-                else 0,
+                "guaranteed_bound": bounds.guaranteed_bound(cfg.k, cfg.n0, cfg.n),
                 "records": [r._asdict() for r in records],
                 "skipped": [{"j": j, "reason": reason} for j, reason in skipped],
             },
@@ -484,6 +482,25 @@ def _cmd_classic(cfg: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+# name: (handler, help text, its required flags, its formats with the default first)
+_COMMANDS = {
+    "seeds": (_cmd_seeds, "enumerate valid initial segments",
+              ("k", "n0"), ("plain", "json", "csv")),
+    "build": (_cmd_build, "extend a seed to a full prefix table",
+              ("k", "n0", "seed", "limit"), ("plain", "json", "csv")),
+    "verify": (_cmd_verify, "run structure, equality and block-parity checks",
+               ("k", "n0", "seed", "limit"), ("json", "csv")),
+    "scan-bound": (_cmd_scan_bound, "compare representation counts against the guaranteed bound",
+                   ("k", "n0", "seed", "lo", "hi"), ("json", "csv")),
+    "witness": (_cmd_witness, "extract explicit representations at one target n",
+                ("k", "n0", "seed", "n"), ("json", "csv")),
+    "search": (_cmd_search, "exhaustive prefix search for the count equality",
+               ("k1", "k2", "n0", "cap"), ("json",)),
+    "classic": (_cmd_classic, "classic unweighted counts r1/r2/r3 over a range",
+                ("k", "n0", "seed", "limit", "lo", "hi"), ("json", "csv")),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; building it costs more than most commands."""
@@ -493,57 +510,25 @@ def build_parser() -> argparse.ArgumentParser:
         "equal weighted representation counts on both sides.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, **required_flags):
+    for name, (_, help_text, flags, formats) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        flag_types = {
-            "k": int, "n0": int, "k1": int, "k2": int, "seed": str,
-            "limit": int, "lo": int, "hi": int, "n": int, "cap": int,
-        }
-        for flag, required in required_flags.items():
-            p.add_argument(f"--{flag}", type=flag_types[flag], required=required)
-        p.add_argument("--format", choices=("json", "csv", "plain"),
-                       default="plain" if name in ("seeds", "build") else "json")
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=str if flag == "seed" else int, required=True)
+        p.add_argument("--format", choices=("json", "csv", "plain"), default=formats[0])
         p.add_argument("--out", type=str, default=None)
-        return p
-
-    add("seeds", "enumerate valid initial segments", k=True, n0=True)
-    add("build", "extend a seed to a full prefix table", k=True, n0=True, seed=True, limit=True)
-    add("verify", "run structure, equality and block-parity checks",
-        k=True, n0=True, seed=True, limit=True)
-    add("scan-bound", "compare representation counts against the guaranteed bound",
-        k=True, n0=True, seed=True, lo=True, hi=True)
-    add("witness", "extract explicit representations at one target n",
-        k=True, n0=True, seed=True, n=True)
-    add("search", "exhaustive prefix search for the count equality",
-        k1=True, k2=True, n0=True, cap=True)
-    add("classic", "classic unweighted counts r1/r2/r3 over a range",
-        k=True, n0=True, seed=True, limit=True, lo=True, hi=True)
     return parser
-
-
-_HANDLERS = {
-    "seeds": _cmd_seeds,
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "scan-bound": _cmd_scan_bound,
-    "witness": _cmd_witness,
-    "search": _cmd_search,
-    "classic": _cmd_classic,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     cfg = parser.parse_args(argv)
-    if (cfg.format == "plain" and cfg.command not in ("seeds", "build")) or (
-        cfg.format == "csv" and cfg.command == "search"
-    ):
+    handler, _, _, formats = _COMMANDS[cfg.command]
+    if cfg.format not in formats:
         print(f"error: --format {cfg.format} is not supported by {cfg.command}", file=sys.stderr)
         return 2
     try:
         with _open_out(cfg.out) as out:
-            return _HANDLERS[cfg.command](cfg, out)
+            return handler(cfg, out)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

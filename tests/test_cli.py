@@ -309,6 +309,26 @@ def test_witness_below_threshold_reported_not_error(capsys):
     assert doc["skipped"] == [{"j": 1, "reason": "below-witness-threshold"}]
 
 
+def test_witness_at_its_smallest_n_has_a_bound(capsys):
+    """No seed has n0 = 0 (its one solution of n = 0, (0, 0), would need
+    2 * chi(0) = 1), so witness's smallest n, k + n0 - 1, is never below the
+    chain threshold T = n0 // k + 2: there, for every census seed with
+    k + n0 <= 10, witness exits 0 with the bound floor(log_k(n / T)) // 4."""
+    for k in range(2, 8):
+        assert len(partitions.enumerate_seeds(k, 0)) == 0, k
+    for k in range(2, 10):
+        for n0 in range(1, 11 - k):
+            t0, n = n0 // k + 2, k + n0 - 1
+            assert t0 <= n, (k, n0)
+            level = max(e for e in range(n.bit_length()) if k**e * t0 <= n)
+            for bits in partitions.enumerate_seeds(k, n0):
+                seed = "".join(map(str, bits.tolist()))
+                code, out, _ = run(capsys, "witness", "--k", str(k), "--n0", str(n0),
+                                   "--seed", seed, "--n", str(n))
+                assert code == 0, (k, n0, seed)
+                assert json.loads(out)["guaranteed_bound"] == level // 4, (k, n0, seed)
+
+
 @pytest.mark.parametrize("k, n0, seed, n, message", [
     ("2", "1", "011", "1", "error: limit must cover the seed window [0, 2], got 1\n"),
     ("2", "1", "011", "-5", "error: limit must cover the seed window [0, 2], got -5\n"),
@@ -434,6 +454,16 @@ def test_classic_negative_lo_exits_2(capsys):
                          "--limit", "20", "--lo", "-5", "--hi", "10")
     assert code == 2 and out == ""
     assert "n must be nonnegative" in err
+
+
+@pytest.mark.parametrize("limit, lo, hi, message", [
+    ("20", "0", "30", "error: hi=30 exceeds limit=20\n"),
+    ("20", "15", "10", "error: empty range: lo=15 > hi=10\n"),
+])
+def test_classic_range_errors_exit_2(capsys, limit, lo, hi, message):
+    code, out, err = run(capsys, "classic", "--k", "2", "--n0", "1", "--seed", "011",
+                         "--limit", limit, "--lo", lo, "--hi", hi)
+    assert (code, out, err) == (2, "", message)
 
 
 # ------------------------------------------------------------ table writer
@@ -673,13 +703,22 @@ def test_error_after_open_leaves_empty_out_file(tmp_path, capsys):
 
 
 def test_plain_format_rejected_elsewhere(capsys):
-    code, _, err = run(capsys, "verify", "--k", "2", "--n0", "1", "--seed", "011",
-                       "--limit", "100", "--format", "plain")
-    assert code == 2
-    code, out, err = run(capsys, "search", "--k1", "2", "--k2", "3", "--n0", "0",
-                         "--cap", "64", "--format", "csv")
-    assert code == 2 and out == ""
-    assert err == "error: --format csv is not supported by search\n"
+    """Every (command, format) pair outside the command's formats exits 2
+    before any work, with empty stdout and one line naming the pair."""
+    seed = ["--k", "2", "--n0", "1", "--seed", "011"]
+    search = ["--k1", "2", "--k2", "3", "--n0", "0", "--cap", "64"]
+    for argv, fmt in [
+        (["verify", *seed, "--limit", "100"], "plain"),
+        (["scan-bound", *seed, "--lo", "0", "--hi", "100"], "plain"),
+        (["witness", *seed, "--n", "100"], "plain"),
+        (["classic", *seed, "--limit", "100", "--lo", "0", "--hi", "100"], "plain"),
+        (["search", *search], "csv"),
+        (["search", *search], "plain"),
+    ]:
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out, err) == (
+            2, "", f"error: --format {fmt} is not supported by {argv[0]}\n"
+        ), (argv[0], fmt)
 
 
 @pytest.mark.parametrize("command", ["verify"])

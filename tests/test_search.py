@@ -61,6 +61,13 @@ def test_weight_preconditions():
         nonexistence_search(WeightPair(3, 2), 0, 16)  # k2 > k1 violated
 
 
+def test_search_range_preconditions():
+    with pytest.raises(PreconditionError, match="n0 must be >= 0, got -1"):
+        nonexistence_search(WeightPair(2, 3), -1, 16)
+    with pytest.raises(PreconditionError, match="depth_cap must be >= 1, got 0"):
+        nonexistence_search(WeightPair(2, 3), 0, 0)
+
+
 def first_survivor(w, n0, width):
     survivors, _, _ = prefix_search(w, n0, width, first_only=True)
     return tuple(survivors[0].tolist())
@@ -327,15 +334,19 @@ def test_packed_checks_match_solution_slices():
     unpacked bits, with free bits packed in reverse, from the two whole
     masks and word by word on a frontier column alike: free prefixes of 0
     to 130 bits, n0 at and just above k1 * free, 140 depths each, weights
-    (1, 3), (2, 3), (3, 7) and (2, 71), whose a1 skip whole words."""
+    (1, 3), (2, 3), (3, 7) and (2, 71), whose a1 skip whole words, and
+    (1, 2) at 130 free bits, where c reaches 128 at depth 254.  Odd depths
+    take the all-ones prefix, whose sum 2c then passes a uint8's 255."""
     rng = np.random.default_rng(11)
-    for k1, k2 in ((1, 3), (2, 3), (3, 7), (2, 71)):
+    every = (0, 5, 63, 64, 65, 70, 130)
+    cases = [(1, 3, every), (2, 3, every), (3, 7, every), (2, 71, every), (1, 2, (130,))]
+    for k1, k2, frees in cases:
         w = WeightPair(k1, k2)
-        for free, n0 in itertools.product((0, 5, 63, 64, 65, 70, 130), (0, k1 - 1)):
+        for free, n0 in itertools.product(frees, (0, k1 - 1)):
             n0 += k1 * free
             checks = partitions._settled_checks(w, n0, free)
             for d in range(free, free + 140):
-                bits = rng.integers(0, 2, d + 1).tolist()
+                bits = [1] * (d + 1) if d % 2 else rng.integers(0, 2, d + 1).tolist()
                 packed = sum(b << (free - 1 - i if i < free else i) for i, b in enumerate(bits))
                 words = [packed >> 64 * i & (2**64 - 1) for i in range(d // 64 + 1)]
                 expected = []
