@@ -3,8 +3,8 @@
 
 For each pair the script lists every seed satisfying the window identity,
 rechecks each one through ``SeedAssignment.is_valid``, which shares no code
-with the popcount search that found it, and extends one representative to
-verify the count equality on a short prefix.
+with the class construction that listed it, and extends one representative
+to verify the count equality on a short prefix.
 """
 
 import argparse

@@ -14,12 +14,13 @@ all of [n0, infinity) exactly when
   (b) the flip rule chi(n) = 1 - chi(floor(n / k)) holds for every
       n >= k + n0.
 
-This module enumerates the initial segments satisfying (a), extends them via
-(b), and verifies (a), (b), the identity itself, and the power-block parity
-relation that (b) induces along chains n -> k*n + j.  Its prefix search,
-which decides the identity at general coprime weights k1 <= k2 one n at a
-time, serves both the seed enumeration and the nonexistence search in
-:mod:`repfn.bounds`.
+This module enumerates the initial segments satisfying (a), class by
+residue class mod k, extends them via (b), and verifies (a), (b), the
+identity itself, and the power-block parity relation that (b) induces along
+chains n -> k*n + j.  Its prefix search decides the identity at general
+coprime weights k1 <= k2 one n at a time; it serves the nonexistence search
+in :mod:`repfn.bounds`, and at weights (1, k) it is the independent check of
+the seed enumeration.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .core import SET, ChiTable, WeightPair, rep_difference, rep_values
 from .errors import DomainError, EnumerationCapExceeded, InvalidSeed, PreconditionError
 
-# exhaustive seed search is 2**(k + n0); beyond this it stops being interactive
+# listing takes time and memory in proportion to the census, one byte per
+# bit, and the census grows like 2**(k + n0) / n0**(k / 2); beyond this it
+# stops being interactive.  enumerate_seeds packs a seed in one uint64, so
+# the cap must stay <= 64.
 ENUMERATION_CAP = 24
 
 # byte value -> character of SeedAssignment.bit_string
@@ -378,11 +383,29 @@ class SeedAssignment:
         return self.values[n] ^ flips
 
 
+def _seed_bits(packed: np.ndarray, width: int) -> np.ndarray:
+    """Seeds packed one per uint64, bit i at position 63 - i, as the rows
+    of a C-contiguous uint8 array of shape (count, width)."""
+    return np.unpackbits(packed.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=width)
+
+
 def enumerate_seeds(k: int, n0: int) -> np.ndarray:
-    """All initial segments on [0, k + n0) satisfying the window identity:
-    the survivors of :func:`prefix_search` at weights (1, k), a C-contiguous
-    uint8 array with one seed per row, of shape (count, k + n0), rows in
-    lexicographic order.
+    """All initial segments on [0, k + n0) satisfying the window identity,
+    as a C-contiguous uint8 array with one seed per row, of shape
+    (count, k + n0), rows in lexicographic order.
+
+    The identity splits by residue class mod k.  Each n in [n0, k + n0) is
+    the last member of its class r = n mod k inside the seed, so its a1
+    terms are that whole class and its a2 terms the prefix sum
+    S(n // k) = chi(0) + ... + chi(n // k): the identity at n holds exactly
+    when class r holds n // k + 1 - S(n // k) ones.  Every a2 is at most
+    top = (k + n0 - 1) // k, so each pattern of the bits 0..top, tried
+    exhaustively, leaves class r needing t_r ones among its positions above
+    top, and the seeds that the pattern starts are every choice of them:
+    the product of the classes' combinations.  Patterns with the same tuple
+    (t_r) share that product, which is built once, in lexicographic order,
+    and placed after each of them in turn.  Past the 2**(top + 1) patterns
+    the work follows the number of seeds, not the 2**(k + n0) prefixes.
 
     The result is closed under bitwise complement, since flipping every bit
     leaves the two sides of the window identity equal.
@@ -391,9 +414,57 @@ def enumerate_seeds(k: int, n0: int) -> np.ndarray:
     width = k + n0
     if width > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"k + n0 = {width} exceeds the exhaustive-search cap {ENUMERATION_CAP}"
+            f"k + n0 = {width} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
-    return prefix_search(WeightPair(1, k), n0, width)[0]
+    top = (width - 1) // k
+    # every pattern of the bits 0..top as the start of a row of whole
+    # multiples of k bits, so that column r of its (-1, k) view is class r
+    patterns = np.arange(1 << top + 1, dtype=np.uint64) << np.uint64(63 - top)
+    head = _seed_bits(patterns, -(-width // k) * k)
+    q = ((n0 + (np.arange(k) - n0) % k) // k).astype(np.uint8)  # n // k for the n of class r
+    # in uint8, as are the bits, so no sum is cast; a count below 0 wraps
+    # far above any class's room
+    need = (
+        q + 1
+        - head[:, : top + 1].cumsum(axis=1, dtype=np.uint8)[:, q]
+        - head.reshape(len(head), -1, k).sum(axis=1, dtype=np.uint8)
+    )
+    # class c's positions above top, as masks of a packed seed
+    above = [[1 << 63 - i for i in range(c, width, k) if i > top] for c in range(k)]
+    shape = [len(masks) + 1 for masks in above]  # t_r is at most class r's room
+    ok = (need < np.array(shape, dtype=np.uint8)).all(axis=1)
+    head = head[ok, :width]
+    # the patterns' groups, by their tuple (t_r) as one index into shape,
+    # numbered in the order the tuples first occur
+    index: dict[int, int] = {}
+    keys = np.ravel_multi_index(tuple(need[ok].T), shape).tolist()
+    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
+    tails, choices = [], {}  # choices[c, t]: the masks of t ones in class c
+    for key in index:
+        tail, fixed = np.zeros(1, dtype=np.uint64), 0
+        for c, t in enumerate(np.unravel_index(key, shape)):
+            if (c, t) not in choices:
+                picks = [sum(p) for p in itertools.combinations(above[c], t)]
+                choices[c, t] = picks[0] if len(picks) == 1 else np.array(picks, dtype=np.uint64)
+            picks = choices[c, t]
+            if isinstance(picks, int):
+                fixed |= picks
+            else:
+                tail = (tail[:, None] | picks).ravel()
+        tails.append(np.sort(tail | np.uint64(fixed)))
+    size = np.array([len(tail) for tail in tails], dtype=np.intp)
+    tail_rows = _seed_bits(np.concatenate([np.zeros(0, dtype=np.uint64), *tails]), width)
+    # each pattern's block of rows: the pattern over its group's tails; row
+    # j of the result takes tail row at[j]
+    rows = size[group]
+    ends = np.cumsum(rows)
+    at = np.repeat(np.cumsum(size)[group] - ends, rows)
+    at += np.arange(len(at))
+    seeds = np.repeat(head, rows, axis=0)
+    chunk = 1 << 12  # rows per gather, so that no second copy of the result is held
+    for s in range(0, len(seeds), chunk):
+        seeds[s : s + chunk] |= tail_rows.take(at[s : s + chunk], axis=0)
+    return seeds
 
 
 def _quotient_bits(bits: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
@@ -458,8 +529,7 @@ def _flip_mismatches(bits: np.ndarray, d: int, lo: int, odd: bool) -> np.ndarray
     return cells == parents if odd else cells != parents
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Outcome of checking the window identity and the flip rule."""
 
     window_violations: tuple[int, ...]
@@ -510,8 +580,7 @@ def side_counts(chi: ChiTable, k: int, diff: np.ndarray) -> tuple[np.ndarray, np
     return r_set, np.subtract(r_set, diff, out=diff)
 
 
-@dataclass(frozen=True)
-class BlockParityReport:
+class BlockParityReport(NamedTuple):
     """Outcome of checking chi on the blocks k**i * n + [0, k**i).
 
     Along any chain the flip rule forces chi to be constant on each block

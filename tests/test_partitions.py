@@ -12,6 +12,7 @@ from repfn import (
     SET,
     ChiTable,
     DomainError,
+    ENUMERATION_CAP,
     EnumerationCapExceeded,
     InvalidSeed,
     PreconditionError,
@@ -144,6 +145,29 @@ def test_prefix_search_matches_brute_force(k1, k2):
             expected = [cand for cand, d in zip(strings, diffs) if not d[n0:].any()]
             got = prefix_search(w, n0, width)[0]
             assert [tuple(r) for r in got.tolist()] == expected, (w, n0, width)
+
+
+def test_census_equals_prefix_search():
+    """The census built from its residue classes lists the survivors of the
+    prefix search at weights (1, k), row for row, in the same layout, at all
+    276 (k, n0) with k + n0 up to the cap, empty censuses included."""
+    cases = [(k, n0) for k in range(2, ENUMERATION_CAP + 1) for n0 in range(ENUMERATION_CAP + 1 - k)]
+    assert len(cases) == 276
+    for k, n0 in cases:
+        got = enumerate_seeds(k, n0)
+        expected = prefix_search(WeightPair(1, k), n0, k + n0)[0]
+        assert got.dtype == np.uint8 and got.flags.c_contiguous, (k, n0)
+        assert got.shape == expected.shape and np.array_equal(got, expected), (k, n0)
+
+
+def test_largest_census_rows_are_valid_seeds():
+    """Each of the 379,494 rows at k = 2, n0 = 22 passes the window identity
+    as SeedAssignment.is_valid reads it, in pure Python, and no row repeats."""
+    seeds = enumerate_seeds(2, 22)
+    assert seeds.shape == (379_494, 24)
+    rows = seeds.tolist()
+    assert all(SeedAssignment(2, 22, tuple(row)).is_valid() for row in rows)
+    assert len(set(map(tuple, rows))) == len(rows)
 
 
 def test_census_memory_is_one_byte_per_bit():

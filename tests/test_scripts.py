@@ -3,10 +3,12 @@
 No other test imports them, so a signature change in ``repfn`` would break
 them silently.  Each one runs here as a subprocess on small arguments, with
 the package's ``src`` on ``PYTHONPATH``, and must exit 0 with its usual
-last line.
+last line; ``bench.py`` runs on two copies of the tree.
 """
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,3 +51,29 @@ def test_unsat_depths_decide_every_cell():
     out = run_script("unsat_depths.py", ["--max-weight", "3", "--max-n0", "44", "--cap", "256"])
     assert out.splitlines()[-1].startswith("   (2,3)"), out
     assert "inconclusive" not in out, out
+
+
+def test_bench_alternates_pairs_of_two_trees(tmp_path):
+    """scripts/bench.py runs each tree's own perfbench on one short search
+    pair and records both runs, their faults and the head's wins."""
+    for side in ("base", "head"):
+        for part in ("src", "perfbench"):
+            shutil.copytree(ROOT / part, tmp_path / side / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+    out = tmp_path / "BENCH.json"
+    run_script("bench.py", ["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
+                            "--workload", "search", "--pairs", "1", "--seconds", "0.05",
+                            "--out", str(out)])
+    record = json.loads(out.read_text())
+    assert record["commits"] == {"base": None, "head": None}  # copies, not checkouts
+    runs = record["workloads"]["search"]["runs"]
+    assert [(r["side"], r["pair"], r["seed"]) for r in runs] == [("base", 0, 1), ("head", 0, 1)]
+    names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    for run in runs:
+        assert run["correct"] and run["failed"] == 0 and run["minor_faults"] > 0, run
+        assert set(run["metrics"]) == names
+    summary = record["workloads"]["search"]["summary"]
+    assert set(summary) == names
+    for s in summary.values():
+        assert s["pairs"] == 1 and s["head_wins"] in (0, 1) and s["base"]["iqr"] == 0
