@@ -21,8 +21,8 @@ subcommand's ``--help``, no subcommand, an unknown command, a command
 missing flags, one unsupported ``--format`` for each command that lacks
 one, ``classic``'s two range errors and a few other usage errors.
 ``witness`` runs in json and csv at n = 10**5 for one seed, at 10**100 for
-every seed, at 286, where a small element is shared across j, and at 10,
-below the witness threshold.  ``search`` runs the golden cases of
+every seed, at 10**1000 for k = 2 and k = 5, at 286, where a small element
+is shared across j, and at 10, below the witness threshold.  ``search`` runs the golden cases of
 ``tests/test_search.py`` and outcomes of every kind: unsat, certificates
 ((2, 5, 32) at cap 64; (2, 5, 8), (2, 7, 10) and (2, 9, 12) one bit below
 their refutation depth, where a window of few prefixes returns the
@@ -146,12 +146,14 @@ def commands() -> list[list[str]]:
     for k, n0 in CENSUSES:
         for fmt in ("json", "csv", "plain"):
             cmds.append(["seeds", "--k", str(k), "--n0", str(n0), "--format", fmt])
-    # commands that load no NumPy: witnesses at 10**100, at 286 (one case2
-    # record, the other j's small element taken) and at 10 (below the
-    # threshold), help and usage errors
+    # commands that load no NumPy: witnesses at 10**100, at 10**1000, at 286
+    # (one case2 record, the other j's small element taken) and at 10 (below
+    # the threshold), help and usage errors
     for fmt in ("json", "csv"):
         for seed in SEEDS:
             cmds.append(["witness", *_seed(*seed), "--n", str(10**100), "--format", fmt])
+        for seed in (SEEDS[0], SEEDS[2]):
+            cmds.append(["witness", *_seed(*seed), "--n", str(10**1000), "--format", fmt])
         for n in ("286", "10"):
             cmds.append(["witness", *_seed(*SEEDS[0]), "--n", n, "--format", fmt])
     cmds.append(["--help"])

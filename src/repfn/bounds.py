@@ -38,7 +38,14 @@ from typing import NamedTuple
 from ._numpy import np
 from .core import COMPLEMENT, SET, ChiTable, WeightPair, rep_difference, rep_values
 from .errors import DomainError, NoWitness, PreconditionError
-from .partitions import SeedAssignment, _check_params, chain_threshold, prefix_search, side_counts
+from .partitions import (
+    SeedAssignment,
+    _check_params,
+    chain_threshold,
+    ilog,
+    prefix_search,
+    side_counts,
+)
 
 CASE_INTERVAL = "case1"
 CASE_SMALL_SHIFT = "case2"
@@ -50,19 +57,14 @@ POOL_EXHAUSTED = "small-element-pool-exhausted"
 
 
 def flog(k: int, n: int, scale: int) -> int:
-    """Largest e with k**e * scale <= n, by exact integer multiplication."""
+    """Largest e with k**e * scale <= n, in exact integers."""
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
     if scale < 1:
         raise DomainError(f"scale must be >= 1, got {scale}")
     if n < scale:
         raise DomainError(f"n={n} is below scale={scale}")
-    e = 0
-    cur = scale
-    while cur * k <= n:
-        cur *= k
-        e += 1
-    return e
+    return ilog(k, n // scale)  # k**e * scale <= n exactly when k**e <= n // scale
 
 
 def guaranteed_bound(k: int, n0: int, n: int) -> int:

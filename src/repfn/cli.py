@@ -250,15 +250,22 @@ def _parse_seed(cfg: argparse.Namespace) -> partitions.SeedAssignment:
     return partitions.SeedAssignment.from_string(cfg.k, cfg.n0, cfg.seed)
 
 
-def _seed_rows(found: np.ndarray, before: bytes, after: bytes) -> str:
-    """The seeds of a census as text, each one the row template ``before``,
-    its bits as 0/1 characters, ``after``."""
+def _emit_seeds(found: np.ndarray, before: bytes, after: bytes, out: TextIO, skip: int = 0) -> None:
+    """Write the seeds of a census, CHUNK rows at a time: each one the row
+    template ``before``, its bits as 0/1 characters, ``after``, with the
+    first ``skip`` characters of the first row left out.  One row buffer
+    holds the separators for every chunk, so no text as long as the census
+    is ever held."""
     count, width = found.shape
-    rows = np.empty((count, len(before) + width + len(after)), dtype=np.uint8)
+    rows = np.empty((min(count, CHUNK), len(before) + width + len(after)), dtype=np.uint8)
     rows[:, : len(before)] = np.frombuffer(before, dtype=np.uint8)
-    rows[:, len(before) : len(before) + width] = found + ord("0")
     rows[:, len(before) + width :] = np.frombuffer(after, dtype=np.uint8)
-    return rows.tobytes().decode("ascii")
+    bits = rows[:, len(before) : len(before) + width]
+    for start in range(0, count, CHUNK):
+        chunk = found[start : start + CHUNK]
+        np.add(chunk, ord("0"), out=bits[: len(chunk)])
+        out.write(str(rows[: len(chunk)].ravel()[skip:], "ascii"))
+        skip = 0
 
 
 def _cmd_seeds(cfg: argparse.Namespace, out: TextIO) -> int:
@@ -275,12 +282,13 @@ def _cmd_seeds(cfg: argparse.Namespace, out: TextIO) -> int:
         }
         out.write(json.dumps(doc, indent=2)[: -len("null\n}")] + "[")
         # every seed carries its leading separator; the first one drops it
-        out.write(_seed_rows(found, b',\n    "', b'"')[1:])
+        _emit_seeds(found, b',\n    "', b'"', out, skip=1)
         out.write(("\n  ]" if len(found) else "]") + "\n}\n")
     elif cfg.format == "csv":
-        out.write("seed\r\n" + _seed_rows(found, b"", b"\r\n"))
+        out.write("seed\r\n")
+        _emit_seeds(found, b"", b"\r\n", out)
     else:
-        out.write(_seed_rows(found, b"", b"\n"))
+        _emit_seeds(found, b"", b"\n", out)
     print(f"{len(found)} valid seed(s) for k={cfg.k}, n0={cfg.n0}", file=sys.stderr)
     return 0
 

@@ -64,6 +64,23 @@ def chain_threshold(k: int, n0: int) -> int:
     return (n0 + k) // k + 1
 
 
+def ilog(k: int, q: int) -> int:
+    """Largest e with k**e <= q, for integers k >= 2 and q >= 1, exactly.
+
+    Since k**64 < 2**L with L = (k**64).bit_length(), log2(k) < L / 64, so
+    e = (bit_length(q) - 1) * 64 // L has k**e <= q: a lower bound on
+    log_k(q) that misses by about log_k(q) / (64 * log2(k)).  One division
+    by k**e then leaves that small margin to step up on a small quotient,
+    rather than one big-int step per power of k.
+    """
+    e = (q.bit_length() - 1) * 64 // (k**64).bit_length()
+    q //= k**e
+    while q >= k:
+        q //= k
+        e += 1
+    return e
+
+
 def _settled_checks(w: WeightPair, n0: int, free: int):
     """Yield, for d = free, free + 1, ..., the checks of bit d on prefixes
     packed as in :func:`prefix_search`: one (both, twice, c) per n >= n0 in
@@ -370,17 +387,18 @@ class SeedAssignment:
         """chi(n) of the flip-rule extension of this seed, for any integer n >= 0.
 
         Dividing by k d times brings n into the seed, and each division
-        flips the bit: chi(n) = seed[n // k**d] xor (d & 1).  O(log_k n)
-        exact integer steps and no table, so n may be arbitrarily large.
+        flips the bit: chi(n) = seed[n // k**d] xor (d & 1).  The least such
+        d has n // width < k**d, for width = k + n0, so past the seed it is
+        ilog(k, n // width) + 1 and the bit takes one division by k**d.
+        Exact integers and no table, so n may be arbitrarily large.
         """
         if n < 0:
             raise DomainError(f"n must be nonnegative, got {n}")
         width = self.k + self.n0
-        flips = 0
-        while n >= width:
-            n //= self.k
-            flips ^= 1
-        return self.values[n] ^ flips
+        if n < width:
+            return self.values[n]
+        d = ilog(self.k, n // width) + 1
+        return self.values[n // self.k**d] ^ (d & 1)
 
 
 def _seed_bits(packed: np.ndarray, width: int) -> np.ndarray:

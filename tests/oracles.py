@@ -62,10 +62,14 @@ def rep_count_weighted(chi: ChiTable, side: str, w: WeightPair, n: int) -> int:
 
 def chi_recursive(seed: str, k: int, n0: int, n: int) -> int:
     """chi(n) of the flip-rule extension of a seed string, by the rule as
-    written: seed[n] inside the seed, else 1 - chi(n // k)."""
-    if n < k + n0:
-        return int(seed[n])
-    return 1 - chi_recursive(seed, k, n0, n // k)
+    written: seed[n] inside the seed, else 1 - chi(n // k).  The recursion
+    runs as a loop, one step per power of k, so n may have thousands of
+    digits."""
+    flips = 0
+    while n >= k + n0:
+        n //= k
+        flips ^= 1
+    return int(seed[n]) ^ flips
 
 
 def window_identity_loop(values, k: int, n: int) -> bool:

@@ -54,13 +54,11 @@ def test_seeds_empty_census(capsys):
     assert run(capsys, *base, "plain")[:2] == (0, "")
 
 
-@pytest.mark.parametrize("k,n0", [(2, 1), (3, 2), (7, 17)])
-def test_seeds_bytes_match_stdlib_encoders(capsys, k, n0):
+def _check_seeds_against_stdlib(capsys, k, n0):
     """json, csv and plain output of a census, written from the census
     array through row templates, are byte for byte those of
     json.dumps(indent=2), csv.writer and one line per seed."""
     seeds = ["".join(map(str, row)) for row in partitions.enumerate_seeds(k, n0).tolist()]
-    assert seeds
     base = ["seeds", "--k", str(k), "--n0", str(n0), "--format"]
     doc = {"schema": 1, "command": "seeds", "k": k, "n0": n0, "count": len(seeds), "seeds": seeds}
     assert run(capsys, *base, "json")[:2] == (0, json.dumps(doc, indent=2) + "\n")
@@ -68,6 +66,44 @@ def test_seeds_bytes_match_stdlib_encoders(capsys, k, n0):
     csv.writer(table).writerows([["seed"], *([s] for s in seeds)])
     assert run(capsys, *base, "csv")[:2] == (0, table.getvalue())
     assert run(capsys, *base, "plain")[:2] == (0, "".join(s + "\n" for s in seeds))
+    return seeds
+
+
+@pytest.mark.parametrize("k,n0", [(2, 1), (3, 2), (7, 17)])
+def test_seeds_bytes_match_stdlib_encoders(capsys, k, n0):
+    assert _check_seeds_against_stdlib(capsys, k, n0)
+
+
+@pytest.mark.parametrize("k,n0,count", [(2, 0, 0), (3, 4, 6), (4, 4, 8), (2, 5, 10),
+                                        (5, 5, 16), (2, 6, 18)])
+def test_seeds_match_stdlib_across_chunks(capsys, monkeypatch, k, n0, count):
+    """With an 8-row chunk, censuses of none, one short of, exactly and
+    past one and two chunks keep the bytes of the stdlib encoders: json
+    drops the separator of the first seed only."""
+    monkeypatch.setattr(cli, "CHUNK", 8)
+    assert len(_check_seeds_against_stdlib(capsys, k, n0)) == count
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_seeds_peak_is_the_census(tmp_path, fmt):
+    """Writing a census adds at most 1 MiB of traced memory to the peak of
+    building it: the text goes out CHUNK seeds at a time."""
+    main(["seeds", "--k", "2", "--n0", "3", "--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        partitions.enumerate_seeds(3, 21)
+        census = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    argv = ["seeds", "--k", "3", "--n0", "21", "--format", fmt, "--out", str(tmp_path / "seeds")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= census + 2**20, (peak, census)
 
 
 def test_seeds_cap_exceeded_exits_2(capsys):

@@ -245,12 +245,12 @@ def test_seed_value_matches_extension(k, n0, s):
 
 @pytest.mark.parametrize("k, n0, s", VALUE_SEEDS)
 def test_seed_value_flip_rule_up_to_ten_to_the_hundred(k, n0, s):
-    """1000 n drawn log-uniformly up to 10**100: the flip rule holds and the
+    """1000 n drawn log-uniformly up to 10**1000: the flip rule holds and the
     recursive oracle agrees."""
     seed = SeedAssignment.from_string(k, n0, s)
     rng = random.Random(20261018)
     for _ in range(1000):
-        n = rng.randrange(k + n0, 10 ** rng.randint(1, 100) + 1)
+        n = rng.randrange(k + n0, 10 ** rng.randint(1, 1000) + 1)
         assert seed.value(n) == 1 - seed.value(n // k) == chi_recursive(s, k, n0, n), n
 
 
