@@ -10,10 +10,9 @@ from .bounds import (
     Decomposition,
     SearchOutcome,
     WitnessRecord,
-    admissible_j_values,
     bound_array,
     bound_scan,
-    decompose,
+    decompositions,
     extract_witness,
     flog,
     guaranteed_bound,

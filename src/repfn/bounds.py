@@ -10,7 +10,8 @@ The construction rests on an exact scale decomposition
                                         0 <= r < k**i * (k**j + 1),
 
 where T = floor((n0 + k) / k) + 1 and j ranges over the odd integers up to
-half the integer logarithm of n / T.  Distinct admissible j yield
+half the integer logarithm of n / T.  :func:`decompositions` takes that
+logarithm once per n and derives every (i, t, r) from it.  Distinct j yield
 representations with pairwise distinct a2, which certifies the guaranteed
 lower bound B(n) = floor(floor(log_k(n / T)) / 4) on the representation
 count.  A witness is one flat :class:`WitnessRecord`: the fields (j, i, t,
@@ -91,15 +92,6 @@ def bound_array(k: int, n0: int, lo: int, hi: int) -> np.ndarray:
     return bound
 
 
-def admissible_j_values(k: int, n0: int, n: int) -> list[int]:
-    """Odd j with 1 <= j <= floor(flog(k, n, T) / 2); empty when flog < 2."""
-    t0 = chain_threshold(k, n0)
-    if n < t0:
-        return []
-    top = flog(k, n, t0) // 2
-    return list(range(1, top + 1, 2))
-
-
 class Decomposition(NamedTuple):
     """Exact writing n = k**i * (k**j + 1) * t + r with t in [T, k*T - 1].
 
@@ -117,41 +109,40 @@ class Decomposition(NamedTuple):
     s: int | None
 
 
-def decompose(k: int, n0: int, n: int, j: int) -> Decomposition:
-    """Decompose n at odd scale exponent j.
+def decompositions(k: int, n0: int, n: int) -> list[Decomposition]:
+    """The decomposition of n at every admissible j: the odd j with
+    1 <= j <= level // 2, where level = flog(k, n, T); empty below T.
 
     The inner exponent i is the unique integer with
 
         k**i * (k**j + 1) * T <= n < k**(i+1) * (k**j + 1) * T,
 
-    and (t, r) is the division of n by k**i * (k**j + 1).  On every call
-    i + j equals flog(k, n, T) or flog(k, n, T) - 1; that window property
-    is checked, raising NoWitness, because the whole bound argument hangs
-    on it.
+    and (t, r) is the division of n by k**i * (k**j + 1).  Since
+    k**j < k**j + 1 <= k**(j+1), the left side gives k**(i+j) * T < n, so
+    i + j <= level, and the right side gives n < k**(i+j+2) * T, so
+    i + j >= level - 1.  One comparison picks between the two: i is
+    level - j unless k**(level-j) * (k**j + 1) * T exceeds n.  So one
+    integer log serves every j.
     """
     t0 = chain_threshold(k, n0)
-    if j < 1 or j % 2 == 0:
-        raise DomainError(f"j must be odd and positive, got {j}")
     if n < t0:
-        raise DomainError(f"n={n} is below the chain threshold {t0}")
+        return []
     level = flog(k, n, t0)
-    if j > level // 2:
-        raise DomainError(f"j={j} exceeds the admissible ceiling {level // 2} at n={n}")
-    base = (k**j + 1) * t0
-    i = flog(k, n, base)
-    modulus = (k**j + 1) * k**i
-    t, r = divmod(n, modulus)
-    if not t0 <= t <= k * t0 - 1:
-        raise NoWitness(f"t={t} outside [{t0}, {k * t0 - 1}] at n={n}, j={j}, i={i}")
-    if i + j not in (level, level - 1):
-        raise NoWitness(f"i + j = {i + j} is neither level {level} nor {level - 1} at n={n}, j={j}")
-    threshold = k ** (i + j) + k**i - k - 1
-    if r <= threshold:
-        return Decomposition(j, i, t, r, CASE_INTERVAL, None)
-    s = r - threshold
-    if not 1 <= s <= k:
-        raise NoWitness(f"shift s={s} outside [1, {k}] at n={n}, j={j}")
-    return Decomposition(j, i, t, r, CASE_SMALL_SHIFT, s)
+    out = []
+    for j in range(1, level // 2 + 1, 2):
+        spread = k**j + 1
+        i = level - j - (k ** (level - j) * spread * t0 > n)
+        t, r = divmod(n, spread * k**i)
+        if not t0 <= t <= k * t0 - 1:
+            raise NoWitness(f"t={t} outside [{t0}, {k * t0 - 1}] at n={n}, j={j}, i={i}")
+        s = r - (k ** (i + j) + k**i - k - 1)
+        if s <= 0:
+            out.append(Decomposition(j, i, t, r, CASE_INTERVAL, None))
+        elif s <= k:
+            out.append(Decomposition(j, i, t, r, CASE_SMALL_SHIFT, s))
+        else:
+            raise NoWitness(f"shift s={s} outside [1, {k}] at n={n}, j={j}")
+    return out
 
 
 class WitnessRecord(NamedTuple):
@@ -170,10 +161,10 @@ class WitnessRecord(NamedTuple):
 
 
 def extract_witness(
-    seed: SeedAssignment, n: int, j: int, exclude: frozenset = frozenset()
+    seed: SeedAssignment, n: int, d: Decomposition, exclude: frozenset = frozenset()
 ) -> WitnessRecord | str:
-    """Produce a representation of n from the decomposition at exponent j,
-    or the reason there is none.
+    """Produce a representation of n from its decomposition ``d``, or the
+    reason there is none.
 
     case1: a2 is scanned ascending in the block [k**(i+j-1) * t, + k**(i+j-1))
     and the first value with a1 = n - k*a2 inside [k**i * t, + k**i) is
@@ -192,8 +183,6 @@ def extract_witness(
     NoWitness: that would contradict the construction and must fail loudly.
     """
     k = seed.k
-    d = decompose(k, seed.n0, n, j)
-
     if d.case == CASE_INTERVAL:
         p = k ** (d.i + d.j - 1)
         q = k**d.i
@@ -212,12 +201,12 @@ def extract_witness(
             b1, b2 = seed.value(a1), seed.value(a2)
             if b1 != b2:
                 raise NoWitness(
-                    f"blocks disagree at n={n}, j={j}: chi({a1})={b1} vs chi({a2})={b2}"
+                    f"blocks disagree at n={n}, j={d.j}: chi({a1})={b1} vs chi({a2})={b2}"
                 )
             return WitnessRecord(*d, a1, a2, SET if b1 else COMPLEMENT)
         if excluded:
             return POOL_EXHAUSTED
-        raise NoWitness(f"paired-block scan exhausted at n={n}, j={j}")
+        raise NoWitness(f"paired-block scan exhausted at n={n}, j={d.j}")
 
     # case2: n - (k**i - k - 1 + s) = k**i * m for the shifted base m
     headroom = k**d.i - k - 1
@@ -241,10 +230,10 @@ def extract_witness(
             continue
         a1 = n - k * a
         if not blk_lo <= a1 <= blk_lo + k**d.i - 1:
-            raise NoWitness(f"a1={a1} outside the shifted block at n={n}, j={j}, a={a}")
+            raise NoWitness(f"a1={a1} outside the shifted block at n={n}, j={d.j}, a={a}")
         if seed.value(a1) != side_bit:
             raise NoWitness(
-                f"block side mismatch at n={n}, j={j}: chi({a1}) != chi({m}) parity"
+                f"block side mismatch at n={n}, j={d.j}: chi({a1}) != chi({m}) parity"
             )
         return WitnessRecord(*d, a1, a, SET if side_bit else COMPLEMENT)
     if not saw_side_match:
@@ -265,10 +254,10 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
     records: list[WitnessRecord] = []
     skipped: list[tuple[int, str]] = []
     used_small: set[int] = set()
-    for j in admissible_j_values(seed.k, seed.n0, n):
-        rec = extract_witness(seed, n, j, exclude=frozenset(used_small))
+    for d in decompositions(seed.k, seed.n0, n):
+        rec = extract_witness(seed, n, d, exclude=frozenset(used_small))
         if isinstance(rec, str):
-            skipped.append((j, rec))
+            skipped.append((d.j, rec))
             continue
         records.append(rec)
         if rec.case == CASE_SMALL_SHIFT:

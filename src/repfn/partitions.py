@@ -68,16 +68,17 @@ def ilog(k: int, q: int) -> int:
     """Largest e with k**e <= q, for integers k >= 2 and q >= 1, exactly.
 
     Since k**64 < 2**L with L = (k**64).bit_length(), log2(k) < L / 64, so
-    e = (bit_length(q) - 1) * 64 // L has k**e <= q: a lower bound on
-    log_k(q) that misses by about log_k(q) / (64 * log2(k)).  One division
-    by k**e then leaves that small margin to step up on a small quotient,
-    rather than one big-int step per power of k.
+    step = (bit_length(q) - 1) * 64 // L has k**step <= q.  Each pass
+    divides q by k**max(1, step) and adds that exponent to e, so q stays
+    floor(q_start / k**e) and the loop ends at q < k.  The first pass
+    leaves about log_k(q) / (64 * log2(k)) powers, the next a few: about
+    4 passes at q near 10**1000, not one big-int division per power of k.
     """
-    e = (q.bit_length() - 1) * 64 // (k**64).bit_length()
-    q //= k**e
+    e = 0
     while q >= k:
-        q //= k
-        e += 1
+        step = max(1, (q.bit_length() - 1) * 64 // (k**64).bit_length())
+        q //= k**step
+        e += step
     return e
 
 
@@ -502,19 +503,6 @@ def _quotient_bits(bits: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def _extend_bits(seed: SeedAssignment, limit: int) -> np.ndarray:
-    width = seed.k + seed.n0
-    bits = np.empty(limit + 1, dtype=np.uint8)
-    bits[:width] = seed.values
-    # fill in increasing order: floor(n / k) < n is always already defined
-    lo = width
-    while lo <= limit:
-        hi = min(limit, seed.k * lo - 1)
-        np.bitwise_xor(_quotient_bits(bits, seed.k, lo, hi), 1, out=bits[lo : hi + 1])
-        lo = hi + 1
-    return bits
-
-
 def check_extension(seed: SeedAssignment, limit: int, require_valid: bool = True) -> None:
     """The preconditions of :func:`extend_seed` to ``limit``: the prefix
     covers the seed window and, with ``require_valid``, the seed passes its
@@ -536,7 +524,16 @@ def extend_seed(seed: SeedAssignment, limit: int, require_valid: bool = True) ->
     partition identity everywhere it is defined.
     """
     check_extension(seed, limit, require_valid)
-    return ChiTable(_extend_bits(seed, limit))
+    width = seed.k + seed.n0
+    bits = np.empty(limit + 1, dtype=np.uint8)
+    bits[:width] = seed.values
+    # fill in increasing order: floor(n / k) < n is always already defined
+    lo = width
+    while lo <= limit:
+        hi = min(limit, seed.k * lo - 1)
+        np.bitwise_xor(_quotient_bits(bits, seed.k, lo, hi), 1, out=bits[lo : hi + 1])
+        lo = hi + 1
+    return ChiTable(bits)
 
 
 def _flip_mismatches(bits: np.ndarray, d: int, lo: int, odd: bool) -> np.ndarray:

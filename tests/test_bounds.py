@@ -16,11 +16,10 @@ from repfn import (
     PreconditionError,
     SeedAssignment,
     WeightPair,
-    admissible_j_values,
     bound_array,
     bound_scan,
     chain_threshold,
-    decompose,
+    decompositions,
     enumerate_seeds,
     extend_seed,
     extract_witness,
@@ -139,30 +138,23 @@ def test_bound_array_matches_pointwise_random_ranges():
 # -------------------------------------------------------------- decomposition
 
 def test_decompose_spec_point():
-    d = decompose(2, 1, 100, 1)
-    assert (d.i, d.t, d.r, d.case) == (4, 2, 4, CASE_INTERVAL)
+    (d,) = decompositions(2, 1, 100)
+    assert (d.j, d.i, d.t, d.r, d.case) == (1, 4, 2, 4, CASE_INTERVAL)
     assert 2**d.i * (2**d.j + 1) * d.t + d.r == 100
 
 
 def test_decompose_boundary():
-    d = decompose(2, 1, 96, 1)
-    assert (d.i, d.t, d.r, d.case) == (4, 2, 0, CASE_INTERVAL)
+    (d,) = decompositions(2, 1, 96)
+    assert (d.j, d.i, d.t, d.r, d.case) == (1, 4, 2, 0, CASE_INTERVAL)
 
 
-def test_decompose_domain_errors():
-    with pytest.raises(DomainError):
-        decompose(2, 1, 100, 2)  # even j
-    with pytest.raises(DomainError):
-        decompose(2, 1, 100, 0)
-    with pytest.raises(DomainError):
-        decompose(2, 1, 100, 5)  # exceeds floor(flog / 2)
-    with pytest.raises(DomainError):
-        decompose(2, 1, 1, 1)  # below chain threshold
+def test_decompositions_empty_below_threshold():
+    assert decompositions(2, 1, 1) == []
 
 
 def test_decompose_small_shift_case():
-    d = decompose(2, 1, 286, 1)
-    assert d.case == CASE_SMALL_SHIFT
+    d = decompositions(2, 1, 286)[0]
+    assert d.j == 1 and d.case == CASE_SMALL_SHIFT
     assert d.s is not None and 1 <= d.s <= 2
     assert 2**d.i * (2**d.j + 1) * d.t + d.r == 286
 
@@ -172,46 +164,70 @@ def test_decompose_small_shift_case():
     k=st.integers(2, 5),
     n0=st.integers(0, 3),
     n=st.integers(2, 10**9),
-    data=st.data(),
 )
-def test_decompose_window_and_reassembly(k, n0, n, data):
+def test_decompose_window_and_reassembly(k, n0, n):
     t0 = chain_threshold(k, n0)
-    if n < t0:
-        return
-    js = admissible_j_values(k, n0, n)
-    if not js:
-        return
-    j = js[data.draw(st.integers(0, len(js) - 1))]
-    d = decompose(k, n0, n, j)
-    level = flog(k, n, t0)
-    assert d.i + d.j in (level, level - 1)
-    assert k**d.i * (k**d.j + 1) * d.t + d.r == n
-    assert t0 <= d.t <= k * t0 - 1
-    assert 0 <= d.r < k**d.i * (k**d.j + 1)
-    if d.case == CASE_SMALL_SHIFT:
-        assert 1 <= d.s <= k
+    level = oracle_flog(k, n, t0) if n >= t0 else 0
+    for d in decompositions(k, n0, n):
+        assert d.i + d.j in (level, level - 1)
+        assert k**d.i * (k**d.j + 1) * d.t + d.r == n
+        assert t0 <= d.t <= k * t0 - 1
+        assert 0 <= d.r < k**d.i * (k**d.j + 1)
+        if d.case == CASE_SMALL_SHIFT:
+            assert 1 <= d.s <= k
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 7), n0=st.integers(0, 12), digits=st.integers(1, 1000), data=st.data())
+def test_decompositions_match_oracle_up_to_ten_to_the_thousand(k, n0, digits, data):
+    """Log-uniform n up to 10**1000: the j are the odd numbers up to
+    oracle_flog(k, n, T) // 2, each d reassembles n, and each d.i is the
+    largest e with k**e * (k**d.j + 1) * T <= n.  That defining inequality
+    is checked for every d, and one drawn d is rerun through the upward-loop
+    oracle."""
+    n = data.draw(st.integers(10 ** (digits - 1), 10**digits))
+    t0 = chain_threshold(k, n0)
+    ds = decompositions(k, n0, n)
+    level = oracle_flog(k, n, t0) if n >= t0 else 0
+    assert [d.j for d in ds] == list(range(1, level // 2 + 1, 2))
+    for d in ds:
+        base = (k**d.j + 1) * t0
+        assert k**d.i * base <= n < k ** (d.i + 1) * base
+        assert k**d.i * (k**d.j + 1) * d.t + d.r == n
+    if ds:
+        d = ds[data.draw(st.integers(0, len(ds) - 1))]
+        assert d.i == oracle_flog(k, n, (k**d.j + 1) * t0)
 
 
 def test_admissible_j_values():
-    assert admissible_j_values(2, 1, 2) == []  # flog = 0
-    assert admissible_j_values(2, 1, 100) == [1]  # flog = 5
-    assert admissible_j_values(2, 1, 10**6) == [1, 3, 5, 7, 9]  # flog = 18
-    assert admissible_j_values(2, 1, 1) == []  # below threshold
+    def js(n):
+        return [d.j for d in decompositions(2, 1, n)]
+
+    assert js(2) == []  # flog = 0
+    assert js(100) == [1]  # flog = 5
+    assert js(10**6) == [1, 3, 5, 7, 9]  # flog = 18
+    assert js(1) == []  # below threshold
 
 
 # ------------------------------------------------------------------ witnesses
 # The witness functions read the seed; dense tables below are membership
 # oracles for the asserts only.
 
+def _at(n, j):
+    """The decomposition of n at exponent j, for the seed 011."""
+    (d,) = [d for d in decompositions(2, 1, n) if d.j == j]
+    return d
+
+
 def test_witness_spec_point(seed011):
-    rec = extract_witness(seed011, 100, 1)
+    rec = extract_witness(seed011, 100, _at(100, 1))
     assert (rec.a1, rec.a2, rec.side) == (36, 32, SET)
     assert rec.a1 + 2 * rec.a2 == 100
 
 
 def test_witness_small_shift_case(seed011):
     chi = extend_seed(seed011, 200)
-    rec = extract_witness(seed011, 70, 1)
+    rec = extract_witness(seed011, 70, _at(70, 1))
     assert rec.case == CASE_SMALL_SHIFT
     assert rec.a1 + 2 * rec.a2 == 70
     assert chi.bits[rec.a1] == chi.bits[rec.a2]
@@ -219,28 +235,28 @@ def test_witness_small_shift_case(seed011):
 
 def test_witness_below_threshold_returns_none(seed011):
     # at n=34 the shifted-base case applies but no small element fits
-    assert extract_witness(seed011, 34, 1) == "below-witness-threshold"
+    assert extract_witness(seed011, 34, _at(34, 1)) == "below-witness-threshold"
 
 
 def test_witness_minimal_prefix_small_shift(seed011):
     """At i=0 the shifted base sits above n and no small element fits; the
     extractor reports the skip."""
     for n in (8, 10, 11):
-        assert extract_witness(seed011, n, 1) == "below-witness-threshold"
+        assert extract_witness(seed011, n, _at(n, 1)) == "below-witness-threshold"
 
 
 def test_witness_exclusion_dedupes_small_elements(seed011):
     # both admissible j at n=286 land in the small-shift case on one side
-    first = extract_witness(seed011, 286, 1)
+    first = extract_witness(seed011, 286, _at(286, 1))
     assert first.case == CASE_SMALL_SHIFT
-    repeat = extract_witness(seed011, 286, 3)
+    repeat = extract_witness(seed011, 286, _at(286, 3))
     assert repeat.a2 == first.a2  # no exclusion: collision
-    deduped = extract_witness(seed011, 286, 3, exclude=frozenset({first.a2}))
+    deduped = extract_witness(seed011, 286, _at(286, 3), exclude=frozenset({first.a2}))
     assert deduped == "small-element-pool-exhausted"
     # a paired-block (case1) scan whose every candidate is excluded says so too
-    paired = extract_witness(seed011, 100, 1)
+    paired = extract_witness(seed011, 100, _at(100, 1))
     taken = frozenset(range(paired.a2, 100 // 2 + 1))
-    assert extract_witness(seed011, 100, 1, exclude=taken) == "small-element-pool-exhausted"
+    assert extract_witness(seed011, 100, _at(100, 1), exclude=taken) == "small-element-pool-exhausted"
 
 
 def test_witness_list_extracts_once_per_j(seed011, monkeypatch):
@@ -250,16 +266,36 @@ def test_witness_list_extracts_once_per_j(seed011, monkeypatch):
     calls = []
     real = bounds.extract_witness
 
-    def counted(seed, n, j, exclude=frozenset()):
-        calls.append(j)
-        return real(seed, n, j, exclude)
+    def counted(seed, n, d, exclude=frozenset()):
+        calls.append(d.j)
+        return real(seed, n, d, exclude)
 
     monkeypatch.setattr(bounds, "extract_witness", counted)
     for n in (142, 286, 287):
         calls.clear()
         _, skipped = witness_list(seed011, n)
-        assert calls == admissible_j_values(2, 1, n) == [1, 3], n
+        assert calls == [1, 3], n
         assert [j for j, _ in skipped] == [3], n
+
+
+def test_witness_list_takes_one_flog_per_n(seed011, monkeypatch):
+    """One integer log per n serves every j: flog runs once per call, at
+    n with one admissible j and with hundreds, and not at all below T."""
+    calls = []
+    real = bounds.flog
+
+    def counted(k, n, scale):
+        calls.append(n)
+        return real(k, n, scale)
+
+    monkeypatch.setattr(bounds, "flog", counted)
+    for n in (2, 100, 286, 10**100, 10**1000):
+        calls.clear()
+        witness_list(seed011, n)
+        assert calls == [n], n
+    calls.clear()
+    assert witness_list(seed011, 1) == ([], [])
+    assert calls == []
 
 
 def test_witness_list_distinct_and_sound(seed011):
@@ -353,11 +389,11 @@ _OPTIMIZED_CHECKS = """
 from repfn import NoWitness, SeedAssignment, bounds
 
 seed = SeedAssignment.from_string(2, 1, "011")
-record = bounds.extract_witness(seed, 100000, 1)
+record = bounds.extract_witness(seed, 100000, bounds.decompositions(2, 1, 100000)[0])
 real_extract, real_flog = bounds.extract_witness, bounds.flog
 
 # one record for every j: the distinct-a2 check must fire
-bounds.extract_witness = lambda seed, n, j, exclude=frozenset(): record
+bounds.extract_witness = lambda seed, n, d, exclude=frozenset(): record
 try:
     bounds.witness_list(seed, 100000)
     raise SystemExit("witness_list accepted duplicate a2")
@@ -365,11 +401,12 @@ except NoWitness:
     pass
 bounds.extract_witness = real_extract
 
-# an inner exponent one too small puts t above [T, k*T - 1] (T = 2 here)
-bounds.flog = lambda k, n, scale: real_flog(k, n, scale) - (scale != 2)
+# a level one too small makes the inner exponent one too small, which puts
+# t above [T, k*T - 1] (T = 2 here)
+bounds.flog = lambda k, n, scale: real_flog(k, n, scale) - 1
 try:
-    bounds.decompose(2, 1, 100000, 1)
-    raise SystemExit("decompose accepted t outside [T, k*T - 1]")
+    bounds.decompositions(2, 1, 100000)
+    raise SystemExit("decompositions accepted t outside [T, k*T - 1]")
 except NoWitness:
     pass
 print("ok")

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (script, arguments, start of its last output line)
 SCRIPTS = [
-    ("growth_profile.py", ["--max-exp", "6"], "scan-wide minimum of R / max(1, ln n): "),
     (
         "seed_census.py",
         ["--max-k", "3", "--max-n0", "1", "--check-limit", "300"],
