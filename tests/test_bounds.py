@@ -161,30 +161,17 @@ def test_decompose_small_shift_case():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    k=st.integers(2, 5),
-    n0=st.integers(0, 3),
-    n=st.integers(2, 10**9),
+    k=st.integers(2, 7),
+    n0=st.integers(0, 12),
+    digits=st.one_of(st.integers(1, 10), st.integers(1, 1000)),
+    data=st.data(),
 )
-def test_decompose_window_and_reassembly(k, n0, n):
-    t0 = chain_threshold(k, n0)
-    level = oracle_flog(k, n, t0) if n >= t0 else 0
-    for d in decompositions(k, n0, n):
-        assert d.i + d.j in (level, level - 1)
-        assert k**d.i * (k**d.j + 1) * d.t + d.r == n
-        assert t0 <= d.t <= k * t0 - 1
-        assert 0 <= d.r < k**d.i * (k**d.j + 1)
-        if d.case == CASE_SMALL_SHIFT:
-            assert 1 <= d.s <= k
-
-
-@settings(max_examples=60, deadline=None)
-@given(k=st.integers(2, 7), n0=st.integers(0, 12), digits=st.integers(1, 1000), data=st.data())
-def test_decompositions_match_oracle_up_to_ten_to_the_thousand(k, n0, digits, data):
-    """Log-uniform n up to 10**1000: the j are the odd numbers up to
-    oracle_flog(k, n, T) // 2, each d reassembles n, and each d.i is the
-    largest e with k**e * (k**d.j + 1) * T <= n.  That defining inequality
-    is checked for every d, and one drawn d is rerun through the upward-loop
-    oracle."""
+def test_decompose_window_and_reassembly(k, n0, digits, data):
+    """n of up to 1000 digits, log-uniform: the j are the odd numbers up to
+    oracle_flog(k, n, T) // 2, and each d reassembles n inside its window.
+    d.i is the largest e with k**e * (k**d.j + 1) * T <= n: that defining
+    inequality is checked for every d, and one drawn d is rerun through the
+    upward-loop oracle, which on every d would cost seconds per example."""
     n = data.draw(st.integers(10 ** (digits - 1), 10**digits))
     t0 = chain_threshold(k, n0)
     ds = decompositions(k, n0, n)
@@ -193,7 +180,12 @@ def test_decompositions_match_oracle_up_to_ten_to_the_thousand(k, n0, digits, da
     for d in ds:
         base = (k**d.j + 1) * t0
         assert k**d.i * base <= n < k ** (d.i + 1) * base
+        assert d.i + d.j in (level, level - 1)
         assert k**d.i * (k**d.j + 1) * d.t + d.r == n
+        assert t0 <= d.t <= k * t0 - 1
+        assert 0 <= d.r < k**d.i * (k**d.j + 1)
+        if d.case == CASE_SMALL_SHIFT:
+            assert 1 <= d.s <= k
     if ds:
         d = ds[data.draw(st.integers(0, len(ds) - 1))]
         assert d.i == oracle_flog(k, n, (k**d.j + 1) * t0)
