@@ -148,6 +148,17 @@ def test_decompose_boundary():
     assert (d.j, d.i, d.t, d.r, d.case) == (1, 4, 2, 0, CASE_INTERVAL)
 
 
+def test_decompose_domain_errors():
+    """j is generated, so no j is out of range; below T the list is empty,
+    and only parameters outside k >= 2, n0 >= 0 raise."""
+    assert decompositions(2, 1, 1) == []  # below chain threshold T = 2
+    assert decompositions(2, 1, 0) == decompositions(2, 1, -5) == []
+    with pytest.raises(PreconditionError):
+        decompositions(1, 1, 100)
+    with pytest.raises(PreconditionError):
+        decompositions(2, -1, 100)
+
+
 def test_decompose_small_shift_case():
     d = decompositions(2, 1, 286)[0]
     assert d.j == 1 and d.case == CASE_SMALL_SHIFT
@@ -194,7 +205,7 @@ def test_admissible_j_values():
     assert js(2) == []  # flog = 0
     assert js(100) == [1]  # flog = 5
     assert js(10**6) == [1, 3, 5, 7, 9]  # flog = 18
-    assert js(1) == decompositions(2, 1, 1) == []  # below threshold
+    assert js(1) == []  # below threshold
 
 
 # ------------------------------------------------------------------ witnesses
