@@ -11,6 +11,7 @@ over the session falls on both sides alike.  Several workloads may be
 given; each gets its own pairs, in the order given.
 
 The record written to ``--out`` holds both trees' git commits, the
+lines of each tree's ``src/`` Python files (as ``wc -l`` counts them), the
 ``MALLOC_*`` environment (or null), and per workload every run in the
 order it ran: its side, pair, seed, metrics, correctness and the minor page
 faults of the run and its children, read as the change in
@@ -43,6 +44,11 @@ def git_commit(tree: Path) -> dict | None:
     if git("rev-parse", "--show-toplevel") != str(tree):
         return None
     return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in the Python files under ``tree``'s ``src/``: its net source lines."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -112,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "schema": SCHEMA,
         "commits": {name: git_commit(tree) for name, tree in trees.items()},
+        "src_lines": {name: src_lines(tree) for name, tree in trees.items()},
         "malloc_env": malloc or None,
         "pairs": args.pairs,
         "seconds": args.seconds,
@@ -128,6 +135,9 @@ def main(argv: list[str] | None = None) -> int:
                       f"correct {run['correct']}", file=sys.stderr)
         record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, better)}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    lines = record["src_lines"]
+    print(f"src/ lines: base {lines['base']} head {lines['head']} "
+          f"({lines['head'] - lines['base']:+d})")
     for workload, entry in record["workloads"].items():
         for name, s in entry["summary"].items():
             change = "n/a" if s["change_pct"] is None else f"{s['change_pct']:+.1f} %"

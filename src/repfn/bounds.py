@@ -33,6 +33,7 @@ measurable depth.  A prefix the search returns is rechecked through
 from __future__ import annotations
 
 import time
+from collections.abc import Set as AbstractSet
 from math import gcd
 from typing import NamedTuple
 
@@ -123,6 +124,12 @@ def decompositions(k: int, n0: int, n: int) -> list[Decomposition]:
     i + j >= level - 1.  One comparison picks between the two: i is
     level - j unless k**(level-j) * (k**j + 1) * T exceeds n.  So one
     integer log serves every j.
+
+    The same bounds put t in [T, k*T - 1], and r < k**i * (k**j + 1) puts
+    s = r - (k**(i+j) + k**i - k - 1) at most k.  The two NoWitness checks
+    on t and s therefore fire only when ``flog`` is wrong, the fault that
+    ``test_witness_checks_survive_optimized_python`` injects; they are
+    kept as the guard against it.
     """
     t0 = chain_threshold(k, n0)
     if n < t0:
@@ -161,7 +168,7 @@ class WitnessRecord(NamedTuple):
 
 
 def extract_witness(
-    seed: SeedAssignment, n: int, d: Decomposition, exclude: frozenset = frozenset()
+    seed: SeedAssignment, n: int, d: Decomposition, exclude: AbstractSet[int] = frozenset()
 ) -> WitnessRecord | str:
     """Produce a representation of n from its decomposition ``d``, or the
     reason there is none.
@@ -255,7 +262,7 @@ def witness_list(seed: SeedAssignment, n: int) -> tuple[list[WitnessRecord], lis
     skipped: list[tuple[int, str]] = []
     used_small: set[int] = set()
     for d in decompositions(seed.k, seed.n0, n):
-        rec = extract_witness(seed, n, d, exclude=frozenset(used_small))
+        rec = extract_witness(seed, n, d, exclude=used_small)
         if isinstance(rec, str):
             skipped.append((d.j, rec))
             continue
@@ -343,8 +350,6 @@ def validate_certificate(bits, w: WeightPair, n0: int) -> bool:
     counting kernel's R_A - R_C against D on [0, len(bits)).
     """
     size = len(bits)
-    if size == 0:
-        return True
     chi = ChiTable(bits)
     diff = rep_difference(chi, w, w.k1 * size - 1)
     kernel = rep_values(chi, SET, w, size - 1) - rep_values(chi, COMPLEMENT, w, size - 1)

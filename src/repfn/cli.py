@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import resource
@@ -176,9 +175,7 @@ def _emit_table(
     """
     nrows = len(cols[0])
     if doc is None:
-        buf = io.StringIO()
-        csv.writer(buf).writerow(columns)
-        head, skip, tail = buf.getvalue(), 0, ""
+        head, skip, tail = ",".join(columns) + "\r\n", 0, ""
         seps = ["", *[","] * (len(cols) - 1), "\r\n"]
     else:
         doc = {**doc, "columns": columns, "rows": None}

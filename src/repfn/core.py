@@ -144,11 +144,10 @@ def classic_rep(chi: ChiTable, side: str, up_to: int) -> tuple[np.ndarray, np.nd
     """Classic two-term counts (r1, r2, r3) at weight (1, 1) for n in [0, up_to].
 
     r1 counts ordered pairs a + a' = n, r2 the pairs with a < a', r3 the
-    pairs with a <= a'; both elements must lie on the chosen side.  With
-    diag(n) = [n even and n/2 on side], r2 = (r1 - diag) / 2 and
-    r3 = (r1 + diag) / 2.
+    pairs with a <= a'; both elements must lie on the chosen side.  The
+    pairs with a != a' come in swapped pairs, so r1 is odd exactly when
+    a = a' = n/2 is on the side: r2 = r1 // 2 and r3 = r1 - r2.
     """
     r1 = rep_values(chi, side, WeightPair(1, 1), up_to)
-    diag = np.zeros(up_to + 1, dtype=np.int64)
-    diag[::2] = chi.side_bits(side, up_to // 2)
-    return r1, (r1 - diag) // 2, (r1 + diag) // 2
+    r2 = r1 >> 1
+    return r1, r2, r1 - r2

@@ -40,9 +40,6 @@ from .errors import DomainError, EnumerationCapExceeded, InvalidSeed, Preconditi
 # the cap must stay <= 64.
 ENUMERATION_CAP = 24
 
-# byte value -> character of SeedAssignment.bit_string
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
 # prefix_search advances 2**BLOCK_BITS prefixes of the free bits at a time,
 # and takes a window's deep bits prefix by prefix, as Python ints, once at
 # most NARROW prefixes are live: on so few columns a NumPy call costs more
@@ -372,7 +369,7 @@ class SeedAssignment:
         return cls(k, n0, tuple(int(c) for c in s))
 
     def bit_string(self) -> str:
-        return bytes(self.values).translate(_BIT_CHARS).decode("ascii")
+        return "".join(map(str, self.values))
 
     def is_valid(self) -> bool:
         """Window identity at every n in [n0, k + n0): the n // k + 1
@@ -460,17 +457,13 @@ def enumerate_seeds(k: int, n0: int) -> np.ndarray:
     group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
     tails, choices = [], {}  # choices[c, t]: the masks of t ones in class c
     for key in index:
-        tail, fixed = np.zeros(1, dtype=np.uint64), 0
+        tail = np.zeros(1, dtype=np.uint64)
         for c, t in enumerate(np.unravel_index(key, shape)):
             if (c, t) not in choices:
                 picks = [sum(p) for p in itertools.combinations(above[c], t)]
-                choices[c, t] = picks[0] if len(picks) == 1 else np.array(picks, dtype=np.uint64)
-            picks = choices[c, t]
-            if isinstance(picks, int):
-                fixed |= picks
-            else:
-                tail = (tail[:, None] | picks).ravel()
-        tails.append(np.sort(tail | np.uint64(fixed)))
+                choices[c, t] = np.array(picks, dtype=np.uint64)
+            tail = (tail[:, None] | choices[c, t]).ravel()
+        tails.append(np.sort(tail))
     size = np.array([len(tail) for tail in tails], dtype=np.intp)
     tail_rows = _seed_bits(np.concatenate([np.zeros(0, dtype=np.uint64), *tails]), width)
     # each pattern's block of rows: the pattern over its group's tails; row

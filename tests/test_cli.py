@@ -386,6 +386,16 @@ def test_witness_distinct_a2(capsys):
     assert len(doc["records"]) >= doc["guaranteed_bound"]
 
 
+def test_witness_claim_failure_exits_1(capsys, monkeypatch):
+    """A membership that breaks block parity is a failed claim, not a usage
+    error: exit 1, no data, and the NoWitness message on stderr."""
+    monkeypatch.setattr(partitions.SeedAssignment, "value", lambda self, n: n & 1)
+    code, out, err = run(capsys, "witness", "--k", "2", "--n0", "1", "--seed", "011",
+                         "--n", "100000")
+    assert (code, out) == (1, "")
+    assert err.startswith("claim failure: blocks disagree"), err
+
+
 @pytest.mark.parametrize("k, n0, seed, n", [
     ("2", "1", "011", 10**100),
     ("3", "2", "01110", 10**100),

@@ -54,18 +54,23 @@ def test_unsat_depths_decide_every_cell():
 
 def test_bench_alternates_pairs_of_two_trees(tmp_path):
     """scripts/bench.py runs each tree's own perfbench on one short search
-    pair and records both runs, their faults and the head's wins."""
+    pair and records both runs, their faults, the head's wins and each
+    tree's src/ lines (the head's has one line more)."""
     for side in ("base", "head"):
         for part in ("src", "perfbench"):
             shutil.copytree(ROOT / part, tmp_path / side / part,
                             ignore=shutil.ignore_patterns("__pycache__", "out"))
         shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+    with open(tmp_path / "head" / "src" / "repfn" / "errors.py", "a") as fh:
+        fh.write("# one more line\n")
     out = tmp_path / "BENCH.json"
     run_script("bench.py", ["--base", str(tmp_path / "base"), "--head", str(tmp_path / "head"),
                             "--workload", "search", "--pairs", "1", "--seconds", "0.05",
                             "--out", str(out)])
     record = json.loads(out.read_text())
     assert record["commits"] == {"base": None, "head": None}  # copies, not checkouts
+    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    assert record["src_lines"] == {"base": lines, "head": lines + 1}
     runs = record["workloads"]["search"]["runs"]
     assert [(r["side"], r["pair"], r["seed"]) for r in runs] == [("base", 0, 1), ("head", 0, 1)]
     names = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}

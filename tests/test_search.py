@@ -105,6 +105,24 @@ def test_certificate_validator_cross_checks_kernel(monkeypatch):
     assert not validate_certificate(cert, WeightPair(1, 2), 1)
 
 
+def test_certificate_validator_rejects_empty_prefix():
+    """An empty prefix is no certificate: the table it would be read into
+    refuses it."""
+    with pytest.raises(PreconditionError, match="nonempty"):
+        validate_certificate([], WeightPair(2, 3), 0)
+
+
+def test_search_rejects_a_survivor_the_recheck_rejects(monkeypatch):
+    """A survivor that fails the independent recheck is a fault of the
+    search, raised even under an inconclusive status."""
+    monkeypatch.setattr(
+        bounds, "prefix_search",
+        lambda w, n0, cap, **_: (np.zeros((1, cap), dtype=np.uint8), 0, None),
+    )
+    with pytest.raises(AssertionError, match="recheck rejects"):
+        nonexistence_search(WeightPair(2, 3), 0, 8)
+
+
 def test_node_budget_gives_inconclusive(monkeypatch):
     monkeypatch.setattr(bounds, "NODE_CAP", 10)
     outcome = nonexistence_search(WeightPair(2, 3), 34, 64)
