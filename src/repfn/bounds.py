@@ -126,10 +126,8 @@ def decompositions(k: int, n0: int, n: int) -> list[Decomposition]:
     integer log serves every j.
 
     The same bounds put t in [T, k*T - 1], and r < k**i * (k**j + 1) puts
-    s = r - (k**(i+j) + k**i - k - 1) at most k.  The two NoWitness checks
-    on t and s therefore fire only when ``flog`` is wrong, the fault that
-    ``test_witness_checks_survive_optimized_python`` injects; they are
-    kept as the guard against it.
+    s <= k: the NoWitness checks on t and s fire only when ``flog`` is
+    wrong, the fault ``test_witness_checks_survive_optimized_python`` injects.
     """
     t0 = chain_threshold(k, n0)
     if n < t0:
