@@ -12,7 +12,8 @@ The list covers every per-n table (``scan-bound``, ``verify``, ``classic``
 and ``build``, in json and csv), seed censuses in every format, empty and
 of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted seed, one-row ranges, ranges longer than one write chunk,
 ``scan-bound``, ``classic`` and ``verify`` over a million rows, ``verify``
-over ten million in json and csv, ``verify`` on a non-seed with many
+over ten million in json and csv, ``build`` over ten million in json and
+plain, ``scan-bound`` with a negative ``--lo``, ``verify`` on a non-seed with many
 equality violations,
 ``verify`` with k**4 far above the limit, ``verify`` at limits around
 k**4 * T (T the chain threshold), where block parity's last power starts,
@@ -139,7 +140,12 @@ def commands() -> list[list[str]]:
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000"])
     # csv: its n column reaches 10**7, eight digits in two whole four-digit lanes
     cmds.append(["verify", *_seed(*SEEDS[0]), "--limit", "10000000", "--format", "csv"])
-    cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "50"])
+    # build in plain, its default format: one 0/1 row, as seeds writes its rows
+    for limit in ("50", "40000", "10000000"):
+        cmds.append(["build", *_seed(*SEEDS[0]), "--limit", limit])
+    cmds.append(["build", *_seed(*SEEDS[0]), "--limit", "10000000", "--format", "json"])
+    # a negative lo, refused before the table is built
+    cmds.append(["scan-bound", *_seed(*SEEDS[0]), "--lo", "-5", "--hi", "10"])
     for k1, k2, n0, cap in SEARCHES:
         cmds.append(["search", "--k1", str(k1), "--k2", str(k2), "--n0", str(n0), "--cap", str(cap)])
     cmds.append(["search", "--k1", "2", "--k2", "3", "--n0", "34", "--cap", "64", "--format", "csv"])

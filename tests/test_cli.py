@@ -141,6 +141,25 @@ def test_build_csv(capsys):
     assert rows[1:] == [["0", "0"], ["1", "1"], ["2", "1"], ["3", "0"], ["4", "0"], ["5", "0"]]
 
 
+@pytest.mark.parametrize("chunk", [8, CHUNK])
+@pytest.mark.parametrize("k,n0,seed", [(2, 1, "011"), (5, 3, "01011101")])
+def test_build_bytes_match_stdlib_encoders(capsys, monkeypatch, chunk, k, n0, seed):
+    """build's json, plain and csv bytes, at the smallest limit k + n0 - 1
+    and at 50, are those of json.dumps(indent=2), the bit string and a
+    newline, and csv.writer, with the bits from the recursive flip-rule
+    oracle; with an 8-row chunk the csv table spans several chunks."""
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    for limit in (k + n0 - 1, 50):
+        bits = "".join(str(chi_recursive(seed, k, n0, n)) for n in range(limit + 1))
+        base = ["build", "--k", str(k), "--n0", str(n0), "--seed", seed, "--limit", str(limit)]
+        doc = {"schema": 1, "command": "build", "k": k, "n0": n0, "seed": seed, "limit": limit,
+               "bits": bits}
+        assert run(capsys, *base, "--format", "json") == (0, json.dumps(doc, indent=2) + "\n", "")
+        assert run(capsys, *base, "--format", "plain") == (0, bits + "\n", "")
+        expected_csv = _stdlib_csv(["n", "chi"], enumerate(bits))
+        assert run(capsys, *base, "--format", "csv") == (0, expected_csv, "")
+
+
 def test_build_invalid_seed_exits_2(capsys):
     code, _, err = run(capsys, "build", "--k", "2", "--n0", "1", "--seed", "010",
                        "--limit", "10")
@@ -294,6 +313,17 @@ def _build_bits(capsys, limit):
                        "--limit", str(limit))
     assert code == 0
     return out.strip()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_scan_bound_negative_lo_exits_2_before_allocating(capsys, monkeypatch, fmt):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(partitions, "extend_seed", no_table)
+    code, out, err = run(capsys, "scan-bound", "--k", "2", "--n0", "1", "--seed", "011",
+                         "--lo", "-5", "--hi", "10", "--format", fmt)
+    assert (code, out, err) == (2, "", "error: need 0 <= lo <= hi, got [-5, 10]\n")
 
 
 def test_scan_bound_empty_range_exits_2(capsys):
@@ -491,6 +521,8 @@ def test_classic_rows(capsys):
                             "--limit", "20", "--lo", "0", "--hi", "10")
     doc = json.loads(out_json)
     assert out_json == json.dumps(doc, indent=2) + "\n"
+    # not the flags of classic's row: deriving it would change the schema
+    assert list(doc) == ["schema", "command", "k", "n0", "seed", "columns", "rows"]
     assert doc["columns"] == rows[0]
     assert doc["rows"] == [list(map(int, r)) for r in rows[1:]]
 
@@ -510,6 +542,34 @@ def test_classic_range_errors_exit_2(capsys, limit, lo, hi, message):
     code, out, err = run(capsys, "classic", "--k", "2", "--n0", "1", "--seed", "011",
                          "--limit", limit, "--lo", lo, "--hi", hi)
     assert (code, out, err) == (2, "", message)
+
+
+# ------------------------------------------------------------------- heads
+
+_SEED_011 = ["--k", "2", "--n0", "1", "--seed", "011"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["seeds", "--k", "2", "--n0", "1"], ["k", "n0", "count", "seeds"]),
+    (["build", *_SEED_011, "--limit", "20"], ["k", "n0", "seed", "limit", "bits"]),
+    (["verify", *_SEED_011, "--limit", "200"], ["k", "n0", "seed", "limit", "passed", "checks"]),
+    (["witness", *_SEED_011, "--n", "100"],
+     ["k", "n0", "seed", "n", "guaranteed_bound", "records", "skipped"]),
+    (["search", "--k1", "2", "--k2", "3", "--n0", "0", "--cap", "64"],
+     ["k1", "k2", "n0", "cap", "status", "unsat_depth", "nodes", "certificate"]),
+], ids=["seeds", "build", "verify", "witness", "search"])
+def test_json_head_is_the_command_row(capsys, argv, keys):
+    """A command's JSON document begins with schema, command and the flags
+    of its _COMMANDS row in row order, each as given on the command line."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    flags = list(cli._COMMANDS[argv[0]][2])
+    assert code == 0
+    assert list(doc) == ["schema", "command", *keys]
+    assert keys[: len(flags)] == flags
+    given = dict(zip(argv[1::2], argv[2::2]))
+    assert (doc["schema"], doc["command"]) == (1, argv[0])
+    assert [str(doc[flag]) for flag in flags] == [given[f"--{flag}"] for flag in flags]
 
 
 # ------------------------------------------------------------ table writer
