@@ -32,7 +32,8 @@ prefixes of up to 8000 bits decide no n), refutations past 5,000,000
 depth-first nodes ((2, 3, 41), (2, 3, 42), (2, 3, 44), (2, 5, 45), (3, 4, 62) and
 (3, 5, 62)), starts n0 that k1 does not divide ((2, 3, 35), (3, 4, 31),
 (2, 5, 33)) and free prefixes of 1 and 15 bits ((2, 3, 2), (2, 3, 30));
-the censuses include 1, 15 and 16 free bits.  The search's stderr carries
+the censuses include 1, 15 and 16 free bits, and patterns of one and two
+bits ((24, 0), (22, 2) and (12, 12)).  The search's stderr carries
 the search's own wall time, so the seconds of its ``search: <status> in
 <seconds> s`` line are masked on both sides before comparing; nothing else
 is.  Requests refused for their
@@ -79,9 +80,14 @@ SEARCHES = [
     (2, 5, 45, 256), (3, 4, 62, 256), (3, 5, 62, 256),
 ]
 # (k, n0) of seed censuses: none at (2, 0), the benchmark's (7, 17), its
-# neighbour (6, 16), 379,494 seeds at (2, 22), and 1, 15 and 16 free bits,
-# where the searched half is the single prefix 0, one block and two
-CENSUSES = [(2, 0), (3, 2), (5, 3), (6, 4), (2, 22), (7, 17), (6, 16), (2, 1), (9, 15), (8, 16)]
+# neighbour (6, 16), 379,494 seeds at (2, 22), 1, 15 and 16 free bits,
+# where the searched half is the single prefix 0, one block and two, and
+# patterns of bits 0..top with top = 1 or 0, where most classes have no
+# bit in the pattern: 2 seeds at (22, 2), 2048 at (12, 12), none at (24, 0)
+CENSUSES = [
+    (2, 0), (3, 2), (5, 3), (6, 4), (2, 22), (7, 17), (6, 16), (2, 1), (9, 15), (8, 16),
+    (22, 2), (12, 12), (24, 0),
+]
 WALL_TIME = re.compile(rb"(?m)^(search: \w+ in )[0-9.]+ s$")
 
 

@@ -31,15 +31,19 @@ _SIDES = (SET, COMPLEMENT)
 class ChiTable:
     """Characteristic function of a set on the prefix [0, limit], as a
     validated read-only 0/1 table.  The weight k and start n0 it is checked
-    against are arguments of the verifiers, not part of the table."""
+    against are arguments of the verifiers, not part of the table.  A
+    read-only uint8 array that owns its data is taken as it is; any other
+    input is copied, so that no other holder can write the table."""
 
     __slots__ = ("_bits",)
 
     def __init__(self, bits):
-        arr = np.asarray(bits, dtype=np.uint8).copy()
+        arr = np.asarray(bits, dtype=np.uint8)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
         if arr.ndim != 1 or arr.size == 0:
             raise PreconditionError("bits must be a nonempty one-dimensional sequence")
-        if not np.all(arr <= 1):
+        if arr.max() > 1:
             raise PreconditionError("bits must contain only 0 and 1")
         arr.setflags(write=False)
         self._bits = arr

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -399,29 +400,26 @@ class SeedAssignment:
         return self.values[n // self.k**d] ^ (d & 1)
 
 
-def _seed_bits(packed: np.ndarray, width: int) -> np.ndarray:
-    """Seeds packed one per uint64, bit i at position 63 - i, as the rows
-    of a C-contiguous uint8 array of shape (count, width)."""
-    return np.unpackbits(packed.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1, count=width)
-
-
 def enumerate_seeds(k: int, n0: int) -> np.ndarray:
     """All initial segments on [0, k + n0) satisfying the window identity,
     as a C-contiguous uint8 array with one seed per row, of shape
     (count, k + n0), rows in lexicographic order.
 
     The identity splits by residue class mod k.  Each n in [n0, k + n0) is
-    the last member of its class r = n mod k inside the seed, so its a1
-    terms are that whole class and its a2 terms the prefix sum
-    S(n // k) = chi(0) + ... + chi(n // k): the identity at n holds exactly
-    when class r holds n // k + 1 - S(n // k) ones.  Every a2 is at most
-    top = (k + n0 - 1) // k, so each pattern of the bits 0..top, tried
-    exhaustively, leaves class r needing t_r ones among its positions above
-    top, and the seeds that the pattern starts are every choice of them:
-    the product of the classes' combinations.  Patterns with the same tuple
-    (t_r) share that product, which is built once, in lexicographic order,
-    and placed after each of them in turn.  Past the 2**(top + 1) patterns
-    the work follows the number of seeds, not the 2**(k + n0) prefixes.
+    the last member of its class c = n mod k inside the seed, so its a1
+    terms are that whole class and its a2 terms the bits 0..q_c, for
+    q_c = n // k: the identity at n holds exactly when class c holds
+    q_c + 1 - S(q_c) ones, S(q) = chi(0) + ... + chi(q).  Every a2 is at
+    most top = (k + n0 - 1) // k, so each pattern p of the bits 0..top,
+    tried exhaustively and packed as a seed is (bit i at position 63 - i of
+    a uint64), leaves class c needing
+    t_c = q_c + 1 - popcount(p & a2 mask) - popcount(p & a1 mask) ones
+    among its positions above top, and the seeds that p starts are every
+    choice of them: the product of the classes' combinations.  Patterns
+    with the same tuple (t_c) share that product, built once and sorted.
+    The census is each pattern's product OR-ed with the pattern, joined in
+    pattern order, and unpacked once.  Past the 2**(top + 1) patterns the
+    work follows the number of seeds, not the 2**(k + n0) prefixes.
 
     The result is closed under bitwise complement, since flipping every bit
     leaves the two sides of the window identity equal.
@@ -433,50 +431,33 @@ def enumerate_seeds(k: int, n0: int) -> np.ndarray:
             f"k + n0 = {width} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
     top = (width - 1) // k
-    # every pattern of the bits 0..top as the start of a row of whole
-    # multiples of k bits, so that column r of its (-1, k) view is class r
     patterns = np.arange(1 << top + 1, dtype=np.uint64) << np.uint64(63 - top)
-    head = _seed_bits(patterns, -(-width // k) * k)
-    q = ((n0 + (np.arange(k) - n0) % k) // k).astype(np.uint8)  # n // k for the n of class r
-    # in uint8, as are the bits, so no sum is cast; a count below 0 wraps
-    # far above any class's room
-    need = (
-        q + 1
-        - head[:, : top + 1].cumsum(axis=1, dtype=np.uint8)[:, q]
-        - head.reshape(len(head), -1, k).sum(axis=1, dtype=np.uint8)
-    )
-    # class c's positions above top, as masks of a packed seed
+    # per class c: q_c = n // k for its last n, the masks of its a2 terms
+    # (bits 0..q_c) and of its a1 terms at or below top, and the masks of
+    # its positions above top, all as in a packed seed
+    q = (n0 + (np.arange(k) - n0) % k) // k
+    a2 = [sum(1 << 63 - i for i in range(j + 1)) for j in q.tolist()]
+    a1 = [sum(1 << 63 - i for i in range(c, top + 1, k)) for c in range(k)]
     above = [[1 << 63 - i for i in range(c, width, k) if i > top] for c in range(k)]
-    shape = [len(masks) + 1 for masks in above]  # t_r is at most class r's room
-    ok = (need < np.array(shape, dtype=np.uint8)).all(axis=1)
-    head = head[ok, :width]
-    # the patterns' groups, by their tuple (t_r) as one index into shape,
-    # numbered in the order the tuples first occur
-    index: dict[int, int] = {}
-    keys = np.ravel_multi_index(tuple(need[ok].T), shape).tolist()
-    group = np.array([index.setdefault(key, len(index)) for key in keys], dtype=np.intp)
-    tails, choices = [], {}  # choices[c, t]: the masks of t ones in class c
-    for key in index:
-        tail = np.zeros(1, dtype=np.uint64)
-        for c, t in enumerate(np.unravel_index(key, shape)):
-            if (c, t) not in choices:
-                picks = [sum(p) for p in itertools.combinations(above[c], t)]
-                choices[c, t] = np.array(picks, dtype=np.uint64)
-            tail = (tail[:, None] | choices[c, t]).ravel()
-        tails.append(np.sort(tail))
-    size = np.array([len(tail) for tail in tails], dtype=np.intp)
-    tail_rows = _seed_bits(np.concatenate([np.zeros(0, dtype=np.uint64), *tails]), width)
-    # each pattern's block of rows: the pattern over its group's tails; row
-    # j of the result takes tail row at[j]
-    rows = size[group]
-    ends = np.cumsum(rows)
-    at = np.repeat(np.cumsum(size)[group] - ends, rows)
-    at += np.arange(len(at))
-    seeds = np.repeat(head, rows, axis=0)
-    chunk = 1 << 12  # rows per gather, so that no second copy of the result is held
-    for s in range(0, len(seeds), chunk):
-        seeds[s : s + chunk] |= tail_rows.take(at[s : s + chunk], axis=0)
-    return seeds
+    counts = np.bitwise_count(patterns & np.array([a2, a1], dtype=np.uint64)[..., None])
+    need = (q + 1)[:, None] - counts[0] - counts[1]
+    room = np.array([len(masks) for masks in above])
+    ok = ((need >= 0) & (need <= room[:, None])).all(axis=0)
+    groups: dict[tuple[int, ...], np.ndarray] = {}  # by (t_c): the sorted product
+    parts = []
+    for key in map(tuple, need[:, ok].T.tolist()):
+        if key not in groups:
+            tail = np.zeros(1, dtype=np.uint64)
+            for masks, t in zip(above, key):
+                picks = [sum(pick) for pick in itertools.combinations(masks, t)]
+                tail = (tail[:, None] | np.array(picks, dtype=np.uint64)).ravel()
+            groups[key] = np.sort(tail)
+        parts.append(groups[key])
+    seeds = np.concatenate([np.zeros(0, dtype=np.uint64), *parts])
+    seeds |= np.repeat(patterns[ok], [len(part) for part in parts])
+    if sys.byteorder == "little":
+        seeds.byteswap(inplace=True)  # byte j holds bits 8j..8j + 7, as unpackbits reads
+    return np.unpackbits(seeds.view(np.uint8).reshape(-1, 8), axis=1, count=width)
 
 
 def _quotient_bits(bits: np.ndarray, d: int, lo: int, hi: int) -> np.ndarray:
@@ -526,6 +507,7 @@ def extend_seed(seed: SeedAssignment, limit: int, require_valid: bool = True) ->
         hi = min(limit, seed.k * lo - 1)
         np.bitwise_xor(_quotient_bits(bits, seed.k, lo, hi), 1, out=bits[lo : hi + 1])
         lo = hi + 1
+    bits.setflags(write=False)  # so that ChiTable takes it as it is
     return ChiTable(bits)
 
 

@@ -46,6 +46,19 @@ def test_chi_table_validation():
         ChiTable([])
 
 
+def test_chi_table_keeps_no_array_another_holder_can_write():
+    """Writing to the caller's writable array, or to the writable base of a
+    read-only view, after ChiTable is made leaves the table unchanged."""
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    chi = ChiTable(bits)
+    view = bits[:]
+    view.setflags(write=False)
+    from_view = ChiTable(view)
+    bits[:] = 1
+    assert chi.bits.tolist() == from_view.bits.tolist() == [0, 1, 1, 0]
+    assert not chi.bits.flags.writeable and not from_view.bits.flags.writeable
+
+
 def test_chi_table_prefix_is_hard_boundary():
     chi = ChiTable([0, 1, 1])
     assert chi.limit == 2

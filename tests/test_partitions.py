@@ -170,17 +170,19 @@ def test_largest_census_rows_are_valid_seeds():
     assert len(set(map(tuple, rows))) == len(rows)
 
 
-def test_census_memory_is_one_byte_per_bit():
-    """The 139,358 seeds of k = 3, n0 = 21 take 24 bytes each, and building
-    the census peaks under 16 MiB of traced allocations."""
+@pytest.mark.parametrize("k, n0, count", [(3, 21, 139_358), (2, 22, 379_494)])
+def test_census_memory_is_one_byte_per_bit(k, n0, count):
+    """The census takes one byte per bit, and building it peaks at most
+    8 bytes per seed (its packed uint64 form) and 1 MiB above that, in
+    traced allocations."""
     tracemalloc.start()
     try:
-        seeds = enumerate_seeds(3, 21)
+        seeds = enumerate_seeds(k, n0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert seeds.shape == (139_358, 24) and seeds.nbytes == 139_358 * 24
-    assert peak < 16 * 2**20, peak
+    assert seeds.shape == (count, k + n0) and seeds.nbytes == count * (k + n0)
+    assert peak <= seeds.nbytes + 8 * count + 2**20, peak
 
 
 def test_enumeration_cap():
@@ -216,6 +218,21 @@ def test_extensions_agree_on_common_prefix(seed011):
     short = extend_seed(seed011, 500)
     long = extend_seed(seed011, 5000)
     assert (long.bits[:501] == short.bits).all()
+
+
+def test_extend_seed_hands_its_array_to_the_table(seed011):
+    """extend_seed(10**6) peaks at most 1.5 bytes per n of traced
+    allocations: the table, which ChiTable takes without a copy, and the
+    quotient bits of its last range; no copy and no 0/1 mask of it."""
+    limit = 10**6
+    tracemalloc.start()
+    try:
+        chi = extend_seed(seed011, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not chi.bits.flags.writeable and chi.limit == limit
+    assert peak <= 1.5 * limit, peak
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,6 +443,35 @@ def test_block_parity_detects_corruption(seed011):
     assert not report.ok
     assert report.violation_count > 0
     assert all(n >= chain_threshold(2, 1) for n, _, _ in report.violations)
+
+
+def test_flip_check_pass_implies_block_parity():
+    """Whenever verify_structure's flip check passes, block parity to i = 4
+    finds no violation: a cell k**i * n + j with n at or above the chain
+    threshold reaches n by i divisions by k, each from a cell in the flip
+    check's range, and the i flips compose to chi(n) xor (i odd).  Over
+    random short tables and flip-rule extensions of random seeds with a few
+    bits flipped; some of each kind pass the flip check with cells judged."""
+    rng = random.Random(31)
+    judged = {"random": 0, "corrupted": 0}
+    for trial in range(10000):
+        k, n0 = rng.randint(2, 5), rng.randint(0, 6)
+        width = k + n0
+        if trial % 2:
+            kind, bits = "random", [rng.randint(0, 1) for _ in range(width + rng.randint(0, 12))]
+        else:
+            kind = "corrupted"
+            seed = SeedAssignment(k, n0, tuple(rng.randint(0, 1) for _ in range(width)))
+            bits = extend_seed(seed, rng.randint(width, 300), require_valid=False).bits.copy()
+            # in and near the seed window, where a flip can leave the flip check passing
+            for _ in range(rng.randint(1, 3)):
+                bits[rng.randrange(min(len(bits), 3 * width))] ^= 1
+        chi = ChiTable(bits)
+        if verify_structure(chi, k, n0).flip_first_violation is None:
+            report = verify_block_parity(chi, k, n0, 4)
+            assert report.violation_count == 0, (k, n0, chi.bits.tolist())
+            judged[kind] += report.checked > 0
+    assert min(judged.values()) >= 50, judged
 
 
 def _parity_tables(k: int):
