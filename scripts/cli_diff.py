@@ -15,7 +15,9 @@ of up to 379,494 seeds, the ``table`` and ``search`` benchmark ops, a corrupted 
 over ten million in json and csv, ``build`` over ten million in json and
 plain, ``scan-bound`` with a negative ``--lo``, ``verify`` on a non-seed with many
 equality violations,
-``verify`` with k**4 far above the limit, ``verify`` at limits around
+``verify`` with k**4 far above the limit, ``verify`` (json and csv),
+``scan-bound`` and ``classic`` over 10**5 rows for the seed ``0 1^k`` at
+n0 = 1 with k = 13 and k = 97, wide residue grids, ``verify`` at limits around
 k**4 * T (T the chain threshold), where block parity's last power starts,
 ``--out``, an ``--out`` in a missing directory, ``--help`` and each
 subcommand's ``--help``, no subcommand, an unknown command, a command
@@ -55,6 +57,9 @@ OUT = "{out}"  # replaced by a fresh file path on each side
 MISSING = "{missing}"  # replaced by a path in a directory that does not exist
 
 SEEDS = [("2", "1", "011"), ("3", "2", "01110"), ("5", "3", "01011101")]
+# the valid seed 0 1^k at n0 = 1, where the kernels' (rows, k) grids of the
+# residue classes mod k are wide: at 10**5 rows and k = 97, 1031 rows of 97
+WIDE = [(str(k), "1", "0" + "1" * k) for k in (13, 97)]
 CORRUPTED = ("3", "2", "01111")
 # fails the window identity at n = 2, and equality at many n after it
 NON_SEED = ("2", "1", "010")
@@ -137,6 +142,12 @@ def commands() -> list[list[str]]:
         # k**4 far beyond the limit: every level past the first is one cut block
         for k in (200, 1000):
             cmds.append(["verify", *_seed(str(k), "0", "0" + "1" * (k - 1)), "--limit", str(3 * k), *f])
+    # wide grids over 10**5 rows
+    for seed in WIDE:
+        for fmt in ("json", "csv"):
+            cmds.append(["verify", *_seed(*seed), "--limit", "100000", "--format", fmt])
+        cmds.append(["scan-bound", *_seed(*seed), "--lo", "0", "--hi", "100000"])
+        cmds.append(["classic", *_seed(*seed), "--limit", "100000", "--lo", "0", "--hi", "100000"])
     # limits k**4 * T - 1, k**4 * T and k**4 * T + 1, T the chain threshold:
     # block parity's last power judges no cell, one and two
     for seed, cut in ((SEEDS[0], 32), (SEEDS[1], 162)):

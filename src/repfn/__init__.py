@@ -25,6 +25,7 @@ from .core import (
     SET,
     ChiTable,
     WeightPair,
+    classic_halves,
     classic_rep,
     rep_difference,
     rep_values,

@@ -21,7 +21,7 @@ from typing import TextIO
 
 from . import bounds, partitions
 from ._numpy import np
-from .core import COMPLEMENT, SET, WeightPair, classic_rep
+from .core import COMPLEMENT, SET, WeightPair, classic_halves, classic_rep
 from .errors import (
     DomainError,
     EnumerationCapExceeded,
@@ -224,9 +224,10 @@ def _emit_table(
 # objects) of main() writing to --out, after a first command has loaded
 # NumPy, at N = 2 * 10**5 and 10**6 over every format and over valid and
 # corrupted seeds, the larger of the two (the writer's chunk buffers weigh
-# more per n at the smaller N): build 10.7, verify 13.4 (json, which counts
-# nothing) and 28.4 (csv), scan-bound 50.4 (lo = 0), classic 65.9 (lo = 0,
-# hi = limit); rounded up to a multiple of 8, per format where they differ.
+# more per n at the smaller N): build 9.9, verify 12.0 (json, which counts
+# nothing) and 27.6 (csv), scan-bound 50.4 (lo = 0), classic 32.3 (json) and
+# 28.6 (csv) (lo = 0, hi = limit; it holds r1 per side, and forms r2 and r3
+# per chunk); rounded up to a multiple of 8, per format where they differ.
 # Every table grows linearly with N, so a constant times N estimates a
 # request's peak before anything is allocated.
 # For search N is the number of free bits, min(n0 // k1, cap), which sets
@@ -238,7 +239,7 @@ _BYTES_PER_N = {
     "build": 16,
     "verify": {"json": 16, "csv": 32},
     "scan-bound": 56,
-    "classic": 72,
+    "classic": {"json": 40, "csv": 32},
     "search": 4176,
 }
 
@@ -428,6 +429,20 @@ def _cmd_search(cfg: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+class _Half:
+    """Column r2 (``half`` 0) or r3 (``half`` 1) of classic, formed by
+    :func:`repfn.core.classic_halves` from each chunk of r1 that
+    :func:`_format_rows` slices, so neither is held whole."""
+
+    __slots__ = ("r1", "half")
+
+    def __init__(self, r1: np.ndarray, half: int):
+        self.r1, self.half = r1, half
+
+    def __getitem__(self, chunk: slice) -> np.ndarray:
+        return classic_halves(self.r1[chunk])[self.half]
+
+
 def _cmd_classic(cfg: argparse.Namespace, out: TextIO) -> int:
     seed = _parse_seed(cfg)
     if cfg.lo > cfg.hi:
@@ -438,8 +453,9 @@ def _cmd_classic(cfg: argparse.Namespace, out: TextIO) -> int:
         raise PreconditionError(f"n must be nonnegative, got {cfg.lo}")
     _check_memory(cfg, cfg.limit, "limit")
     chi = partitions.extend_seed(seed, cfg.limit)
-    counts = [classic_rep(chi, side, cfg.hi) for side in (SET, COMPLEMENT)]
-    table = (np.arange(cfg.lo, cfg.hi + 1), *(r[cfg.lo :] for rs in counts for r in rs))
+    r1_set, r1_comp = (classic_rep(chi, side, cfg.hi)[cfg.lo :] for side in (SET, COMPLEMENT))
+    table = (np.arange(cfg.lo, cfg.hi + 1), r1_set, _Half(r1_set, 0), _Half(r1_set, 1),
+             r1_comp, _Half(r1_comp, 0), _Half(r1_comp, 1))
     header = ["n", "r1_set", "r2_set", "r3_set", "r1_comp", "r2_comp", "r3_comp"]
     doc = {"schema": SCHEMA_VERSION, "command": "classic", "k": cfg.k, "n0": cfg.n0,
            "seed": cfg.seed}

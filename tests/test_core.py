@@ -12,6 +12,7 @@ from repfn import (
     PreconditionError,
     QueryBeyondPrefix,
     WeightPair,
+    classic_halves,
     classic_rep,
     rep_difference,
     rep_values,
@@ -155,11 +156,34 @@ def _edge_tables(k2: int) -> list[tuple[str, np.ndarray, int]]:
     ]
 
 
+def _wrap_table(k2: int, runs: int) -> tuple[np.ndarray, int]:
+    """(bits, n) at k1 = 1 whose taps R(m) - R(m - k2) reach +runs at m = n
+    and -runs at m = n + k2, n + k2 the table's last index: ``runs`` runs
+    of one member at the even a2 < 2*runs and none above, and for k2 > 1
+    the bits above the largest a2 set to period 2*k2, one at the a1 = n -
+    2*k2*i and none at n - k2 - 2*k2*i, each a1 past every a2.  At k2 = 1
+    the alternating a2 bits are that period themselves."""
+    n = 2 * runs - 2 if k2 == 1 else k2 * (2 * runs * k2 // (k2 - 1) + 2)
+    top = (n + k2) // k2
+    bits = np.zeros(n + k2 + 1, dtype=np.uint8)
+    bits[: 2 * runs : 2] = 1
+    bits[top + 1 :] = (n - np.arange(top + 1, n + k2 + 1)) % (2 * k2) < k2
+    return bits, n
+
+
+# run counts at the edges of int8 and int16, the types the kernel's taps take
+WRAP_RUNS = (127, 128, 32767, 32768)
+
+
 @pytest.mark.parametrize("k2", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("k1", [1, 2, 3])
 def test_kernel_matches_oracles_on_edge_cases(k1, k2):
     """Kernel vs strided sieve vs pair grid; all-zero on SET and all-one on
-    COMPLEMENT are the empty-side cases."""
+    COMPLEMENT are the empty-side cases.  At k1 = 1 the kernel also meets
+    the naive counter where its taps reach plus and minus the run count,
+    which the type of the taps must hold: 127 and 128 runs at every k2,
+    32767 and 32768 at k2 = 1 (a table of 2**16 bits; at k2 > 1 one of
+    that many runs costs several seconds)."""
     w = WeightPair(k1, k2)
     for label, bits, up_to in _edge_tables(k2):
         chi = ChiTable(bits)
@@ -171,6 +195,13 @@ def test_kernel_matches_oracles_on_edge_cases(k1, k2):
             # at most one solution per admissible a1 and per admissible a2
             ns = np.arange(up_to + 1)
             assert (values <= ns // max(w.k1, w.k2) + 1).all(), (label, side)
+    for runs in (WRAP_RUNS if k2 == 1 else WRAP_RUNS[:2]) if k1 == 1 else ():
+        bits, n = _wrap_table(k2, runs)
+        chi = ChiTable(bits)
+        at = [n - k2, n, n + k2]
+        naive = [rep_count_weighted(chi, SET, w, m) for m in at]
+        assert (naive[1] - naive[0], naive[2] - naive[1]) == (runs, -runs)
+        assert rep_values(chi, SET, w, n + k2)[at].tolist() == naive, runs
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +236,8 @@ def test_monotone_bound_property(data):
 def test_classic_rep_hand_values():
     # A = {1, 2, 3} on [0, 4]
     chi = ChiTable([0, 1, 1, 1, 0])
-    r1, r2, r3 = classic_rep(chi, SET, 4)
+    r1 = classic_rep(chi, SET, 4)
+    r2, r3 = classic_halves(r1)
     assert r1[4] == 3  # (1,3), (3,1), (2,2)
     assert r2[4] == 1  # (1,3)
     assert r3[4] == 2  # (1,3), (2,2)
@@ -228,7 +260,7 @@ def test_ordered_pair_symmetry(data):
     n = data.draw(st.integers(0, limit))
     chi = ChiTable(bits)
     for side in (SET, COMPLEMENT):
-        assert rep_count_weighted(chi, side, WeightPair(1, 1), n) == classic_rep(chi, side, n)[0][n]
+        assert rep_count_weighted(chi, side, WeightPair(1, 1), n) == classic_rep(chi, side, n)[n]
 
 
 @settings(max_examples=50, deadline=None)
@@ -240,7 +272,8 @@ def test_classic_variant_relations(data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=limit + 1, max_size=limit + 1))
     chi = ChiTable(bits)
     for side in (SET, COMPLEMENT):
-        counts = classic_rep(chi, side, limit)
+        ordered = classic_rep(chi, side, limit)
+        counts = (ordered, *classic_halves(ordered))
         for n in range(limit + 1):
             r1, r2, r3 = classic_counts(bits, side, n)
             assert tuple(int(c[n]) for c in counts) == (r1, r2, r3)
@@ -278,13 +311,16 @@ COPRIME_WEIGHTS = [
 ]
 
 
-@pytest.mark.parametrize("k1,k2", COPRIME_WEIGHTS)
+@pytest.mark.parametrize("k1,k2", [*COPRIME_WEIGHTS, (1, 97)])
 def test_total_identity_matches_pair_grid_at_coprime_weights(k1, k2, rng):
     """On random tables of ``size`` bits, D = R_A - R_C equals the pair-grid
     difference at every up_to the table decides, [0, k1*size - 1]; one more
-    n needs a bit the table does not hold."""
+    n needs a bit the table does not hold.  The largest table reaches past
+    k1*k2 + 1, so up_to in {0, 1, k1*k2 - 1, k1*k2, k1*k2 + 1}, where the
+    kernel's increments first repeat along the classes mod k1*k2, is
+    always among them."""
     w = WeightPair(k1, k2)
-    for size in (1, 2, 5, 23):
+    for size in (1, 2, 5, max(23, k2 + 2)):
         chi = random_table(rng, size - 1)
         bits = chi.bits
         for up_to in range(k1 * size):
