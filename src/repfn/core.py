@@ -153,9 +153,9 @@ def rep_difference(chi: ChiTable, w: WeightPair, up_to: int) -> np.ndarray:
     top = up_to // k2
     inc = np.zeros(up_to + 1, dtype=np.int8)
     for j in range(k1):
-        step = inc[k2 * j :: k1]
-        np.add(bits[: step.size], np.repeat(bits[j : top + 1 : k1], k2)[: step.size], out=step)
-        step -= 1
+        part = inc[k2 * j :: k1]
+        np.add(bits[: part.size], np.repeat(bits[j : top + 1 : k1], k2)[: part.size], out=part)
+        part -= 1
     return _class_prefix(inc, k1 * k2)
 
 

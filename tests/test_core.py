@@ -157,12 +157,15 @@ def _edge_tables(k2: int) -> list[tuple[str, np.ndarray, int]]:
 
 
 def _wrap_table(k2: int, runs: int) -> tuple[np.ndarray, int]:
-    """(bits, n) at k1 = 1 whose taps R(m) - R(m - k2) reach +runs at m = n
-    and -runs at m = n + k2, n + k2 the table's last index: ``runs`` runs
-    of one member at the even a2 < 2*runs and none above, and for k2 > 1
-    the bits above the largest a2 set to period 2*k2, one at the a1 = n -
-    2*k2*i and none at n - k2 - 2*k2*i, each a1 past every a2.  At k2 = 1
-    the alternating a2 bits are that period themselves."""
+    """(bits, n) for k1 = 1 where the kernel's taps R(m) - R(m - k2) are
+    +runs at m = n and -runs at m = n + k2, the table's last index.
+
+    The members a2 <= (n + k2) // k2 are the even a2 < 2*runs, each a run
+    of one; at k2 = 1 these alternating bits are the whole table.  Above
+    them, for k2 > 1, the bits have period 2*k2: set at every
+    a1 = n - 2*k2*i and clear at every n - k2 - 2*k2*i, and n is large
+    enough that each of these a1 lies above every a2.
+    """
     n = 2 * runs - 2 if k2 == 1 else k2 * (2 * runs * k2 // (k2 - 1) + 2)
     top = (n + k2) // k2
     bits = np.zeros(n + k2 + 1, dtype=np.uint8)
@@ -195,7 +198,9 @@ def test_kernel_matches_oracles_on_edge_cases(k1, k2):
             # at most one solution per admissible a1 and per admissible a2
             ns = np.arange(up_to + 1)
             assert (values <= ns // max(w.k1, w.k2) + 1).all(), (label, side)
-    for runs in (WRAP_RUNS if k2 == 1 else WRAP_RUNS[:2]) if k1 == 1 else ():
+    if k1 > 1:
+        return
+    for runs in WRAP_RUNS if k2 == 1 else WRAP_RUNS[:2]:
         bits, n = _wrap_table(k2, runs)
         chi = ChiTable(bits)
         at = [n - k2, n, n + k2]
