@@ -17,7 +17,9 @@ order it ran: its side, pair, seed, metrics, correctness and the minor page
 faults of the run and its children, read as the change in
 ``getrusage(RUSAGE_CHILDREN)`` across it.  It also holds each side's median
 and quartiles per metric and, per metric, the pairs the head won, by the
-direction that ``BENCHMARK.json`` gives (ties count for neither side).
+direction that ``BENCHMARK.json`` gives (ties count for neither side), and
+whether the head's median is worse than the base's by more than the
+metric's ``bound`` there (``over_bound``, printed as ``OVER BOUND``).
 """
 
 from __future__ import annotations
@@ -79,13 +81,16 @@ def spread(values: list[float]) -> dict:
     return {"median": median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread, the head's median change in percent
-    of the base's, and the pairs the head won."""
+def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per metric of ``metrics`` (``BENCHMARK.json``'s ``end_to_end``
+    entries): each side's spread, the head's median change in percent of
+    the base's, the pairs the head won, and whether that change is worse
+    than the metric's bound, a fraction of the base's median."""
     pairs = sorted({run["pair"] for run in runs})
     side = {(run["side"], run["pair"]): run for run in runs}
     out = {}
-    for name, direction in better.items():
+    for metric in metrics:
+        name, direction, bound = metric["name"], metric["better"], metric["bound"]
         base = [side["base", p]["metrics"][name] for p in pairs]
         head = [side["head", p]["metrics"][name] for p in pairs]
         sign = 1 if direction == "lower" else -1
@@ -95,6 +100,7 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
         out[name] = {
             "better": direction, "base": base_s, "head": head_s,
             "change_pct": change, "head_wins": wins, "pairs": len(pairs),
+            "bound": bound, "over_bound": change is not None and sign * change > 100 * bound,
         }
     return out
 
@@ -113,7 +119,6 @@ def main(argv: list[str] | None = None) -> int:
 
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     spec = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     malloc = {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")}
     record = {
         "schema": SCHEMA,
@@ -133,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
                 runs.append({"side": name, "pair": pair, "seed": pair + 1, **run})
                 print(f"{workload} pair {pair} {name}: wall_s {run['metrics']['wall_s']:.5f} "
                       f"correct {run['correct']}", file=sys.stderr)
-        record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, better)}
+        record["workloads"][workload] = {"runs": runs, "summary": summarise(runs, spec["end_to_end"])}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     lines = record["src_lines"]
     print(f"src/ lines: base {lines['base']} head {lines['head']} "
@@ -142,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
         for name, s in entry["summary"].items():
             change = "n/a" if s["change_pct"] is None else f"{s['change_pct']:+.1f} %"
             print(f"{workload:>7} {name:>12}: base {s['base']['median']:.6g} head "
-                  f"{s['head']['median']:.6g} ({change}), head won {s['head_wins']} of {s['pairs']}")
+                  f"{s['head']['median']:.6g} ({change}), head won {s['head_wins']} of {s['pairs']}"
+                  + (" OVER BOUND" if s["over_bound"] else ""))
     return 0
 
 

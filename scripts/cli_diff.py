@@ -25,9 +25,13 @@ missing flags, one unsupported ``--format`` for each command that lacks
 one, ``classic``'s two range errors and a few other usage errors.
 ``witness`` runs in json and csv at n = 10**5 for one seed, at 10**100 for
 every seed, at 10**1000 for k = 2 and k = 5, at 286, where a small element
-is shared across j, and at 10, below the witness threshold.  ``search`` runs the golden cases of
-``tests/test_search.py`` and outcomes of every kind: unsat, certificates
-((2, 5, 32) at cap 64; (2, 5, 8), (2, 7, 10) and (2, 9, 12) one bit below
+is shared across j, at 10, below the witness threshold, and at 10**7 and
+10**100 for the seed ``0 1^k`` at n0 = 1 with k = 13 and k = 97; and in
+json at 50 targets drawn log-uniform in [10**3, 10**7] by
+``random.Random(0)``, one per equal slice of the exponent range, round-robin
+over three seeds, as the ``point`` benchmark workload draws its queries.
+``search`` runs the golden cases of ``tests/test_search.py`` and outcomes
+of every kind: unsat, certificates ((2, 5, 32) at cap 64; (2, 5, 8), (2, 7, 10) and (2, 9, 12) one bit below
 their refutation depth, where a window of few prefixes returns the
 survivor from its per-prefix chains; and caps at or below n0 // k1, whose
 prefixes of up to 8000 bits decide no n), refutations past 5,000,000
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import re
 import subprocess
 import sys
@@ -93,6 +98,7 @@ CENSUSES = [
     (2, 0), (3, 2), (5, 3), (6, 4), (2, 22), (7, 17), (6, 16), (2, 1), (9, 15), (8, 16),
     (22, 2), (12, 12), (24, 0),
 ]
+POINT_QUERIES = 50
 WALL_TIME = re.compile(rb"(?m)^(search: \w+ in )[0-9.]+ s$")
 
 
@@ -179,6 +185,14 @@ def commands() -> list[list[str]]:
             cmds.append(["witness", *_seed(*seed), "--n", str(10**1000), "--format", fmt])
         for n in ("286", "10"):
             cmds.append(["witness", *_seed(*SEEDS[0]), "--n", n, "--format", fmt])
+        for seed in WIDE:
+            for n in (10**7, 10**100):
+                cmds.append(["witness", *_seed(*seed), "--n", str(n), "--format", fmt])
+    # witness queries drawn as the point workload draws them
+    rng = random.Random(0)
+    for i in range(POINT_QUERIES):
+        n = int(10 ** (3 + 4 * (i + rng.random()) / POINT_QUERIES))
+        cmds.append(["witness", *_seed(*SEEDS[i % len(SEEDS)]), "--n", str(n)])
     cmds.append(["--help"])
     for command in ("seeds", "build", "verify", "scan-bound", "witness", "search", "classic"):
         cmds.append([command, "--help"])

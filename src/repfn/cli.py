@@ -186,6 +186,35 @@ def _json_head(doc: dict, key: str) -> str:
     return json.dumps(doc, indent=2)[: -len("null\n}")]
 
 
+# json.dumps's text of each scalar a witness record holds, keyed by exact
+# type: bool (an int subclass) and float are refused, not written as ints
+_SCALARS = {int: int.__repr__, str: json.encoder.encode_basestring_ascii, type(None): lambda _: "null"}
+
+
+@functools.cache
+def _object_template(fields: tuple[str, ...]) -> str:
+    """The ``%``-template of one object with these keys, as an item of a
+    list nested one level deep in a ``json.dumps(indent=2)`` document."""
+    keys = [json.encoder.encode_basestring_ascii(f).replace("%", "%%") for f in fields]
+    return "\n    {\n      " + ",\n      ".join(f"{key}: %s" for key in keys) + "\n    }"
+
+
+def _json_objects(fields: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """``json.dumps(indent=2)`` of ``[dict(zip(fields, row)) for row in rows]``
+    as the value of a top-level key: each row through one template, each
+    value through one encoding of :data:`_SCALARS`, so none goes through
+    the pure-Python encoder that ``indent`` forces.  Values are int, str or
+    None; any other type raises TypeError."""
+    if not rows:
+        return "[]"
+    template = _object_template(tuple(fields))
+    try:
+        objects = [template % tuple([_SCALARS[type(v)](v) for v in row]) for row in rows]
+    except KeyError as exc:
+        raise TypeError(f"cannot write a {exc.args[0].__name__} as a JSON scalar") from None
+    return "[" + ",".join(objects) + "\n  ]"
+
+
 def _emit_list(out: TextIO, head: str | dict, key: str, count: int, text: Callable) -> None:
     """Write a list of ``count`` items CHUNK at a time: ``text(start, skip)``
     is a chunk's items, each led by its separator, less the first ``skip``
@@ -401,13 +430,9 @@ def _cmd_witness(cfg: argparse.Namespace, out: TextIO) -> int:
     if cfg.format == "csv":
         csv.writer(out).writerows([bounds.WitnessRecord._fields, *records])
     else:
-        _emit_json(
-            cfg,
-            out,
-            guaranteed_bound=bounds.guaranteed_bound(cfg.k, cfg.n0, cfg.n),
-            records=[r._asdict() for r in records],
-            skipped=[{"j": j, "reason": reason} for j, reason in skipped],
-        )
+        head = {**_head(cfg), "guaranteed_bound": bounds.guaranteed_bound(cfg.k, cfg.n0, cfg.n)}
+        out.write(_json_head(head, "records") + _json_objects(bounds.WitnessRecord._fields, records)
+                  + ',\n  "skipped": ' + _json_objects(("j", "reason"), skipped) + "\n}\n")
     return 0
 
 

@@ -21,8 +21,8 @@ to :mod:`repfn.cli`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from ._numpy import np
 from .errors import PreconditionError, QueryBeyondPrefix
@@ -73,16 +73,24 @@ class ChiTable:
         return view if side == SET else view ^ 1
 
 
-@dataclass(frozen=True)
-class WeightPair:
-    """Coefficients of the weighted equation n = k1*a1 + k2*a2."""
-
+class _WeightPair(NamedTuple):
     k1: int
     k2: int
 
-    def __post_init__(self):
-        if self.k1 < 1 or self.k2 < 1:
-            raise PreconditionError(f"weights must be positive, got ({self.k1}, {self.k2})")
+
+class WeightPair(_WeightPair):
+    """Coefficients of the weighted equation n = k1*a1 + k2*a2.
+
+    A named tuple validated in ``__new__``, not a dataclass: importing
+    ``dataclasses`` loads ``inspect`` and ``ast`` at every start of the CLI.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k1: int, k2: int):
+        if k1 < 1 or k2 < 1:
+            raise PreconditionError(f"weights must be positive, got ({k1}, {k2})")
+        return super().__new__(cls, k1, k2)
 
 
 def _class_prefix(inc: np.ndarray, p: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._numpy import np
@@ -341,26 +340,29 @@ def prefix_search(
     return np.concatenate(survivors), total, deepest
 
 
-@dataclass(frozen=True, slots=True)
-class SeedAssignment:
-    """chi restricted to [0, k + n0): candidate initial segment.
-
-    A census is an array from :func:`enumerate_seeds`, not a list of these;
-    ``SeedAssignment(k, n0, tuple(row))`` makes one from a row's ``tolist()``.
-    """
-
+class _SeedAssignment(NamedTuple):
     k: int
     n0: int
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_params(self.k, self.n0)
-        if len(self.values) != self.k + self.n0:
-            raise PreconditionError(
-                f"seed must have length k + n0 = {self.k + self.n0}, got {len(self.values)}"
-            )
-        if not set(self.values) <= {0, 1}:
+
+class SeedAssignment(_SeedAssignment):
+    """chi restricted to [0, k + n0): candidate initial segment.
+
+    A census is an array from :func:`enumerate_seeds`, not a list of these;
+    ``SeedAssignment(k, n0, tuple(row))`` makes one from a row's ``tolist()``.
+    A named tuple validated in ``__new__``, as :class:`repfn.core.WeightPair` is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, n0: int, values: tuple[int, ...]):
+        _check_params(k, n0)
+        if len(values) != k + n0:
+            raise PreconditionError(f"seed must have length k + n0 = {k + n0}, got {len(values)}")
+        if not set(values) <= {0, 1}:
             raise PreconditionError("seed values must be 0 or 1")
+        return super().__new__(cls, k, n0, values)
 
     @classmethod
     def from_string(cls, k: int, n0: int, s: str) -> "SeedAssignment":

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import random
 import re
 import subprocess
 import sys
@@ -680,6 +682,73 @@ def test_emit_table_rows_must_be_last_key():
     with pytest.raises(ValueError, match="last key"):
         cli._emit_table(["n"], np.zeros((3, 1), dtype=np.int64).T, out, doc)
     assert out.getvalue() == ""
+
+
+# ---------------------------------------------------------- witness writer
+
+def _check_witness_against_stdlib(capsys, k, n0, seed, n):
+    """The witness json stdout equals json.dumps of the document; returns the document."""
+    records, skipped = bounds.witness_list(partitions.SeedAssignment.from_string(k, n0, seed), n)
+    doc = {
+        "schema": 1, "command": "witness", "k": k, "n0": n0, "seed": seed, "n": n,
+        "guaranteed_bound": guaranteed_bound(k, n0, n),
+        "records": [r._asdict() for r in records],
+        "skipped": [{"j": j, "reason": reason} for j, reason in skipped],
+    }
+    code, out, err = run(capsys, "witness", "--k", str(k), "--n0", str(n0), "--seed", seed,
+                         "--n", str(n))
+    assert (code, err) == (0, ""), (k, n0, seed, n)
+    assert out == json.dumps(doc, indent=2) + "\n", (k, n0, seed, n)
+    return doc
+
+
+def test_witness_json_matches_stdlib_over_small_seeds(capsys):
+    """Every valid seed with k + n0 <= 8, at 200 targets log-uniform in
+    [k + n0 - 1, 10**7] each, which meet both cases and both skip reasons."""
+    rng = random.Random(0)
+    cases, reasons = set(), set()
+    for k in range(2, 8):
+        for n0 in range(1, 9 - k):
+            lo, hi = math.log(k + n0 - 1), math.log(10**7)
+            for bits in partitions.enumerate_seeds(k, n0):
+                seed = "".join(map(str, bits.tolist()))
+                for _ in range(200):
+                    n = int(math.exp(rng.uniform(lo, hi)))
+                    doc = _check_witness_against_stdlib(capsys, k, n0, seed, n)
+                    cases.update(r["case"] for r in doc["records"])
+                    reasons.update(s["reason"] for s in doc["skipped"])
+    assert cases == {bounds.CASE_INTERVAL, bounds.CASE_SMALL_SHIFT}
+    assert reasons == {bounds.BELOW_THRESHOLD, bounds.POOL_EXHAUSTED}
+
+
+@pytest.mark.parametrize("k, n0, seed, n", [
+    *[(k, n0, seed, 10**100) for k, n0, seed in ((2, 1, "011"), (3, 2, "01110"), (5, 3, "01011101"))],
+    *[(k, n0, seed, 10**1000) for k, n0, seed in ((2, 1, "011"), (5, 3, "01011101"))],
+    (2, 1, "011", 286),  # one case2 record; the other j finds its small element taken
+    (2, 1, "011", 10),  # no record, one skip below the witness threshold
+    (2, 1, "011", 2),  # no record and no skip
+], ids=["011-1e100", "01110-1e100", "01011101-1e100", "011-1e1000", "01011101-1e1000",
+        "011-286", "011-10", "011-2"])
+def test_witness_json_matches_stdlib(capsys, k, n0, seed, n):
+    _check_witness_against_stdlib(capsys, k, n0, seed, n)
+
+
+@pytest.mark.parametrize("fields, rows", [
+    (("s",), [('quote " and backslash \\',), ("café ☃ \U0001d11e",), ("",), ("%s %%",)]),
+    (("a", "b%s", "é"), [(None, 2**64, -(2**70)), (0, None, "x")]),
+    (("j", "reason"), []),
+    (("j",), [(10**300,)]),
+], ids=["strings", "mixed", "empty", "huge-int"])
+def test_json_objects_match_stdlib(fields, rows):
+    """The list text equals json.dumps's for the list as a top-level value."""
+    doc = json.dumps({"key": [dict(zip(fields, row)) for row in rows]}, indent=2)
+    assert cli._json_objects(fields, rows) == doc[len('{\n  "key": '):-len("\n}")]
+
+
+@pytest.mark.parametrize("value", [True, 1.0, [1]], ids=["bool", "float", "list"])
+def test_json_objects_refuse_other_types(value):
+    with pytest.raises(TypeError, match=type(value).__name__):
+        cli._json_objects(("a", "b"), [(1, "x"), (2, value)])
 
 
 # ------------------------------------------------------------------ memory

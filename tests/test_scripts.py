@@ -6,6 +6,7 @@ the package's ``src`` on ``PYTHONPATH``, and must exit 0 with its usual
 last line; ``bench.py`` runs on two copies of the tree.
 """
 
+import importlib.util
 import json
 import os
 import shutil
@@ -81,3 +82,32 @@ def test_bench_alternates_pairs_of_two_trees(tmp_path):
     assert set(summary) == names
     for s in summary.values():
         assert s["pairs"] == 1 and s["head_wins"] in (0, 1) and s["base"]["iqr"] == 0
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("better, base, head, over", [
+    ("lower", 1.00, 1.04, False),
+    ("lower", 1.00, 1.06, True),
+    ("lower", 1.00, 0.50, False),
+    ("higher", 1.00, 0.96, False),
+    ("higher", 1.00, 0.94, True),
+    ("higher", 1.00, 2.00, False),
+], ids=["lower-inside", "lower-outside", "lower-better", "higher-inside", "higher-outside",
+        "higher-better"])
+def test_bench_flags_a_breached_bound(better, base, head, over):
+    """A head median worse than the base's by more than the bound, in the
+    metric's own direction, is over the bound; a better one never is."""
+    metrics = [{"name": "m", "better": better, "bound": 0.05}]
+    runs = [
+        {"side": side, "pair": pair, "metrics": {"m": value * (1 + pair / 1000)}}
+        for pair in range(3) for side, value in (("base", base), ("head", head))
+    ]
+    summary = _load_bench().summarise(runs, metrics)["m"]
+    assert (summary["bound"], summary["over_bound"]) == (0.05, over)
+    assert summary["head_wins"] == (3 if (head < base) == (better == "lower") else 0)
