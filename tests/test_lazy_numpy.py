@@ -66,8 +66,8 @@ def test_import_and_parser_load_no_numpy():
 
 
 def test_import_and_parser_load_no_dataclasses():
-    """Importing dataclasses loads inspect, ast, dis and tokenize: about
-    9 ms of every start of the CLI that no command needs."""
+    """Importing dataclasses loads inspect, ast, dis and tokenize: about a
+    tenth of a cold start of the CLI, which no command needs."""
     code = (
         "import sys, repfn.cli; repfn.cli.build_parser(); "
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
